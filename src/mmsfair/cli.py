@@ -55,11 +55,14 @@ def _rational(text: str) -> Fraction:
 
 
 def _grid(text: str):
+    """Grid values as exact rationals; whole numbers become ``int`` so that
+    sweeps over them run in integer arithmetic."""
     values = []
     for tok in text.split(","):
         tok = tok.strip()
         if tok:
-            values.append(Fraction(tok))
+            v = Fraction(tok)
+            values.append(v.numerator if v.denominator == 1 else v)
     if not values:
         raise argparse.ArgumentTypeError("empty grid")
     return tuple(values)

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import EX23_TEXT
-from mmsfair.cli import main
+from mmsfair.cli import build_parser, main
 
 
 @pytest.fixture
@@ -94,6 +96,14 @@ class TestVerify:
         )
         assert status == 0
         assert "0 violations" in out
+
+    def test_grid_parses_whole_numbers_as_ints(self):
+        args = build_parser().parse_args(
+            ["verify", "--mech", "pick-seq", "--model", "ordinal", "--n", "2",
+             "--m", "3", "--grid", "0, 2,6/3,1e1,1/2,0.25"]
+        )
+        assert args.grid == (0, 2, 2, 10, Fraction(1, 2), Fraction(1, 4))
+        assert [type(v) for v in args.grid] == [int] * 4 + [Fraction] * 2
 
     def test_budget_error(self, capsys):
         status, _, err = run_cli(

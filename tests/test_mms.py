@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instance
 from mmsfair import (
@@ -11,6 +13,7 @@ from mmsfair import (
     approximation_ratio,
     maximin_share,
     maximin_share_bruteforce,
+    mms,
 )
 
 
@@ -85,6 +88,132 @@ class TestOracleEquivalence:
                 assert maximin_share(inst, 0, k) == maximin_share_bruteforce(
                     inst, 0, k
                 )
+
+
+DERANDOMIZED = settings(
+    derandomize=True, database=None, deadline=None, max_examples=150
+)
+
+
+def _two_part_route(row):
+    """The 2-bundle share of ``row`` and the exact methods that computed it,
+    in call order; an empty list means the differencing exit answered."""
+    used = []
+
+    def spy(name):
+        real = getattr(mms, name)
+
+        def wrapper(*args):
+            used.append(name)
+            return real(*args)
+
+        return wrapper
+
+    def branch_and_bound(*args):
+        raise AssertionError("a 2-bundle query reached branch and bound")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_two_parts_bitset", "_two_parts_meet"):
+            mp.setattr(mms, name, spy(name))
+        mp.setattr(mms, "_max_min_partition", branch_and_bound)
+        share = maximin_share(Instance.from_rows([row]), 0, 2)
+    return share, used
+
+
+def _set_of_sums_half(row):
+    """Largest subset sum up to half the total, from a plain set of sums."""
+    half = sum(row) // 2
+    sums = {0}
+    for w in row:
+        sums |= {s + w for s in sums if s + w <= half}
+    return max(sums)
+
+
+def _kk_exits(row):
+    weights = sorted(row, reverse=True)
+    return mms._karmarkar_karp(weights) == sum(weights) % 2
+
+
+def _draw(rng, m, top, accept):
+    """A random row of ``m`` values in [1, top], drawn again until accepted."""
+    while True:
+        row = [rng.randint(1, top) for _ in range(m)]
+        if accept(row):
+            return row
+
+
+class TestTwoPartOracle:
+    @DERANDOMIZED
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=9))
+    def test_matches_bruteforce_ints(self, row):
+        share, _ = _two_part_route(row)
+        assert share == maximin_share_bruteforce(Instance.from_rows([row]), 0, 2)
+
+    @DERANDOMIZED
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_value=10**6, max_denominator=12),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    def test_matches_bruteforce_fractions(self, row):
+        share, _ = _two_part_route(row)
+        assert share == maximin_share_bruteforce(Instance.from_rows([row]), 0, 2)
+
+    @DERANDOMIZED
+    @given(st.lists(st.integers(1, 50), min_size=2, max_size=9))
+    def test_narrow_bitset(self, row):
+        assert sum(row) // 2 < mms._NARROW_HALF
+        share, used = _two_part_route(row)
+        assert used == ["_two_parts_bitset"]
+        assert share == maximin_share_bruteforce(Instance.from_rows([row]), 0, 2)
+
+    @DERANDOMIZED
+    @given(st.lists(st.integers(300, 10**6), min_size=1, max_size=4))
+    def test_differencing_exit(self, pairs):
+        # every value twice: differencing cancels each pair, so the
+        # difference is 0 and half the (even) total is reached
+        row = pairs + pairs
+        share, used = _two_part_route(row)
+        assert used == []
+        assert share == sum(row) // 2
+        assert share == maximin_share_bruteforce(Instance.from_rows([row]), 0, 2)
+
+    @pytest.mark.parametrize("m", [12, 16, 20, 24])
+    def test_masked_bitset(self, m):
+        rng = random.Random(m)
+        for _ in range(5):
+            row = _draw(rng, m, 10**4, lambda r: not _kk_exits(r))
+            share, used = _two_part_route(row)
+            assert used == ["_two_parts_bitset"]
+            assert sum(row) // 2 >= mms._NARROW_HALF
+            assert share == _set_of_sums_half(row)
+
+    @pytest.mark.parametrize("m", range(10, 23))
+    def test_meet_in_the_middle(self, m):
+        rng = random.Random(1000 + m)
+        row = _draw(
+            rng, m, 10**6, lambda r: sum(r) > 4_194_304 and not _kk_exits(r)
+        )
+        share, used = _two_part_route(row)
+        assert used == ["_two_parts_meet"]
+        assert share == _set_of_sums_half(row)
+
+    def test_meet_in_the_middle_one_sided_optimum(self):
+        # the total is odd and only items 1 and 3 (both even-indexed after
+        # sorting) sum to half of it, so one side alone must reach the cap
+        row = [30179, 14002, 13337, 12168, 10579, 6768]
+        share, used = _two_part_route(row)
+        assert used == ["_two_parts_meet"]
+        assert share == 30179 + 13337 == sum(row) // 2 == _set_of_sums_half(row)
+
+    def test_thousand_items(self):
+        rng = random.Random(1100)
+        row = [rng.randint(1, 10**6) for _ in range(1100)]
+        share, used = _two_part_route(row)
+        assert used == []
+        assert share == sum(row) // 2
 
 
 class TestInvariants:

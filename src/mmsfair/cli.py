@@ -9,13 +9,14 @@ Every command is reproducible: seeds default to 0 and rational quantities
 are printed exactly, never as decimals.  With ``--machine`` the output is
 one ``key=value`` record per line.  Exit status: 0 on success / no
 violation, 1 when violations or failures were found, 2 on usage or input
-errors.
+errors, 3 on an unexpected error (its traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 
 from .adversary import (
@@ -476,6 +477,9 @@ def main(argv=None) -> int:
             message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

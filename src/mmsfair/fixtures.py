@@ -465,12 +465,15 @@ def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
             pending_rows.clear()
             in_profile = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
         head = tokens[0]
+        if head in ("threshold", "epsilon", "model") and len(tokens) < 2:
+            raise ValueError(f"line {lineno}: {head} needs a value")
         if head == "threshold":
             flush_profile(lineno)
             threshold = Fraction(tokens[1])
@@ -493,7 +496,7 @@ def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
             pending_rows.append(tuple(Fraction(t) for t in tokens))
         else:
             raise ValueError(f"line {lineno}: unexpected content {line!r}")
-    flush_profile("end")
+    flush_profile(len(lines))
     if threshold is None:
         raise ValueError("fixture file is missing a threshold line")
     return ChainFixture(

@@ -206,10 +206,11 @@ def bundle_value(inst: Instance, player: int, items: Iterable[int]) -> Value:
     """Exact sum of ``player``'s values over ``items``; the empty set is 0."""
     inst._check_player(player)
     row = inst.values[player]
+    m = inst.m
     total: Value = 0
     for j in items:
-        if not 0 <= j < inst.m:
-            raise IndexError(f"item index {j} out of range [0, {inst.m})")
+        if not 0 <= j < m:
+            raise IndexError(f"item index {j} out of range [0, {m})")
         total += row[j]
     return total
 
@@ -223,13 +224,17 @@ def derive_ranking(inst: Instance, player: int) -> Ranking:
     (2, 1, 0)
     """
     inst._check_player(player)
-    row = inst.values[player]
-    return Ranking(tuple(sorted(range(inst.m), key=lambda j: (-row[j], j))))
+    return Ranking(ranking_order(inst.values[player]))
 
 
 def ranking_order(row: Sequence[Value]) -> tuple[int, ...]:
-    """Raw order tuple for a single value row (same tie-break as above)."""
-    return tuple(sorted(range(len(row)), key=lambda j: (-row[j], j)))
+    """Raw order tuple for a single value row (same tie-break as above: a
+    reversed sort is still stable, so equal values keep ascending indices).
+
+    >>> ranking_order((1, 2, 1, 2))
+    (1, 3, 0, 2)
+    """
+    return tuple(sorted(range(len(row)), key=row.__getitem__, reverse=True))
 
 
 def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
@@ -238,12 +243,13 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
     Checks bundle count, item-index range, duplicates, and full coverage.
     """
     violations = []
-    if alloc.n != inst.n:
-        violations.append(f"expected {inst.n} bundles, found {alloc.n}")
+    n, m = inst.n, inst.m
+    if alloc.n != n:
+        violations.append(f"expected {n} bundles, found {alloc.n}")
     seen: dict[int, int] = {}
     for b, bundle in enumerate(alloc.bundles):
         for j in bundle:
-            if not 0 <= j < inst.m:
+            if not 0 <= j < m:
                 violations.append(f"item index {j} out of range in bundle {b + 1}")
             elif j in seen:
                 violations.append(
@@ -251,7 +257,7 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
                 )
             else:
                 seen[j] = b
-    for j in range(inst.m):
+    for j in range(m):
         if j not in seen:
             violations.append(f"item {j + 1} unassigned")
     return violations

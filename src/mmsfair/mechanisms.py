@@ -19,7 +19,6 @@ from .instance import (
     Instance,
     Ranking,
     Value,
-    derive_ranking,
     ranking_order,
 )
 
@@ -267,7 +266,7 @@ def mechanism_pr_exact_24(inst: Instance) -> Allocation:
     players' rankings treated as public (derived from the instance)."""
     if inst.n != 2 or inst.m != 4:
         raise MechanismError("pr-exact-2-4 requires exactly 2 players and 4 items")
-    orders = [derive_ranking(inst, i).order for i in range(2)]
+    orders = [ranking_order(row) for row in inst.values]
     return Allocation(_pr_exact_24_bundles(orders, inst.values))
 
 
@@ -349,29 +348,27 @@ def _resolve_reports(
 
     In the public-rankings model a reported row inconsistent with the
     player's true ranking is ignored, i.e. replaced by her true row; the
-    rankings used are always the true (public) ones.
+    rankings used are always the true (public) ones.  Truthful reports
+    (``None``) give the true orders and rows in every model.
     """
-    if model == ORDINAL:
-        if reported is None:
-            orders = [derive_ranking(inst, i).order for i in range(inst.n)]
-        else:
-            if isinstance(reported, Instance):
-                raise MechanismError(
-                    "the ordinal model takes a list of rankings, not a value matrix"
-                )
-            rankings = list(reported)
-            if len(rankings) != inst.n or not all(
-                isinstance(r, Ranking) for r in rankings
-            ):
-                raise MechanismError("need one Ranking per player")
-            for r in rankings:
-                if r.m != inst.m:
-                    raise MechanismError("rankings must cover all items")
-            orders = [r.order for r in rankings]
-        return orders, list(inst.values)
-
     if reported is None:
-        reported = inst
+        return [ranking_order(row) for row in inst.values], list(inst.values)
+
+    if model == ORDINAL:
+        if isinstance(reported, Instance):
+            raise MechanismError(
+                "the ordinal model takes a list of rankings, not a value matrix"
+            )
+        rankings = list(reported)
+        if len(rankings) != inst.n or not all(
+            isinstance(r, Ranking) for r in rankings
+        ):
+            raise MechanismError("need one Ranking per player")
+        for r in rankings:
+            if r.m != inst.m:
+                raise MechanismError("rankings must cover all items")
+        return [r.order for r in rankings], list(inst.values)
+
     if not isinstance(reported, Instance):
         try:
             reported = Instance.from_rows(reported)
@@ -387,7 +384,7 @@ def _resolve_reports(
         return orders, list(reported.values)
 
     if model == PUBLIC_RANKINGS:
-        true_orders = [derive_ranking(inst, i).order for i in range(inst.n)]
+        true_orders = [ranking_order(row) for row in inst.values]
         rows: list[Sequence[Value]] = []
         for i in range(inst.n):
             row = reported.values[i]

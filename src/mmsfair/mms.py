@@ -19,6 +19,7 @@ Three or more bundles go to a branch-and-bound search with symmetry breaking.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from bisect import bisect_right
@@ -306,12 +307,22 @@ def approximation_ratio(inst: Instance, alloc: Allocation):
     violations = validate_allocation(inst, alloc)
     if violations:
         raise ValueError("invalid allocation: " + "; ".join(violations))
+    parts = inst.n
     ratios = []
-    for i in range(inst.n):
-        share = maximin_share(inst, i, inst.n)
+    for row, bundle in zip(inst.values, alloc.bundles):
+        share = _rated_share(tuple(sorted(row, reverse=True)), parts)
         if share == 0:
             continue
-        ratios.append(inst.value(i, alloc.bundles[i]) / share)
+        ratios.append(sum(row[j] for j in bundle) / share)
     if not ratios:
         return UNBOUNDED
     return min(ratios)
+
+
+@functools.lru_cache(maxsize=4096)
+def _rated_share(values: tuple[Value, ...], parts: int) -> Fraction:
+    """Maximin share of a row whose values, in descending order, are
+    ``values``.  A share depends only on that multiset and ``parts``, so
+    :func:`approximation_ratio` rates a grid of instances from a few hundred
+    oracle calls; :func:`maximin_share` itself remembers nothing."""
+    return maximin_share(Instance((values,)), 0, parts)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import EX23_TEXT
+from mmsfair import cli
 from mmsfair.cli import build_parser, main
 
 
@@ -218,6 +219,26 @@ class TestErrors:
         status, _, err = run_cli(capsys, "mms", "--instance", str(bad))
         assert status == 2
         assert "line 2" in err
+
+    def test_bare_fixture_keyword(self, capsys, tmp_path):
+        path = tmp_path / "chain.txt"
+        path.write_text("threshold\nprofile\n1 0\n0 1\n")
+        status, _, err = run_cli(
+            capsys, "chain", "--fixture-file", str(path), "--mech", "pr"
+        )
+        assert status == 2
+        assert err == "error: line 1: threshold needs a value\n"
+
+    def test_unexpected_error_exits_3(self, capsys, monkeypatch, ex23_file):
+        def overflow(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "maximin_share", overflow)
+        status, out, err = run_cli(capsys, "mms", "--instance", ex23_file)
+        assert status == 3
+        assert out == ""
+        assert err.startswith("Traceback")
+        assert err.rstrip().endswith("RecursionError: maximum recursion depth exceeded")
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:

@@ -209,3 +209,13 @@ class TestFixtureFiles:
             parse_fixture("threshold 1/2\nprofile\n1 1\nedge 1 1 1\n")
         with pytest.raises(ValueError, match="unexpected"):
             parse_fixture("threshold 1/2\nwhat is this\n")
+
+    @pytest.mark.parametrize("keyword", ["threshold", "epsilon", "model"])
+    def test_bare_keyword_names_line(self, keyword):
+        text = "threshold 1/2\n\n  " + keyword + "  \n"
+        with pytest.raises(ValueError, match=f"^line 3: {keyword} needs a value$"):
+            parse_fixture(text)
+
+    def test_short_profile_at_end_names_last_line(self):
+        with pytest.raises(ValueError, match="^line 3: profile needs exactly 2 rows, got 1$"):
+            parse_fixture("threshold 1/2\nprofile\n1 0 0 0\n")

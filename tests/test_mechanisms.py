@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import random_instance
 from mmsfair import (
     CARDINAL,
+    MECHANISM_NAMES,
     ORDINAL,
     PUBLIC_RANKINGS,
     Allocation,
@@ -20,6 +22,7 @@ from mmsfair import (
     maximin_share,
     mechanism,
     mechanism_pr_exact_24,
+    models_for,
     positions_bundle,
     pr_sequence,
     random_uniform_allocation,
@@ -297,6 +300,31 @@ class TestRunMechanism:
             assert run_mechanism(pr, CARDINAL, inst) == run_mechanism(
                 pr, CARDINAL, scaled
             )
+
+    @pytest.mark.parametrize("n, m, grid", [(2, 4, (0, 1, 2)), (3, 4, (0, 1))])
+    def test_truthful_default_equals_explicit_reports(self, n, m, grid):
+        # omitting the reports must mean exactly the truthful reports; sqrt-seq
+        # rebuilds its sequence on every call, so it takes every 9th profile
+        cases = []
+        for name in MECHANISM_NAMES:
+            mech = mechanism(name, Fraction(2) if name == "sqrt-seq" else None)
+            if name == "pr-exact-2-4" and (n, m) != (2, 4):
+                continue
+            if name == "cut-and-choose" and n != 2:
+                continue
+            stride = 9 if name == "sqrt-seq" else 1
+            cases += [(mech, model, stride) for model in sorted(models_for(mech))]
+        rows = list(product(grid, repeat=m))
+        for index, profile in enumerate(product(rows, repeat=n)):
+            inst = Instance.from_rows(profile)
+            rankings = [derive_ranking(inst, i) for i in range(n)]
+            for mech, model, stride in cases:
+                if index % stride:
+                    continue
+                reported = rankings if model == ORDINAL else inst
+                assert run_mechanism(mech, model, inst) == run_mechanism(
+                    mech, model, inst, reported
+                ), (mech, model, profile)
 
 
 class TestGuarantees:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -299,3 +300,51 @@ class TestApproximationRatio:
     def test_invalid_allocation_rejected(self, ex23):
         with pytest.raises(ValueError, match="invalid allocation"):
             approximation_ratio(ex23, Allocation.from_bundles([[0], [1], [2]]))
+
+
+class TestShareMemo:
+    @staticmethod
+    def _direct_ratio(inst, alloc):
+        ratios = []
+        for i, bundle in enumerate(alloc.bundles):
+            share = maximin_share(inst, i, inst.n)
+            if share:
+                ratios.append(Fraction(inst.value(i, bundle)) / share)
+        return min(ratios) if ratios else UNBOUNDED
+
+    def test_grid_matches_direct_shares(self):
+        # every row of {0,1,2}^4 recurs as a permutation of others; Fraction
+        # copies equal to the int rows hit their memo keys, halved ones do not
+        rows = list(product((0, 1, 2), repeat=4))
+        allocs = [
+            Allocation.from_bundles([[0], [1, 2, 3]]),
+            Allocation.from_bundles([[0, 3], [1, 2]]),
+            Allocation.from_bundles([[1, 2, 3], [0]]),
+        ]
+        for index, (r1, r2) in enumerate(product(rows, repeat=2)):
+            profiles = [(r1, r2)]
+            if index % 7 == 0:
+                profiles.append(([Fraction(v) for v in r1], r2))
+                profiles.append(([Fraction(v, 2) for v in r1], [Fraction(v) for v in r2]))
+            for profile in profiles:
+                inst = Instance.from_rows(profile)
+                alloc = allocs[index % len(allocs)]
+                got = approximation_ratio(inst, alloc)
+                want = self._direct_ratio(inst, alloc)
+                assert got == want, profile
+                assert got is UNBOUNDED or type(got) is Fraction
+
+    def test_oracle_is_not_memoized(self, monkeypatch):
+        inst = Instance.from_rows([[3, 2, 2, 1], [1, 2, 2, 3]])
+        assert approximation_ratio(inst, Allocation.from_bundles([[0, 3], [1, 2]])) == 1
+        calls = []
+        real = mms._max_min_two_parts
+
+        def spy(weights):
+            calls.append(weights)
+            return real(weights)
+
+        monkeypatch.setattr(mms, "_max_min_two_parts", spy)
+        assert maximin_share(inst, 0, 2) == 4
+        assert maximin_share(inst, 0, 2) == 4
+        assert len(calls) == 2

@@ -117,6 +117,19 @@ def value_oblivious(mech: Mechanism) -> bool:
     return mech.name in _VALUE_OBLIVIOUS
 
 
+def _check_defined(mech: Mechanism, model: str, n: int, m: int) -> None:
+    """Refuse a model the mechanism does not run in, or an (n, m) it does not
+    take."""
+    if model not in MODELS:
+        raise MechanismError(f"unknown model {model!r}")
+    if model not in models_for(mech):
+        raise MechanismError(f"{mech} is not defined in the {model} model")
+    if mech.name == PR_EXACT_24 and (n, m) != (2, 4):
+        raise MechanismError("pr-exact-2-4 requires exactly 2 players and 4 items")
+    if mech.name == CUT_AND_CHOOSE and n != 2:
+        raise MechanismError("cut-and-choose requires exactly 2 players")
+
+
 @dataclass(frozen=True)
 class PickingSequence:
     """A sequence of player indices; each named player takes her favorite
@@ -158,6 +171,29 @@ def pr_sequence(n: int) -> PickingSequence:
     if n < 1:
         raise MechanismError("need at least one player")
     return PickingSequence(tuple(range(n)) + (n - 1,), cyclic=True)
+
+
+_SEQUENCE_CACHE: dict = {}
+
+
+def _sequence_for(mech: Mechanism, n: int, m: int) -> PickingSequence | None:
+    """Picking sequence of a sequence mechanism, or None for the others; each
+    is built once per (mechanism, n, m)."""
+    key = (mech.name, mech.epsilon, n, m)
+    if key in _SEQUENCE_CACHE:
+        return _SEQUENCE_CACHE[key]
+    if mech.name in (BEST_ITEM, PICK_SEQ):
+        seq = best_item_sequence(n, m)
+    elif mech.name == PR:
+        seq = pr_sequence(n)
+    elif mech.name == SQRT_SEQ:
+        from .seqbuild import build_sqrt_sequence, sqrt_seq_params
+
+        seq = build_sqrt_sequence(sqrt_seq_params(n, m, mech.epsilon))
+    else:
+        seq = None
+    _SEQUENCE_CACHE[key] = seq
+    return seq
 
 
 def positions_bundle(ranking: Ranking, positions: Iterable[int]) -> frozenset[int]:
@@ -264,8 +300,7 @@ def _pr_exact_24_bundles(
 def mechanism_pr_exact_24(inst: Instance) -> Allocation:
     """Exact maximin-share mechanism for two players and four items, with the
     players' rankings treated as public (derived from the instance)."""
-    if inst.n != 2 or inst.m != 4:
-        raise MechanismError("pr-exact-2-4 requires exactly 2 players and 4 items")
+    _check_defined(Mechanism(PR_EXACT_24), PUBLIC_RANKINGS, inst.n, inst.m)
     orders = [ranking_order(row) for row in inst.values]
     return Allocation(_pr_exact_24_bundles(orders, inst.values))
 
@@ -316,8 +351,7 @@ def _cut_and_choose_bundles(
 def cut_and_choose(inst: Instance) -> Allocation:
     """Two-player cut and choose: exact under truthful reports, but the
     proposer can manipulate the cut."""
-    if inst.n != 2:
-        raise MechanismError("cut-and-choose requires exactly 2 players")
+    _check_defined(Mechanism(CUT_AND_CHOOSE), CARDINAL, inst.n, inst.m)
     return Allocation(_cut_and_choose_bundles(inst.values))
 
 
@@ -383,18 +417,15 @@ def _resolve_reports(
         orders = [ranking_order(reported.values[i]) for i in range(inst.n)]
         return orders, list(reported.values)
 
-    if model == PUBLIC_RANKINGS:
-        true_orders = [ranking_order(row) for row in inst.values]
-        rows: list[Sequence[Value]] = []
-        for i in range(inst.n):
-            row = reported.values[i]
-            if _consistent_with_order(row, true_orders[i]):
-                rows.append(row)
-            else:
-                rows.append(inst.values[i])
-        return true_orders, rows
-
-    raise MechanismError(f"unknown model {model!r}")
+    true_orders = [ranking_order(row) for row in inst.values]
+    rows: list[Sequence[Value]] = []
+    for i in range(inst.n):
+        row = reported.values[i]
+        if _consistent_with_order(row, true_orders[i]):
+            rows.append(row)
+        else:
+            rows.append(inst.values[i])
+    return true_orders, rows
 
 
 def run_mechanism(
@@ -410,37 +441,14 @@ def run_mechanism(
     the cardinal and public-rankings models, a list of rankings in the
     ordinal model, or ``None`` for truthful reports.
     """
-    if model not in MODELS:
-        raise MechanismError(f"unknown model {model!r}")
-    if model not in models_for(mech):
-        raise MechanismError(f"{mech} is not defined in the {model} model")
-
     n, m = inst.n, inst.m
+    _check_defined(mech, model, n, m)
     orders, rows = _resolve_reports(model, inst, reported)
-
-    name = mech.name
-    if name in (BEST_ITEM, PICK_SEQ):
-        seq = best_item_sequence(n, m)
-    elif name == PR:
-        seq = pr_sequence(n)
-    elif name == SQRT_SEQ:
-        from .seqbuild import build_sqrt_sequence, sqrt_seq_params
-
-        seq = build_sqrt_sequence(sqrt_seq_params(n, m, mech.epsilon))
-    elif name == PR_EXACT_24:
-        if n != 2 or m != 4:
-            raise MechanismError("pr-exact-2-4 requires exactly 2 players and 4 items")
+    if mech.name == PR_EXACT_24:
         return Allocation(_pr_exact_24_bundles(orders, rows))
-    elif name == CUT_AND_CHOOSE:
-        if n != 2:
-            raise MechanismError("cut-and-choose requires exactly 2 players")
+    if mech.name == CUT_AND_CHOOSE:
         return Allocation(_cut_and_choose_bundles(rows))
-    elif name == RANDOM_UNIFORM:
+    if mech.name == RANDOM_UNIFORM:
         return random_uniform_allocation(n, m, seed)
-    else:  # pragma: no cover
-        raise MechanismError(f"unhandled mechanism {name!r}")
-
-    if m == 0:
-        return Allocation.from_bundles([[] for _ in range(n)])
-    bundles = _simulate_picks(orders, m, seq.picks, seq.cyclic)
-    return Allocation.from_bundles(bundles)
+    seq = _sequence_for(mech, n, m)
+    return Allocation.from_bundles(_simulate_picks(orders, m, seq.picks, seq.cyclic))

@@ -8,6 +8,18 @@ public-rankings search is exhaustive only when the mechanism ignores values
 (then rankings cover everything) or when the supplied row pool covers every
 decision the mechanism actually takes; the ``search_complete`` flag records
 which situation holds.
+
+Every search goes through ``_reachable``: the distinct bundles a player
+obtains by submitting each report of a pool in turn, the others' reports
+fixed, in order of first appearance and each with the first report reaching
+it.  Scanning that list stops at the same report as scanning the pool,
+because every report before the first profitable one reaches a bundle worth
+no more than the truthful one.  What a player can reach never depends on her
+own true values, only on her index, the others' rankings, the others' rows
+(unless the mechanism is value-oblivious; every ordinal-model mechanism is)
+and, with public rankings, her own true ranking, which fixes her pool.  The
+grid sweep builds the list once per such key, so its cost grows with the
+distinct keys, not with instances times misreports.
 """
 
 from __future__ import annotations
@@ -25,14 +37,12 @@ from .mechanisms import (
     RANDOM_UNIFORM,
     Mechanism,
     MechanismError,
-    PickingSequence,
+    _check_defined,
     _consistent_with_order,
     _cut_and_choose_bundles,
     _pr_exact_24_bundles,
+    _sequence_for,
     _simulate_picks,
-    best_item_sequence,
-    models_for,
-    pr_sequence,
     random_uniform_allocation,
     value_oblivious,
 )
@@ -60,28 +70,6 @@ class DeviationReport:
 
 class EnumerationLimitError(ValueError):
     """The request would enumerate more than the search can afford."""
-
-
-_SEQUENCE_CACHE: dict = {}
-
-
-def _sequence_for(mech: Mechanism, n: int, m: int) -> PickingSequence | None:
-    """Picking sequence of a sequence mechanism, or None for the others."""
-    key = (mech.name, mech.epsilon, n, m)
-    if key in _SEQUENCE_CACHE:
-        return _SEQUENCE_CACHE[key]
-    if mech.name in ("best-item", "pick-seq"):
-        seq = best_item_sequence(n, m)
-    elif mech.name == "pr":
-        seq = pr_sequence(n)
-    elif mech.name == "sqrt-seq":
-        from .seqbuild import build_sqrt_sequence, sqrt_seq_params
-
-        seq = build_sqrt_sequence(sqrt_seq_params(n, m, mech.epsilon))
-    else:
-        seq = None
-    _SEQUENCE_CACHE[key] = seq
-    return seq
 
 
 def _allocate_raw(
@@ -118,28 +106,11 @@ def _allocate_raw(
     raise MechanismError(f"unhandled mechanism {mech}")  # pragma: no cover
 
 
-def _check_model(mech: Mechanism, model: str) -> None:
-    if model not in models_for(mech):
-        raise MechanismError(f"{mech} is not defined in the {model} model")
-
-
 def _check_enum(m: int) -> None:
     if m > ENUM_LIMIT:
         raise EnumerationLimitError(
             f"exhaustive ranking enumeration needs m <= {ENUM_LIMIT}, got m = {m}"
         )
-
-
-def _builtin_rows(true_row: Sequence[Value], m: int) -> list[tuple[Value, ...]]:
-    """Built-in misreport pool: every permutation of the true row plus a
-    strict-ranking representative row for each of the m! rankings."""
-    pool: dict[tuple[Value, ...], None] = {}
-    for perm in permutations(true_row):
-        pool.setdefault(perm, None)
-    descending = tuple(range(m, 0, -1))
-    for perm in permutations(descending):
-        pool.setdefault(perm, None)
-    return list(pool)
 
 
 def _validate_misreports(misreports, m: int) -> list[tuple[Value, ...]]:
@@ -155,69 +126,61 @@ def _validate_misreports(misreports, m: int) -> list[tuple[Value, ...]]:
     return rows
 
 
-def deviation_search_ordinal(
-    mech: Mechanism, inst: Instance, player: int, seed: int = 0
-) -> DeviationReport:
-    """Try every ranking the player could submit, others truthful."""
-    _check_model(mech, ORDINAL)
-    _check_enum(inst.m)
-    inst._check_player(player)
-    n, m = inst.n, inst.m
-    true_row = inst.values[player]
-    orders = [ranking_order(row) for row in inst.values]
-    cache: dict = {}
-    truthful = _allocate_raw(mech, orders, inst.values, n, m, seed, cache)
-    t_val = sum(true_row[j] for j in truthful[player])
-    best = t_val
-    witness = None
-    for perm in permutations(range(m)):
-        orders[player] = perm
-        bundles = _allocate_raw(mech, orders, inst.values, n, m, seed, cache)
-        val = sum(true_row[j] for j in bundles[player])
-        if val > best:
-            best = val
-            witness = Ranking(perm)
-    orders[player] = ranking_order(true_row)
-    return DeviationReport(
-        player=player,
-        model=ORDINAL,
-        truthful_value=t_val,
-        best_deviation_value=best,
-        witness=witness,
-        search_complete=True,
-    )
-
-
-def _row_deviation_search(
+def _reachable(
     mech: Mechanism,
+    model: str,
+    orders: Sequence[tuple[int, ...]],
+    rows: Sequence[Sequence[Value]],
+    player: int,
+    pool: Iterable,
+    seed: int = 0,
+    cache: dict | None = None,
+) -> list[tuple[frozenset[int], object]]:
+    """The distinct bundles ``player`` obtains by submitting each report of
+    ``pool`` in turn, the others' orders and rows fixed, in order of first
+    appearance and each paired with the first report reaching it.
+
+    An ordinal report is a ``Ranking``; a cardinal report replaces her row
+    and her ranking; a public-rankings report replaces her row only, so it
+    must be consistent with her public ranking.
+    """
+    n, m = len(rows), len(rows[0])
+    orders, rows = list(orders), list(rows)
+    reached: dict[frozenset[int], object] = {}
+    for report in pool:
+        if model == ORDINAL:
+            orders[player] = report.order
+        else:
+            if model == CARDINAL:
+                orders[player] = ranking_order(report)
+            rows[player] = report
+        bundle = _allocate_raw(mech, orders, rows, n, m, seed, cache)[player]
+        reached.setdefault(frozenset(bundle), report)
+    return list(reached.items())
+
+
+def _deviation_search(
+    mech: Mechanism,
+    model: str,
     inst: Instance,
     player: int,
-    pool: Iterable[tuple[Value, ...]],
-    model: str,
+    pool: Iterable,
     seed: int,
     complete: bool,
 ) -> DeviationReport:
-    n, m = inst.n, inst.m
+    """Best report of ``pool`` for ``player``, the others truthful; the
+    witness is the first report reaching the best value."""
     true_row = inst.values[player]
-    true_orders = [ranking_order(row) for row in inst.values]
-    rows = list(inst.values)
-    orders = list(true_orders)
+    orders = [ranking_order(row) for row in inst.values]
     cache: dict = {}
-    truthful = _allocate_raw(mech, orders, rows, n, m, seed, cache)
+    truthful = _allocate_raw(mech, orders, inst.values, inst.n, inst.m, seed, cache)
     t_val = sum(true_row[j] for j in truthful[player])
     best = t_val
     witness = None
-    for report in pool:
-        if model == CARDINAL:
-            orders[player] = ranking_order(report)
-            rows[player] = report
-        else:  # public rankings: orders stay public, inconsistent rows ignored
-            if _consistent_with_order(report, true_orders[player]):
-                rows[player] = report
-            else:
-                rows[player] = true_row
-        bundles = _allocate_raw(mech, orders, rows, n, m, seed, cache)
-        val = sum(true_row[j] for j in bundles[player])
+    for bundle, report in _reachable(
+        mech, model, orders, inst.values, player, pool, seed, cache
+    ):
+        val = sum(true_row[j] for j in bundle)
         if val > best:
             best = val
             witness = report
@@ -231,6 +194,40 @@ def _row_deviation_search(
     )
 
 
+def deviation_search_ordinal(
+    mech: Mechanism, inst: Instance, player: int, seed: int = 0
+) -> DeviationReport:
+    """Try every ranking the player could submit, others truthful."""
+    _check_defined(mech, ORDINAL, inst.n, inst.m)
+    _check_enum(inst.m)
+    inst._check_player(player)
+    pool = (Ranking(perm) for perm in permutations(range(inst.m)))
+    return _deviation_search(mech, ORDINAL, inst, player, pool, seed, True)
+
+
+def _row_pool(
+    inst: Instance, player: int, misreports: Iterable[Sequence[Value]], model: str
+) -> list[tuple[Value, ...]]:
+    """The true row, the supplied rows, then the built-in pool: every
+    permutation of the true row and one strict-ranking representative row
+    for each of the m! rankings.  With public rankings a row inconsistent
+    with the player's ranking is ignored, which leaves her with her true
+    row, already first in the pool."""
+    true_row = tuple(inst.values[player])
+    pool = dict.fromkeys(
+        [
+            true_row,
+            *_validate_misreports(misreports, inst.m),
+            *permutations(true_row),
+            *permutations(range(inst.m, 0, -1)),
+        ]
+    )
+    if model == PUBLIC_RANKINGS:
+        order = ranking_order(true_row)
+        return [row for row in pool if _consistent_with_order(row, order)]
+    return list(pool)
+
+
 def deviation_search_cardinal(
     mech: Mechanism,
     inst: Instance,
@@ -240,17 +237,12 @@ def deviation_search_cardinal(
 ) -> DeviationReport:
     """Try the supplied rows plus the built-in pool (permutations of the true
     row and one representative row per strict ranking)."""
-    _check_model(mech, CARDINAL)
+    _check_defined(mech, CARDINAL, inst.n, inst.m)
     _check_enum(inst.m)
     inst._check_player(player)
-    supplied = _validate_misreports(misreports, inst.m)
-    pool: dict[tuple[Value, ...], None] = {tuple(inst.values[player]): None}
-    for row in supplied:
-        pool.setdefault(row, None)
-    for row in _builtin_rows(inst.values[player], inst.m):
-        pool.setdefault(row, None)
-    return _row_deviation_search(
-        mech, inst, player, list(pool), CARDINAL, seed, value_oblivious(mech)
+    pool = _row_pool(inst, player, misreports, CARDINAL)
+    return _deviation_search(
+        mech, CARDINAL, inst, player, pool, seed, value_oblivious(mech)
     )
 
 
@@ -277,18 +269,13 @@ def deviation_search_public(
 ) -> DeviationReport:
     """Like the cardinal search, but the player's ranking is public: a
     misreport inconsistent with it is replaced by her true row."""
-    _check_model(mech, PUBLIC_RANKINGS)
+    _check_defined(mech, PUBLIC_RANKINGS, inst.n, inst.m)
     _check_enum(inst.m)
     inst._check_player(player)
-    supplied = _validate_misreports(misreports, inst.m)
-    pool: dict[tuple[Value, ...], None] = {tuple(inst.values[player]): None}
-    for row in supplied:
-        pool.setdefault(row, None)
-    for row in _builtin_rows(inst.values[player], inst.m):
-        pool.setdefault(row, None)
+    pool = _row_pool(inst, player, misreports, PUBLIC_RANKINGS)
     complete = value_oblivious(mech) or pool_covers_decisions
-    return _row_deviation_search(
-        mech, inst, player, list(pool), PUBLIC_RANKINGS, seed, complete
+    return _deviation_search(
+        mech, PUBLIC_RANKINGS, inst, player, pool, seed, complete
     )
 
 
@@ -333,8 +320,17 @@ def verify_truthful_on_grid(
 
     Counts (instance, player) pairs admitting a profitable misreport and
     keeps the first witness in enumeration order.
+
+    The distinct bundles a player can reach are listed once per key (her
+    index, the others' rankings, the others' rows unless the mechanism is
+    value-oblivious, and her own ranking with public rankings; see the module
+    docstring).  The cardinal pool is the same for every instance, since
+    every permutation of a true row already lies in ``grid**m``.  Each
+    (instance, player) pair then sums its true row over that list and stops
+    at the first strict gain, whose first report is the one a scan of the
+    whole pool would stop at, so the witness is unchanged.
     """
-    _check_model(mech, model)
+    _check_defined(mech, model, n, m)
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     grid = tuple(sorted(set(grid)))
@@ -367,86 +363,62 @@ def verify_truthful_on_grid(
 
     _check_enum(m)
     rows_space = list(product(grid, repeat=m))
-    rank_perms = list(permutations(range(m)))
-    descending = tuple(range(m, 0, -1))
-
-    # Reusable pools, keyed by what they actually depend on.
-    consistent_cache: dict[tuple[int, ...], list[tuple[Value, ...]]] = {}
-
-    def consistent_rows(order: tuple[int, ...]) -> list[tuple[Value, ...]]:
-        rows = consistent_cache.get(order)
-        if rows is None:
-            rows = [r for r in rows_space if _consistent_with_order(r, order)]
-            consistent_cache[order] = rows
-        return rows
-
-    complete = value_oblivious(mech) or (
-        model == PUBLIC_RANKINGS and grid_covers_decisions(mech, grid)
-    )
     if model == ORDINAL:
-        complete = True
+        pool = [Ranking(perm) for perm in permutations(range(m))]
+    elif model == CARDINAL:
+        pool = list(dict.fromkeys([*rows_space, *permutations(range(m, 0, -1))]))
+    # With public rankings the pool is the grid rows consistent with the
+    # player's own ranking, shared by every key holding that ranking.
+    consistent: dict[tuple[int, ...], list[tuple[Value, ...]]] = {}
+
+    oblivious = value_oblivious(mech)
+    complete = (
+        model == ORDINAL
+        or oblivious
+        or (model == PUBLIC_RANKINGS and grid_covers_decisions(mech, grid))
+    )
 
     alloc_cache: dict = {}
+    reach: dict = {}
     violations = 0
     witness = None
 
     for inst_rows in product(rows_space, repeat=n):
-        true_orders = [ranking_order(row) for row in inst_rows]
+        true_orders = tuple(ranking_order(row) for row in inst_rows)
         truthful = _allocate_raw(mech, true_orders, inst_rows, n, m, seed, alloc_cache)
         for player in range(n):
+            own = true_orders[player] if model == PUBLIC_RANKINGS else None
+            key = (
+                player,
+                true_orders[:player] + (own,) + true_orders[player + 1 :],
+                None if oblivious else inst_rows[:player] + inst_rows[player + 1 :],
+            )
+            reachable = reach.get(key)
+            if reachable is None:
+                if own is not None:
+                    pool = consistent.get(own)
+                    if pool is None:
+                        pool = consistent[own] = [
+                            r for r in rows_space if _consistent_with_order(r, own)
+                        ]
+                reachable = reach[key] = _reachable(
+                    mech, model, true_orders, inst_rows, player, pool, seed, alloc_cache
+                )
             true_row = inst_rows[player]
             t_val = sum(true_row[j] for j in truthful[player])
-            found = None
-            if model == ORDINAL:
-                orders = list(true_orders)
-                for perm in rank_perms:
-                    orders[player] = perm
-                    bundles = _allocate_raw(
-                        mech, orders, inst_rows, n, m, seed, alloc_cache
-                    )
-                    val = sum(true_row[j] for j in bundles[player])
-                    if val > t_val:
-                        found = (Ranking(perm), val)
-                        break
-            else:
-                if model == CARDINAL:
-                    pool: dict[tuple[Value, ...], None] = {}
-                    for r in rows_space:
-                        pool.setdefault(r, None)
-                    for r in permutations(true_row):
-                        pool.setdefault(r, None)
-                    for r in permutations(descending):
-                        pool.setdefault(r, None)
-                    reports = list(pool)
-                else:
-                    pool = {}
-                    for r in consistent_rows(true_orders[player]):
-                        pool.setdefault(r, None)
-                    pool.setdefault(true_row, None)
-                    reports = list(pool)
-                orders = list(true_orders)
-                rows = list(inst_rows)
-                for report in reports:
-                    if model == CARDINAL:
-                        orders[player] = ranking_order(report)
-                    rows[player] = report
-                    bundles = _allocate_raw(mech, orders, rows, n, m, seed, alloc_cache)
-                    val = sum(true_row[j] for j in bundles[player])
-                    if val > t_val:
-                        found = (report, val)
-                        break
-                orders[player] = true_orders[player]
-                rows[player] = true_row
-            if found is not None:
-                violations += 1
-                if witness is None:
-                    witness = GridWitness(
-                        instance_rows=tuple(inst_rows),
-                        player=player,
-                        misreport=found[0],
-                        truthful_value=t_val,
-                        deviation_value=found[1],
-                    )
+            for bundle, report in reachable:
+                val = sum(true_row[j] for j in bundle)
+                if val > t_val:
+                    violations += 1
+                    if witness is None:
+                        witness = GridWitness(
+                            instance_rows=tuple(inst_rows),
+                            player=player,
+                            misreport=report,
+                            truthful_value=t_val,
+                            deviation_value=val,
+                        )
+                    break
     return GridVerification(
         mechanism=str(mech),
         model=model,

@@ -106,6 +106,28 @@ class TestVerify:
         assert args.grid == (0, 2, 2, 10, Fraction(1, 2), Fraction(1, 4))
         assert [type(v) for v in args.grid] == [int] * 4 + [Fraction] * 2
 
+    @pytest.mark.parametrize(
+        "mech, model, n, m",
+        [
+            ("pr-exact-2-4", "public-rankings", 2, 3),
+            ("pr-exact-2-4", "public-rankings", 3, 4),
+            ("cut-and-choose", "cardinal", 3, 3),
+            ("cut-and-choose", "cardinal", 1, 3),
+        ],
+    )
+    def test_unsupported_shape_is_input_error(self, capsys, ex23_file, mech, model, n, m):
+        status, out, err = run_cli(
+            capsys, "verify", "--mech", mech, "--model", model,
+            "--n", str(n), "--m", str(m), "--grid", "0,1",
+        )
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # the 3x5 example is no shape either mechanism takes
+        _, _, run_err = run_cli(
+            capsys, "run", "--instance", ex23_file, "--mech", mech, "--model", model
+        )
+        assert err == run_err
+
     def test_budget_error(self, capsys):
         status, _, err = run_cli(
             capsys, "verify", "--mech", "pick-seq", "--model", "ordinal",

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -8,14 +9,22 @@ from mmsfair import (
     CARDINAL,
     ORDINAL,
     PUBLIC_RANKINGS,
+    MECHANISM_NAMES,
+    RANDOM_UNIFORM,
     EnumerationLimitError,
+    GridWitness,
     Instance,
     MechanismError,
+    Ranking,
+    derive_ranking,
     deviation_search_cardinal,
     deviation_search_ordinal,
     deviation_search_public,
     grid_covers_decisions,
     mechanism,
+    models_for,
+    run_mechanism,
+    value_oblivious,
     verify_truthful_on_grid,
 )
 
@@ -59,6 +68,13 @@ class TestOrdinalSearch:
         inst = Instance.from_rows([[1, 1, 1, 1]] * 2)
         with pytest.raises(MechanismError):
             deviation_search_ordinal(mechanism("cut-and-choose"), inst, 0)
+
+    def test_unsupported_shape(self):
+        inst = Instance.from_rows([[1, 1, 1]] * 3)
+        with pytest.raises(MechanismError, match="exactly 2 players$"):
+            deviation_search_cardinal(mechanism("cut-and-choose"), inst, 2)
+        with pytest.raises(MechanismError, match="exactly 2 players and 4 items"):
+            deviation_search_public(mechanism("pr-exact-2-4"), inst, 0)
 
 
 class TestCardinalSearch:
@@ -225,3 +241,83 @@ class TestGridVerifier:
         )
         assert result.violations == 0
         assert result.complete
+
+
+def _reference_sweep(mech, model, n, m, grid):
+    """Every instance, player and report in the sweep's pool order, each
+    allocated by run_mechanism with explicit reports; returns (violations,
+    complete, first witness).
+
+    An allocation reads only the reports and, with public rankings, the
+    true rankings (every pooled row is consistent with its ranking, so none
+    is replaced), so each distinct input is allocated once to keep the test
+    fast.
+    """
+    rows_space = list(product(grid, repeat=m))
+    rankings_pool = [Ranking(perm) for perm in permutations(range(m))]
+    strict_rows = list(permutations(range(m, 0, -1)))
+    allocations: dict = {}
+    violations, witness = 0, None
+    for profile in product(rows_space, repeat=n):
+        inst = Instance.from_rows(profile)
+        truthful = run_mechanism(mech, model, inst)
+        rankings = [derive_ranking(inst, i) for i in range(n)]
+        public = tuple(rankings) if model == PUBLIC_RANKINGS else None
+        for player, true_row in enumerate(profile):
+            if model == ORDINAL:
+                pool = rankings_pool
+            elif model == CARDINAL:
+                pool = dict.fromkeys([*rows_space, *permutations(true_row), *strict_rows])
+            else:
+                order = rankings[player].order
+                pool = dict.fromkeys(
+                    [
+                        *(r for r in rows_space
+                          if all(r[a] >= r[b] for a, b in zip(order, order[1:]))),
+                        true_row,
+                    ]
+                )
+            t_val = sum(true_row[j] for j in truthful.bundles[player])
+            for report in pool:
+                if model == ORDINAL:
+                    reported = (*rankings[:player], report, *rankings[player + 1:])
+                else:
+                    reported = (*profile[:player], report, *profile[player + 1:])
+                alloc = allocations.get((public, reported))
+                if alloc is None:
+                    alloc = run_mechanism(mech, model, inst, reported)
+                    allocations[public, reported] = alloc
+                val = sum(true_row[j] for j in alloc.bundles[player])
+                if val > t_val:
+                    violations += 1
+                    if witness is None:
+                        witness = GridWitness(profile, player, report, t_val, val)
+                    break
+    complete = (
+        model == ORDINAL
+        or value_oblivious(mech)
+        or (model == PUBLIC_RANKINGS and grid_covers_decisions(mech, grid))
+    )
+    return violations, complete, witness
+
+
+def _differential_cases():
+    for n, m, grid in ((2, 3, (0, 1, 2)), (2, 4, (0, 1)), (3, 3, (0, 1))):
+        for name in MECHANISM_NAMES:
+            if name == RANDOM_UNIFORM:
+                continue
+            mech = mechanism(name, Fraction(2) if name == "sqrt-seq" else None)
+            for model in sorted(models_for(mech)):
+                try:
+                    run_mechanism(mech, model, Instance.from_rows([[0] * m] * n))
+                except ValueError:  # not defined at this (n, m)
+                    continue
+                yield pytest.param(mech, model, n, m, grid, id=f"{name}-{model}-{n}x{m}")
+
+
+@pytest.mark.parametrize("mech, model, n, m, grid", list(_differential_cases()))
+def test_sweep_matches_plain_reference(mech, model, n, m, grid):
+    result = verify_truthful_on_grid(mech, model, n, m, grid)
+    assert (result.violations, result.complete, result.witness) == _reference_sweep(
+        mech, model, n, m, grid
+    )

@@ -9,12 +9,14 @@ a small exhaustive check over all allocations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .instance import Instance
 from .mms import maximin_share
+from .strategy import BUDGET, EnumerationLimitError
 
 INFEASIBLE = "infeasible"
 FEASIBLE_UNKNOWN = "feasible-unknown"
@@ -94,29 +96,42 @@ def exhaustive_common_ranking_ratio(n: int, m: int) -> Fraction:
     the common ranking and the adversary then picks each player's valuation
     from the slot family above.
 
-    Enumerates all ``n**m`` allocations; intended for desk sizes such as
-    ``n=3, m=6`` (729 allocations).
+    Enumerates all ``n**m`` allocations, for desk sizes such as ``n=3, m=6``
+    (729 allocations); above :data:`~mmsfair.strategy.BUDGET` it raises
+    :class:`~mmsfair.strategy.EnumerationLimitError`.  Each slot's row is
+    scaled to integers, ratios are compared as integer pairs by
+    cross-multiplication, and only the best becomes a ``Fraction``.
     """
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
-    rows = [ordinal_adversary_valuation(i, n, m) for i in range(1, n + 1)]
-    shares = [ordinal_adversary_share(i, n, m) for i in range(1, n + 1)]
-    best = Fraction(0)
+    if n**m > BUDGET:
+        raise EnumerationLimitError(
+            f"exhaustive search needs {n**m} allocations, over the limit of {BUDGET}"
+        )
+    # Scaled by the lcm of its denominators, a slot's row is integral, and so
+    # is its share (a bundle sum); a bundle's ratio is the pair of the two.
+    slots = []
+    for i in range(1, n + 1):
+        row = ordinal_adversary_valuation(i, n, m)
+        scale = math.lcm(*(v.denominator for v in row))
+        share = ordinal_adversary_share(i, n, m) * scale
+        slots.append(([int(v * scale) for v in row], int(share)))
+    best = (0, 1)
     for assignment in product(range(n), repeat=m):
         bundles: list[list[int]] = [[] for _ in range(n)]
         for item, player in enumerate(assignment):
             bundles[player].append(item)
         worst = None
         for bundle in bundles:
-            for slot in range(n):
-                ratio = sum(rows[slot][j] for j in bundle) / shares[slot]
-                if worst is None or ratio < worst:
-                    worst = ratio
-            if worst == 0:
+            for weights, share in slots:
+                value = sum(weights[j] for j in bundle)
+                if worst is None or value * worst[1] < worst[0] * share:
+                    worst = value, share
+            if worst[0] == 0:
                 break
-        if worst > best:
+        if worst[0] * best[1] > best[0] * worst[1]:
             best = worst
-    return best
+    return Fraction(*best)
 
 
 def adversary_share_matches_oracle(i: int, n: int, m: int) -> bool:

@@ -45,7 +45,7 @@ from .seqbuild import (
     verify_pick_positions,
     verify_schedule_demand,
 )
-from .strategy import EnumerationLimitError, verify_truthful_on_grid
+from .strategy import BUDGET, EnumerationLimitError, verify_truthful_on_grid
 
 
 def _rational(text: str) -> Fraction:
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--grid", type=_grid, required=True, help="comma-separated values")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=BUDGET)
     p.add_argument("--epsilon", type=_rational, default=None)
     add_machine(p)
     p.set_defaults(func=_cmd_verify)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .instance import Instance, derive_ranking
+from .instance import Instance, derive_ranking, parse_value
 from .mechanisms import (
     CARDINAL,
     MODELS,
@@ -445,7 +445,8 @@ def fixture_applies(fix: ChainFixture, mech: Mechanism, seed: int = 0) -> bool:
 def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
     """Parse the fixture text format: optional ``epsilon`` and ``model``
     lines, a ``threshold`` line, ``profile`` blocks of two value rows, and
-    ``edge FROM TO PLAYER`` lines (1-based)."""
+    ``edge FROM TO PLAYER`` lines (1-based).  Values are ``p`` or ``p/q``, as
+    in instance files."""
     threshold = None
     epsilon = Fraction(1, 10)
     model = CARDINAL
@@ -476,10 +477,10 @@ def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
             raise ValueError(f"line {lineno}: {head} needs a value")
         if head == "threshold":
             flush_profile(lineno)
-            threshold = Fraction(tokens[1])
+            threshold = Fraction(parse_value(tokens[1], lineno))
         elif head == "epsilon":
             flush_profile(lineno)
-            epsilon = Fraction(tokens[1])
+            epsilon = Fraction(parse_value(tokens[1], lineno))
         elif head == "model":
             flush_profile(lineno)
             model = tokens[1]
@@ -493,7 +494,7 @@ def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
             src, dst, player = (int(t) for t in tokens[1:])
             edges.append((src - 1, dst - 1, player - 1))
         elif in_profile:
-            pending_rows.append(tuple(Fraction(t) for t in tokens))
+            pending_rows.append(tuple(Fraction(parse_value(t, lineno)) for t in tokens))
         else:
             raise ValueError(f"line {lineno}: unexpected content {line!r}")
     flush_profile(len(lines))

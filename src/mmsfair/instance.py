@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 Value = Union[int, Fraction]
@@ -170,23 +171,32 @@ def parse_instance(text: str | Iterable[str]) -> Instance:
             )
         row = []
         for tok in tokens:
-            match = _TOKEN_RE.match(tok)
-            if match is None:
-                raise InstanceError(f"malformed value {tok!r}", lineno)
-            num = int(match.group(1))
-            den = match.group(2)
-            if den is None:
-                value: Value = num
-            else:
-                if int(den) == 0:
-                    raise InstanceError(f"zero denominator in {tok!r}", lineno)
-                value = Fraction(num, int(den))
+            value = parse_value(tok, lineno)
             if value < 0:
                 raise InstanceError(f"negative value {tok!r}", lineno)
             row.append(value)
         rows.append(tuple(row))
 
     return Instance(tuple(rows))
+
+
+def parse_value(tok: str, line: int | None = None) -> Value:
+    """One rational token of the text formats: an integer ``p`` (returned as
+    ``int``) or a fraction ``p/q`` with ``q > 0``.  Anything else, decimals
+    and exponents included, raises :class:`InstanceError` naming ``line``.
+
+    >>> parse_value("3"), parse_value("-2/4")
+    (3, Fraction(-1, 2))
+    """
+    match = _TOKEN_RE.match(tok)
+    if match is None:
+        raise InstanceError(f"malformed value {tok!r}", line)
+    num, den = match.groups()
+    if den is None:
+        return int(num)
+    if int(den) == 0:
+        raise InstanceError(f"zero denominator in {tok!r}", line)
+    return Fraction(int(num), int(den))
 
 
 def format_instance(inst: Instance) -> str:
@@ -242,6 +252,11 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
 
     Checks bundle count, item-index range, duplicates, and full coverage.
     """
+    # The common valid case in one step: n bundles whose items, sorted, are
+    # exactly 0..m-1.  Anything else gets the full check below.
+    values, bundles = inst.values, alloc.bundles
+    if len(bundles) == len(values) and sorted(chain(*bundles)) == list(range(len(values[0]))):
+        return []
     violations = []
     n, m = inst.n, inst.m
     if alloc.n != n:

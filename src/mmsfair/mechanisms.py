@@ -9,6 +9,7 @@ between bundles resolve to the bundle containing the lowest-index item.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -333,12 +334,19 @@ def best_two_partition(row: Sequence[Value]) -> tuple[frozenset[int], frozenset[
     return frozenset(best_first), rest
 
 
+@functools.lru_cache(maxsize=4096)
+def _proposal(row: tuple[Value, ...]) -> tuple[frozenset[int], frozenset[int]]:
+    """:func:`best_two_partition` of the proposer's row.  The cut depends on
+    that row alone, and a sweep proposes from each row many times."""
+    return best_two_partition(row)
+
+
 def _cut_and_choose_bundles(
     rows: Sequence[Sequence[Value]],
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Player 1 proposes her most balanced 2-partition; player 2 takes the
     side her report values more (tie: the side holding item 1)."""
-    proposal_a, proposal_b = best_two_partition(rows[0])
+    proposal_a, proposal_b = _proposal(tuple(rows[0]))
     row2 = rows[1]
     va = sum(row2[j] for j in proposal_a)
     vb = sum(row2[j] for j in proposal_b)

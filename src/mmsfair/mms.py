@@ -15,6 +15,9 @@ a cost estimate from the item count and the total, answers: the bitset,
 masked to half the total, or meet-in-the-middle over the subset sums of two
 halves of the items (Horowitz & Sahni, JACM 1974).  None of this recurses.
 Three or more bundles go to a branch-and-bound search with symmetry breaking.
+
+Approximation ratios are compared as integer pairs (numerator, denominator)
+by cross-multiplication; only the worst ratio is returned, as a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -308,21 +311,27 @@ def approximation_ratio(inst: Instance, alloc: Allocation):
     if violations:
         raise ValueError("invalid allocation: " + "; ".join(violations))
     parts = inst.n
-    ratios = []
+    worst = None
     for row, bundle in zip(inst.values, alloc.bundles):
-        share = _rated_share(tuple(sorted(row, reverse=True)), parts)
-        if share == 0:
+        p, q = _rated_share(tuple(sorted(row, reverse=True)), parts)
+        if not p:
             continue
-        ratios.append(sum(row[j] for j in bundle) / share)
-    if not ratios:
+        # value / (p/q) as num/den; ints carry .numerator and .denominator too
+        value = sum(map(row.__getitem__, bundle))
+        num, den = value.numerator * q, value.denominator * p
+        if worst is None or num * worst[1] < worst[0] * den:
+            worst = num, den
+    if worst is None:
         return UNBOUNDED
-    return min(ratios)
+    return Fraction(*worst)
 
 
 @functools.lru_cache(maxsize=4096)
-def _rated_share(values: tuple[Value, ...], parts: int) -> Fraction:
-    """Maximin share of a row whose values, in descending order, are
-    ``values``.  A share depends only on that multiset and ``parts``, so
-    :func:`approximation_ratio` rates a grid of instances from a few hundred
-    oracle calls; :func:`maximin_share` itself remembers nothing."""
-    return maximin_share(Instance((values,)), 0, parts)
+def _rated_share(values: tuple[Value, ...], parts: int) -> tuple[int, int]:
+    """Maximin share ``p/q`` of a row whose values, in descending order, are
+    ``values``, as the integer pair ``(p, q)``.  A share depends only on that
+    multiset and ``parts``, so :func:`approximation_ratio` rates a grid of
+    instances from a few hundred oracle calls; :func:`maximin_share` itself
+    remembers nothing."""
+    share = maximin_share(Instance((values,)), 0, parts)
+    return share.numerator, share.denominator

@@ -50,6 +50,10 @@ from .mechanisms import (
 # m! rankings are enumerated per search; 8! = 40320 keeps this a desk job.
 ENUM_LIMIT = 8
 
+# Default instance budget of a grid sweep, and the fixed allocation limit of
+# the exhaustive common-ranking search.
+BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class DeviationReport:
@@ -312,7 +316,7 @@ def verify_truthful_on_grid(
     n: int,
     m: int,
     grid: Sequence[Value],
-    budget: int = 1_000_000,
+    budget: int = BUDGET,
     seed: int = 0,
 ) -> GridVerification:
     """Enumerate every instance with values from ``grid`` and run the

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from mmsfair import (
     ordinal_adversary_valuation,
     ordinal_lower_bound_check,
 )
+from mmsfair.strategy import BUDGET, EnumerationLimitError
 
 
 class TestHarmonic:
@@ -88,3 +90,33 @@ class TestExhaustiveCheck:
 
     def test_trivial_two_two(self):
         assert exhaustive_common_ranking_ratio(2, 2) == 1
+
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 6), (3, 7)])
+    def test_matches_plain_fraction_reference(self, n, m):
+        got = exhaustive_common_ranking_ratio(n, m)
+        assert got == _exhaustive_reference(n, m)
+        assert type(got) is Fraction
+
+    @pytest.mark.parametrize("n, m", [(2, 20), (4, 16), (7, 8)])
+    def test_refuses_above_the_limit(self, n, m):
+        assert BUDGET == 1_000_000
+        with pytest.raises(EnumerationLimitError) as err:
+            exhaustive_common_ranking_ratio(n, m)
+        assert str(err.value) == (
+            f"exhaustive search needs {n**m} allocations, over the limit of 1000000"
+        )
+
+
+def _exhaustive_reference(n, m):
+    """Every allocation, every bundle, every slot: value / share in Fractions."""
+    rows = [ordinal_adversary_valuation(i, n, m) for i in range(1, n + 1)]
+    shares = [ordinal_adversary_share(i, n, m) for i in range(1, n + 1)]
+    best = Fraction(0)
+    for assignment in product(range(n), repeat=m):
+        worst = min(
+            sum(rows[slot][j] for j in range(m) if assignment[j] == owner) / shares[slot]
+            for owner in range(n)
+            for slot in range(n)
+        )
+        best = max(best, worst)
+    return best

@@ -251,6 +251,32 @@ class TestErrors:
         assert status == 2
         assert err == "error: line 1: threshold needs a value\n"
 
+    @pytest.mark.parametrize("token", ["1e0", "0.5", "1/0"])
+    def test_fixture_and_instance_reject_the_same_tokens(self, capsys, tmp_path, token):
+        chain = tmp_path / "chain.txt"
+        chain.write_text(f"threshold 1/2\nprofile\n{token} 1/2 1/4 1/4\n0 1 1 1\n")
+        status, out, chain_err = run_cli(
+            capsys, "chain", "--fixture-file", str(chain), "--mech", "pr"
+        )
+        assert (status, out) == (2, "")
+        inst = tmp_path / "inst.txt"
+        inst.write_text(f"2 4\n1 1 1 1\n{token} 1/2 1/4 1/4\n")
+        status, out, inst_err = run_cli(capsys, "mms", "--instance", str(inst))
+        assert (status, out) == (2, "")
+        assert chain_err == inst_err
+        assert chain_err.startswith("error: line 3: ") and chain_err.count("\n") == 1
+
+    def test_exhaustive_adversary_over_limit(self, capsys):
+        status, out, err = run_cli(
+            capsys, "adversary", "--n", "4", "--m", "16", "--alpha", "1/2", "--exhaustive"
+        )
+        assert status == 2
+        assert out == ""
+        assert err == (
+            "error: exhaustive search needs 4294967296 allocations, "
+            "over the limit of 1000000\n"
+        )
+
     def test_unexpected_error_exits_3(self, capsys, monkeypatch, ex23_file):
         def overflow(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")
@@ -266,3 +292,151 @@ class TestErrors:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+# The seven README commands with --machine, and the exit status and stdout
+# each gave when first recorded.  A refactor must keep them byte-identical.
+README_MACHINE = (
+    (
+        "mms --instance EX23",
+        0,
+        (
+            "mms.1=1/2\n"
+            "mms.2=1/4\n"
+            "mms.3=1/1\n"
+        ),
+    ),
+    (
+        "run --instance EX23 --mech pr --model ordinal",
+        0,
+        (
+            "mechanism=pr\n"
+            "model=ordinal\n"
+            "n=3\n"
+            "m=5\n"
+            "seed=0\n"
+            "bundle.1=1,5\n"
+            "value.1=5/6\n"
+            "mms.1=1/2\n"
+            "ratio.1=5/3\n"
+            "bundle.2=2\n"
+            "value.2=1/4\n"
+            "mms.2=1/4\n"
+            "ratio.2=1/1\n"
+            "bundle.3=3,4\n"
+            "value.3=3/2\n"
+            "mms.3=1/1\n"
+            "ratio.3=3/2\n"
+            "ratio.overall=1/1\n"
+            "bound=1/2\n"
+        ),
+    ),
+    (
+        "verify --mech cut-and-choose --model cardinal --n 2 --m 4 --grid 1,3",
+        1,
+        (
+            "mechanism=cut-and-choose\n"
+            "model=cardinal\n"
+            "instances=256\n"
+            "violations=135\n"
+            "complete=false\n"
+            "witness.row.1=1/1,1/1,1/1,1/1\n"
+            "witness.row.2=3/1,1/1,1/1,1/1\n"
+            "witness.player=1\n"
+            "witness.misreport=3/1,1/1,1/1,1/1\n"
+            "witness.truthful=2/1\n"
+            "witness.deviation=3/1\n"
+        ),
+    ),
+    (
+        "chain --fixture lemma-1+3 --mech best-item --model cardinal",
+        1,
+        (
+            "fixture=lemma-1+3\n"
+            "mechanism=best-item\n"
+            "model=cardinal\n"
+            "threshold=3/5\n"
+            "profile.1.ratio.1=38/39\n"
+            "profile.1.ratio.2=41/39\n"
+            "profile.1.ok=true\n"
+            "profile.2.ratio.1=38/39\n"
+            "profile.2.ratio.2=2/1\n"
+            "profile.2.ok=true\n"
+            "profile.3.ratio.1=38/37\n"
+            "profile.3.ratio.2=41/39\n"
+            "profile.3.ok=true\n"
+            "profile.4.ratio.1=38/37\n"
+            "profile.4.ratio.2=19/13\n"
+            "profile.4.ok=true\n"
+            "profile.5.ratio.1=38/39\n"
+            "profile.5.ratio.2=2/1\n"
+            "profile.5.ok=true\n"
+            "profile.6.ratio.1=38/39\n"
+            "profile.6.ratio.2=41/39\n"
+            "profile.6.ok=true\n"
+            "profile.7.ratio.1=38/39\n"
+            "profile.7.ratio.2=61/39\n"
+            "profile.7.ok=true\n"
+            "profile.8.ratio.1=1/2\n"
+            "profile.8.ratio.2=41/39\n"
+            "profile.8.ok=false\n"
+            "edge.2.1.2.gain=0/1\n"
+            "edge.2.3.1.gain=-4/5\n"
+            "edge.4.3.2.gain=0/1\n"
+            "edge.5.6.1.gain=-37/20\n"
+            "edge.7.6.2.gain=0/1\n"
+            "edge.1.8.1.gain=0/1\n"
+            "edge.4.8.1.gain=-1/1\n"
+            "edge.7.8.1.gain=-4/5\n"
+            "verdict=approx-failure\n"
+        ),
+    ),
+    (
+        "adversary --n 3 --m 6 --alpha 51/100 --exhaustive",
+        0,
+        (
+            "alpha=51/100\n"
+            "terms=2,2,3\n"
+            "total=7\n"
+            "m=6\n"
+            "verdict=infeasible\n"
+            "exhaustive.best=1/2\n"
+        ),
+    ),
+    (
+        "mc --n 3 --m 300 --dist uniform --rho 4/5 --trials 10000 --seed 0",
+        0,
+        (
+            "trials=10000\n"
+            "success_rate=0.9513\n"
+            "mean.1=50.02284418039978\n"
+            "variance.1=25.549755147883477\n"
+            "threshold.1=59.222491313078045\n"
+            "mean.2=50.025122307580844\n"
+            "variance.2=24.933372465453605\n"
+            "threshold.2=59.222491313078045\n"
+            "mean.3=49.93778393735195\n"
+            "variance.3=24.868378342144755\n"
+            "threshold.3=59.222491313078045\n"
+        ),
+    ),
+    (
+        "seq --n 17 --m 29 --epsilon 1/4",
+        0,
+        (
+            "alpha=52434/438985\n"
+            "length=29\n"
+            "picks=1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,17,1,2,3,4,5,6,7,8,9,10,11\n"
+            "position_violations=0\n"
+            "demand_violations=0\n"
+        ),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "command, status, stdout", README_MACHINE, ids=[c.split()[0] for c, _, _ in README_MACHINE]
+)
+def test_readme_machine_output_is_pinned(capsys, ex23_file, command, status, stdout):
+    argv = [ex23_file if t == "EX23" else t for t in command.split()] + ["--machine"]
+    assert run_cli(capsys, *argv) == (status, stdout, "")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,31 @@ class TestFixtureFiles:
         text = "threshold 1/2\n\n  " + keyword + "  \n"
         with pytest.raises(ValueError, match=f"^line 3: {keyword} needs a value$"):
             parse_fixture(text)
+
+    @pytest.mark.parametrize(
+        "text, line, token",
+        [
+            ("threshold 1/2\nprofile\n1e0 0.5 0.25 0.25\n0 1 1 1\n", 3, "1e0"),
+            ("threshold 1/2\nprofile\n1 1/2 1/4 1/4\n0 1 .5 1\n", 4, ".5"),
+            ("threshold 0.6\nprofile\n1 0\n0 1\n", 1, "0.6"),
+            ("epsilon 1e-1\nthreshold 1/2\n", 1, "1e-1"),
+            ("threshold 1/2\nepsilon 1/10.\n", 2, "1/10."),
+        ],
+    )
+    def test_values_are_integers_or_fractions(self, text, line, token):
+        with pytest.raises(ValueError, match=re.escape(f"line {line}: malformed value '{token}'") + "$"):
+            parse_fixture(text)
+
+    def test_zero_denominator_names_line(self):
+        with pytest.raises(ValueError, match="^line 3: zero denominator in '1/0'$"):
+            parse_fixture("threshold 1/2\nprofile\n1/0 1\n1 1\n")
+
+    def test_value_types_are_fractions(self):
+        fix = parse_fixture("epsilon 1\nthreshold 3/5\nprofile\n2 1/2\n-0 4/2\n")
+        assert fix.epsilon == 1
+        assert fix.profiles == (((Fraction(2), Fraction(1, 2)), (Fraction(0), Fraction(2))),)
+        for value in (fix.epsilon, fix.threshold, *fix.profiles[0][0], *fix.profiles[0][1]):
+            assert type(value) is Fraction
 
     def test_short_profile_at_end_names_last_line(self):
         with pytest.raises(ValueError, match="^line 3: profile needs exactly 2 rows, got 1$"):

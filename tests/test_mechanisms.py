@@ -30,6 +30,8 @@ from mmsfair import (
     run_picking_sequence,
     validate_allocation,
 )
+from mmsfair import mechanisms
+from mmsfair.mechanisms import best_two_partition
 
 
 class TestSequences:
@@ -174,6 +176,30 @@ class TestCutAndChoose:
             alloc = cut_and_choose(inst)
             for i in range(2):
                 assert inst.value(i, alloc.bundles[i]) >= maximin_share(inst, i, 2)
+
+    def test_proposal_is_computed_once_per_row(self, monkeypatch):
+        # every proposer row of {0,1,2}^4, against every chooser row, with
+        # Fraction copies equal to the int rows and halved ones
+        rows = list(product((0, 1, 2), repeat=4))
+        proposers = rows + [tuple(Fraction(v, 2) for v in r) for r in rows]
+        calls = []
+
+        def spy(row):
+            calls.append(tuple(row))
+            return best_two_partition(row)
+
+        mechanisms._proposal.cache_clear()
+        monkeypatch.setattr(mechanisms, "best_two_partition", spy)
+        for r1 in proposers + [tuple(Fraction(v) for v in r) for r in rows]:
+            first, second = best_two_partition(r1)
+            for r2 in rows:
+                va, vb = sum(r2[j] for j in first), sum(r2[j] for j in second)
+                want = (second, first) if va >= vb else (first, second)
+                got = cut_and_choose(Instance.from_rows([r1, r2])).bundles
+                assert got == want, (r1, r2)
+        # a halved row with no 1/2 in it equals an int row and shares its cut
+        assert set(calls) == set(proposers)
+        assert len(calls) == len(set(proposers)) < len(proposers)
 
 
 class TestRandomUniform:

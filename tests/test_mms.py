@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance
@@ -16,6 +16,7 @@ from mmsfair import (
     maximin_share_bruteforce,
     mms,
 )
+from mmsfair.instance import validate_allocation
 
 
 class TestOracleKnownValues:
@@ -302,16 +303,17 @@ class TestApproximationRatio:
             approximation_ratio(ex23, Allocation.from_bundles([[0], [1], [2]]))
 
 
-class TestShareMemo:
-    @staticmethod
-    def _direct_ratio(inst, alloc):
-        ratios = []
-        for i, bundle in enumerate(alloc.bundles):
-            share = maximin_share(inst, i, inst.n)
-            if share:
-                ratios.append(Fraction(inst.value(i, bundle)) / share)
-        return min(ratios) if ratios else UNBOUNDED
+def _direct_ratio(inst, alloc):
+    """min(value / share) over players with a positive share, in Fractions."""
+    ratios = []
+    for i, bundle in enumerate(alloc.bundles):
+        share = maximin_share(inst, i, inst.n)
+        if share:
+            ratios.append(Fraction(inst.value(i, bundle)) / share)
+    return min(ratios) if ratios else UNBOUNDED
 
+
+class TestShareMemo:
     def test_grid_matches_direct_shares(self):
         # every row of {0,1,2}^4 recurs as a permutation of others; Fraction
         # copies equal to the int rows hit their memo keys, halved ones do not
@@ -330,7 +332,7 @@ class TestShareMemo:
                 inst = Instance.from_rows(profile)
                 alloc = allocs[index % len(allocs)]
                 got = approximation_ratio(inst, alloc)
-                want = self._direct_ratio(inst, alloc)
+                want = _direct_ratio(inst, alloc)
                 assert got == want, profile
                 assert got is UNBOUNDED or type(got) is Fraction
 
@@ -348,3 +350,128 @@ class TestShareMemo:
         assert maximin_share(inst, 0, 2) == 4
         assert maximin_share(inst, 0, 2) == 4
         assert len(calls) == 2
+
+
+# Values are often 0 so that some shares, or all of them, are 0.
+_INT_VALUES = st.one_of(st.just(0), st.integers(0, 10**6))
+_FRACTION_VALUES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=10**3, max_denominator=12),
+)
+
+
+@st.composite
+def _rated_instances(draw, values):
+    """An n x m instance (n = 2 or 3) with entries from ``values`` and an
+    allocation of its items, as (rows, item -> owner)."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(1, 6))
+    rows = [draw(st.lists(values, min_size=m, max_size=m)) for _ in range(n)]
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    return rows, owners
+
+
+def _rate(rows, owners):
+    inst = Instance.from_rows(rows)
+    alloc = Allocation.from_bundles(
+        [[j for j, o in enumerate(owners) if o == i] for i in range(len(rows))]
+    )
+    return approximation_ratio(inst, alloc), _direct_ratio(inst, alloc)
+
+
+class TestIntegerRating:
+    """approximation_ratio compares integer pairs; it must agree with the
+    plain Fraction minimum in value and type."""
+
+    @DERANDOMIZED
+    @given(_rated_instances(_INT_VALUES))
+    @example(([[0, 0, 0], [0, 0, 0]], [0, 1, 1]))  # every share 0
+    @example(([[5, 0, 0], [1, 1, 1], [0, 0, 0]], [1, 0, 2]))  # some shares 0
+    @example(([[1, 1], [1, 1]], [0, 0]))  # a positive share, value 0
+    def test_int_rows(self, case):
+        got, want = _rate(*case)
+        assert got == want
+        assert type(got) is Fraction or got is UNBOUNDED
+        assert (got is UNBOUNDED) == (want is UNBOUNDED)
+
+    @DERANDOMIZED
+    @given(_rated_instances(_FRACTION_VALUES))
+    @example(([[Fraction(1, 3), Fraction(1, 6)], [Fraction(2, 5), Fraction(1, 7)]], [1, 0]))
+    @example(([[Fraction(0), Fraction(0)], [Fraction(1, 2), 0]], [0, 1]))
+    def test_fraction_rows(self, case):
+        got, want = _rate(*case)
+        assert got == want
+        assert type(got) is Fraction or got is UNBOUNDED
+        assert (got is UNBOUNDED) == (want is UNBOUNDED)
+
+    @DERANDOMIZED
+    @given(
+        st.lists(st.integers(0, 20), min_size=4, max_size=4),
+        st.lists(
+            st.fractions(min_value=0, max_value=20, max_denominator=9),
+            min_size=4,
+            max_size=4,
+        ),
+        st.lists(st.integers(0, 1), min_size=4, max_size=4),
+    )
+    def test_mixed_int_and_fraction_rows(self, ints, fractions, owners):
+        got, want = _rate([ints, fractions], owners)
+        assert got == want
+        assert type(got) is Fraction or got is UNBOUNDED
+
+
+def _validate_reference(inst, alloc):
+    """The full violation scan, as validate_allocation did it for every input."""
+    violations = []
+    n, m = inst.n, inst.m
+    if alloc.n != n:
+        violations.append(f"expected {n} bundles, found {alloc.n}")
+    seen = {}
+    for b, bundle in enumerate(alloc.bundles):
+        for j in bundle:
+            if not 0 <= j < m:
+                violations.append(f"item index {j} out of range in bundle {b + 1}")
+            elif j in seen:
+                violations.append(
+                    f"item {j + 1} assigned to both bundle {seen[j] + 1} and bundle {b + 1}"
+                )
+            else:
+                seen[j] = b
+    for j in range(m):
+        if j not in seen:
+            violations.append(f"item {j + 1} unassigned")
+    return violations
+
+
+class TestValidateAllocation:
+    INST = Instance.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
+
+    @pytest.mark.parametrize(
+        "bundles",
+        [
+            [[0, 3], [1, 2]],  # valid
+            [[], [0, 1, 2, 3]],  # valid, one bundle empty
+            [[0, 1], [1, 2, 3]],  # duplicate
+            [[0, 1, 4], [2, 3]],  # out of range, high
+            [[-1, 0, 1], [2, 3]],  # out of range, negative
+            [[0, 1], [2]],  # missing item
+            [[0, 1, 2, 3]],  # too few bundles
+            [[0], [1, 2], [3]],  # too many bundles
+            [[0], [1], []],  # too many bundles, items missing
+            [[0, 0.5], [1, 2, 3]],  # a non-index item
+            [[0, 4], [0, 1, 2]],  # several faults at once
+        ],
+    )
+    def test_matches_full_scan(self, bundles):
+        alloc = Allocation.from_bundles(bundles)
+        assert validate_allocation(self.INST, alloc) == _validate_reference(self.INST, alloc)
+
+    @DERANDOMIZED
+    @given(
+        st.integers(0, 5),
+        st.lists(st.lists(st.integers(-1, 6), max_size=6), min_size=1, max_size=4),
+    )
+    def test_matches_full_scan_random(self, m, bundles):
+        inst = Instance.from_rows([[1] * m, [2] * m, [3] * m])
+        alloc = Allocation.from_bundles(bundles)
+        assert validate_allocation(inst, alloc) == _validate_reference(inst, alloc)

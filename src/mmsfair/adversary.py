@@ -98,9 +98,7 @@ def exhaustive_common_ranking_ratio(n: int, m: int) -> Fraction:
 
     Enumerates all ``n**m`` allocations, for desk sizes such as ``n=3, m=6``
     (729 allocations); above :data:`~mmsfair.strategy.BUDGET` it raises
-    :class:`~mmsfair.strategy.EnumerationLimitError`.  Each slot's row is
-    scaled to integers, ratios are compared as integer pairs by
-    cross-multiplication, and only the best becomes a ``Fraction``.
+    :class:`~mmsfair.strategy.EnumerationLimitError`.
     """
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")

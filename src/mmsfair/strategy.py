@@ -50,8 +50,7 @@ from .mechanisms import (
 # m! rankings are enumerated per search; 8! = 40320 keeps this a desk job.
 ENUM_LIMIT = 8
 
-# Default instance budget of a grid sweep, and the fixed allocation limit of
-# the exhaustive common-ranking search.
+# Default grid-sweep budget; also the fixed limit of the adversary's search.
 BUDGET = 1_000_000
 
 

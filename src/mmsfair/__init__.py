@@ -31,6 +31,7 @@ from .fixtures import (
 )
 from .instance import (
     Allocation,
+    EnumerationLimitError,
     Instance,
     InstanceError,
     Ranking,
@@ -99,7 +100,6 @@ from .seqbuild import (
 )
 from .strategy import (
     DeviationReport,
-    EnumerationLimitError,
     GridVerification,
     GridWitness,
     deviation_search_cardinal,

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .instance import Instance
+from .instance import BUDGET, EnumerationLimitError, Instance
 from .mms import maximin_share
-from .strategy import BUDGET, EnumerationLimitError
 
 INFEASIBLE = "infeasible"
 FEASIBLE_UNKNOWN = "feasible-unknown"
@@ -97,8 +96,8 @@ def exhaustive_common_ranking_ratio(n: int, m: int) -> Fraction:
     from the slot family above.
 
     Enumerates all ``n**m`` allocations, for desk sizes such as ``n=3, m=6``
-    (729 allocations); above :data:`~mmsfair.strategy.BUDGET` it raises
-    :class:`~mmsfair.strategy.EnumerationLimitError`.
+    (729 allocations); above :data:`~mmsfair.instance.BUDGET` it raises
+    :class:`~mmsfair.instance.EnumerationLimitError`.
     """
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")

@@ -25,7 +25,13 @@ from .adversary import (
     ordinal_lower_bound_check,
 )
 from .fixtures import CONSISTENT, builtin_fixture, parse_fixture, run_chain
-from .instance import Instance, InstanceError, parse_instance
+from .instance import (
+    BUDGET,
+    EnumerationLimitError,
+    Instance,
+    InstanceError,
+    parse_instance,
+)
 from .mechanisms import (
     MECHANISM_NAMES,
     MODELS,
@@ -45,7 +51,7 @@ from .seqbuild import (
     verify_pick_positions,
     verify_schedule_demand,
 )
-from .strategy import BUDGET, EnumerationLimitError, verify_truthful_on_grid
+from .strategy import verify_truthful_on_grid
 
 
 def _rational(text: str) -> Fraction:

@@ -484,13 +484,17 @@ def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
         elif head == "model":
             flush_profile(lineno)
             model = tokens[1]
+            if model not in MODELS:
+                raise ValueError(f"line {lineno}: unknown model {model!r}")
         elif head == "profile":
             flush_profile(lineno)
             in_profile = True
         elif head == "edge":
             flush_profile(lineno)
-            if len(tokens) != 4:
-                raise ValueError(f"line {lineno}: edge needs FROM TO PLAYER")
+            if len(tokens) != 4 or not all(t.isdecimal() for t in tokens[1:]):
+                raise ValueError(
+                    f"line {lineno}: edge needs FROM TO PLAYER as whole numbers"
+                )
             src, dst, player = (int(t) for t in tokens[1:])
             edges.append((src - 1, dst - 1, player - 1))
         elif in_profile:

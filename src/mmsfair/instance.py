@@ -20,6 +20,16 @@ Value = Union[int, Fraction]
 _TOKEN_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
+# The fixed limit of every exhaustive enumeration: grid sweeps (by default),
+# the adversary's allocations, cut-and-choose's two-partitions and the nodes
+# of a maximin-share search for three or more bundles.
+BUDGET = 1_000_000
+
+
+class EnumerationLimitError(ValueError):
+    """The request would enumerate more than the search can afford."""
+
+
 class InstanceError(ValueError):
     """Malformed instance data; carries the offending line number if known."""
 

@@ -16,7 +16,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .instance import (
+    BUDGET,
     Allocation,
+    EnumerationLimitError,
     Instance,
     Ranking,
     Value,
@@ -310,11 +312,18 @@ def best_two_partition(row: Sequence[Value]) -> tuple[frozenset[int], frozenset[
     """The 2-partition maximizing the minimum bundle value of ``row``.
 
     Among optima, the bundle containing item 0 is lexicographically smallest
-    (as a sorted index tuple); that bundle is returned first.
+    (as a sorted index tuple); that bundle is returned first.  It enumerates
+    all ``2**(m-1)`` partitions; above :data:`~mmsfair.instance.BUDGET` it
+    raises :class:`~mmsfair.instance.EnumerationLimitError`.
     """
     m = len(row)
     if m == 0:
         return frozenset(), frozenset()
+    if 1 << (m - 1) > BUDGET:
+        raise EnumerationLimitError(
+            f"cut-and-choose needs {1 << (m - 1)} two-partitions, "
+            f"over the limit of {BUDGET}"
+        )
     total = sum(row)
     best_score = None
     best_first: tuple[int, ...] | None = None

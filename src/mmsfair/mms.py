@@ -13,8 +13,14 @@ differencing (Korf, AIJ 1998), whose partition is provably optimal when its
 difference is ``total % 2``; otherwise the cheaper of two exact methods, by
 a cost estimate from the item count and the total, answers: the bitset,
 masked to half the total, or meet-in-the-middle over the subset sums of two
-halves of the items (Horowitz & Sahni, JACM 1974).  None of this recurses.
-Three or more bundles go to a branch-and-bound search with symmetry breaking.
+halves of the items (Horowitz & Sahni, JACM 1974).  Three or more bundles
+start from the k-way largest differencing partition (Korf, AIJ 1998) and
+climb: a depth-first search with symmetry breaking asks for a partition
+whose every bundle beats the incumbent, each one found raises the
+incumbent, and the first search that finds none proves it optimal.  That
+search visits at most :data:`NODE_LIMIT` nodes per share; a larger share is
+refused with :class:`~mmsfair.instance.EnumerationLimitError`.  None of this
+recurses.
 
 Approximation ratios are compared as integer pairs (numerator, denominator)
 by cross-multiplication; only the worst ratio is returned, as a ``Fraction``.
@@ -25,11 +31,19 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .instance import Allocation, Instance, Value, validate_allocation
+from .instance import (
+    BUDGET,
+    Allocation,
+    EnumerationLimitError,
+    Instance,
+    Value,
+    validate_allocation,
+)
 
 
 class _Unbounded:
@@ -59,6 +73,10 @@ _NARROW_HALF = 256
 # 8 <= m <= 28 and values up to 10^7 (CPython 3.11, x86-64 Xeon).
 _STEP_WORDS = 200
 
+# Search nodes a share for three or more bundles may visit, over all its
+# searches, before it is refused like any enumeration over the budget.
+NODE_LIMIT = BUDGET
+
 
 def maximin_share(
     inst: Instance,
@@ -68,7 +86,9 @@ def maximin_share(
 ) -> Fraction:
     """Exact maximin share of ``player`` for ``parts`` bundles over ``items``.
 
-    ``items`` defaults to the full item set.
+    ``items`` defaults to the full item set.  A share for three or more
+    bundles whose search would visit more than :data:`NODE_LIMIT` nodes is
+    refused with :class:`~mmsfair.instance.EnumerationLimitError`.
 
     >>> inst = Instance.from_rows([[1, 1, 1, 1, 1, 1]] * 2)
     >>> maximin_share(inst, 0, 2)
@@ -181,88 +201,122 @@ def _subset_sums(weights: Sequence[int], cap: int) -> list[int]:
 
 
 def _max_min_partition(weights: Sequence[int], k: int) -> int:
-    """Branch and bound over bundle assignments, items in descending order.
+    """Best min bundle over all ``k``-partitions of at least ``k`` positive
+    ``weights`` (sorted in descending order), for ``k >= 3``.
 
-    Only three or more bundles come here; two go to
-    :func:`_max_min_two_parts`, which neither searches nor recurses.  A
-    greedy warm start gives an incumbent; the answer is then located by
-    binary search between the incumbent and the ceiling ``total // k``, each
-    probe asking whether some assignment keeps every bundle at or above a
-    target value.
+    Two bundles go to :func:`_max_min_two_parts` instead.  The k-way largest
+    differencing partition gives the incumbent, and ``total // k`` bounds the
+    answer from above.  Below that bound, :func:`_cover` asks for a partition
+    whose every bundle beats the incumbent; the smallest bundle of each one
+    it finds becomes the new incumbent, and the first search that finds none
+    proves the incumbent optimal.  Nothing here recurses.
     """
-    total = sum(weights)
-    upper = total // k
-    if upper == 0:
-        return 0
     if len(weights) == k:
         return weights[-1]
-
-    # Greedy warm start: largest weight into the lightest bundle.
-    loads = [0] * k
-    for w in weights:
-        loads[loads.index(min(loads))] += w
-    best = min(loads)
-    if best == upper:
-        return best
-
-    lo, hi = best, upper
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _can_reach_target(weights, k, mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    upper = sum(weights) // k
+    best = _largest_differencing(weights, k)
+    nodes = 0
+    while best < upper:
+        found, nodes = _cover(weights, k, best + 1, nodes)
+        if found is None:
+            break
+        best = found
+    return best
 
 
-def _can_reach_target(weights: Sequence[int], k: int, target: int) -> bool:
-    """Decide whether all items fit into ``k`` bundles of value >= target.
+def _largest_differencing(weights: Sequence[int], k: int) -> int:
+    """Smallest bundle of the k-way largest differencing partition (Korf,
+    AIJ 1998).  Each weight starts as a partial partition of ``k`` bundle
+    sums, one of them the weight; the two partial partitions whose largest
+    and smallest sums differ most are merged, largest sum with smallest,
+    until one partition is left."""
+    zeros = (0,) * (k - 1)
+    heap = [(-w, i, (w,) + zeros) for i, w in enumerate(weights)]
+    heapq.heapify(heap)
+    tie = len(heap)
+    while len(heap) > 1:
+        a = heapq.heappop(heap)[2]
+        b = heap[0][2]
+        sums = sorted(map(operator.add, a, reversed(b)), reverse=True)
+        heapq.heapreplace(heap, (sums[-1] - sums[0], tie, tuple(sums)))
+        tie += 1
+    return heap[0][2][-1]
 
-    Symmetry breaking: bundles are interchangeable, so among bundles with
-    equal load only the first may receive the next item (in particular a new
-    bundle opens only when all earlier ones are nonempty).  Items never go to
-    bundles that already reached the target (moving an item out of a
-    satisfied bundle keeps it satisfied, so this loses no solutions); once
-    every bundle is satisfied the leftovers can be dumped anywhere.  A node
-    is pruned when the remaining supply cannot cover the remaining deficit,
-    or when fewer items remain than unsatisfied bundles.
+
+def _cover(
+    weights: Sequence[int], k: int, target: int, nodes: int
+) -> tuple[int | None, int]:
+    """Depth-first search, on an explicit stack, for a partition of
+    ``weights`` into ``k`` bundles each worth at least ``target``, which is
+    at most ``sum(weights) // k``.
+
+    Returns the smallest bundle of the partition found, or ``None`` if there
+    is none, with ``nodes`` advanced by the nodes visited; past
+    :data:`NODE_LIMIT` it raises :class:`EnumerationLimitError`.
+
+    A node is the next item's index and the sorted loads of the bundles still
+    below ``target`` (open).  A bundle that reaches ``target`` closes and
+    takes no more items, which loses no partition, and open bundles of equal
+    load are interchangeable, so the item tries each distinct load once.  The
+    slack is the value of the remaining items minus the open bundles' total
+    deficit; a bundle that closes above ``target`` spends its excess from it.
+    A child is never visited when its slack is negative or fewer items remain
+    than open bundles, and a node that already failed is not searched again.
+    With at most one open bundle the search succeeds: the remaining items go
+    one by one to the lightest bundle, which covers the open one too.
     """
     count = len(weights)
-    suffix = [0] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i]
-    if suffix[0] < k * target:
-        return False
-    loads = [0] * k
-    failed: set = set()  # (item index, sorted unsatisfied loads) seen to fail
-
-    def place(idx: int, unsat: int) -> bool:
-        if unsat == 0:
-            return True
-        if idx == count or count - idx < unsat:
-            return False
-        open_loads = sorted(load for load in loads if load < target)
-        if suffix[idx] < unsat * target - sum(open_loads):
-            return False
-        key = (idx, tuple(open_loads))
-        if key in failed:
-            return False
-        w = weights[idx]
-        tried = set()
-        for b in range(k):
-            load = loads[b]
-            if load >= target or load in tried:
-                continue
-            tried.add(load)
-            loads[b] = load + w
-            ok = place(idx + 1, unsat - (1 if load + w >= target else 0))
-            loads[b] = load
-            if ok:
-                return True
-        failed.add(key)
-        return False
-
-    return place(0, k)
+    failed: set = set()  # (item index, open loads) searched without success
+    # [item index, open loads, children, next child]; a child is its open
+    # loads, the load of the bundle it closed (0 if none) and its slack
+    stack: list[list] = []
+    idx, open_loads, slack = 0, (0,) * k, sum(weights) - k * target
+    while True:
+        nodes += 1
+        if nodes > NODE_LIMIT:
+            raise EnumerationLimitError(
+                f"maximin share search needs more than the limit of {NODE_LIMIT} nodes"
+            )
+        unsat = len(open_loads)
+        if unsat <= 1:
+            loads = list(open_loads)
+            for frame in stack:
+                closed = frame[2][frame[3] - 1][1]
+                if closed:
+                    loads.append(closed)
+            heapq.heapify(loads)
+            for w in weights[idx:]:
+                heapq.heapreplace(loads, loads[0] + w)
+            return loads[0], nodes
+        if (idx, open_loads) not in failed:
+            w = weights[idx]
+            items_left = count - idx - 1
+            children = []
+            previous = None
+            for pos in range(unsat - 1, -1, -1):
+                load = open_loads[pos]
+                if load == previous:
+                    continue
+                previous = load
+                new = load + w
+                rest = open_loads[:pos] + open_loads[pos + 1 :]
+                if new < target:
+                    if unsat <= items_left:
+                        children.append((tuple(sorted(rest + (new,))), 0, slack))
+                elif new - target <= slack and unsat - 1 <= items_left:
+                    children.append((rest, new, slack - (new - target)))
+            stack.append([idx, open_loads, children, 0])
+        while stack:
+            frame = stack[-1]
+            if frame[3] < len(frame[2]):
+                open_loads, _, slack = frame[2][frame[3]]
+                frame[3] += 1
+                idx = frame[0] + 1
+                break
+            failed.add((frame[0], frame[1]))
+            stack.pop()
+        else:
+            return None, nodes
 
 
 def maximin_share_bruteforce(

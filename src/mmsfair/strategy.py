@@ -28,7 +28,14 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
-from .instance import Instance, Ranking, Value, ranking_order
+from .instance import (
+    BUDGET,
+    EnumerationLimitError,
+    Instance,
+    Ranking,
+    Value,
+    ranking_order,
+)
 from .mechanisms import (
     CARDINAL,
     ORDINAL,
@@ -50,9 +57,6 @@ from .mechanisms import (
 # m! rankings are enumerated per search; 8! = 40320 keeps this a desk job.
 ENUM_LIMIT = 8
 
-# Default grid-sweep budget; also the fixed limit of the adversary's search.
-BUDGET = 1_000_000
-
 
 @dataclass(frozen=True)
 class DeviationReport:
@@ -69,10 +73,6 @@ class DeviationReport:
     best_deviation_value: Value
     witness: object | None
     search_complete: bool
-
-
-class EnumerationLimitError(ValueError):
-    """The request would enumerate more than the search can afford."""
 
 
 def _allocate_raw(

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import EX23_TEXT
-from mmsfair import cli
+from mmsfair import cli, mms
 from mmsfair.cli import build_parser, main
 
 
@@ -276,6 +276,44 @@ class TestErrors:
             "error: exhaustive search needs 4294967296 allocations, "
             "over the limit of 1000000\n"
         )
+
+    def test_share_search_over_limit(self, capsys, monkeypatch, tmp_path):
+        # player 1's 3-part share visits 29 search nodes
+        path = tmp_path / "inst.txt"
+        path.write_text("3 8\n20 20 15 15 15 14 12 10\n" + "1 1 1 1 1 1 1 1\n" * 2)
+        monkeypatch.setattr(mms, "NODE_LIMIT", 28)
+        status, out, err = run_cli(capsys, "mms", "--instance", str(path))
+        assert (status, out) == (2, "")
+        assert err == "error: maximin share search needs more than the limit of 28 nodes\n"
+
+    def test_cut_and_choose_over_limit(self, capsys, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text("2 22\n" + " ".join(["1"] * 22) + "\n" + " ".join(["2"] * 22) + "\n")
+        status, out, err = run_cli(
+            capsys, "run", "--instance", str(path), "--mech", "cut-and-choose",
+            "--model", "cardinal",
+        )
+        assert (status, out) == (2, "")
+        assert err == (
+            "error: cut-and-choose needs 2097152 two-partitions, "
+            "over the limit of 1000000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("edge 1 x 2", "line 5: edge needs FROM TO PLAYER as whole numbers"),
+            ("model nosuch", "line 5: unknown model 'nosuch'"),
+        ],
+    )
+    def test_fixture_line_errors(self, capsys, tmp_path, line, message):
+        path = tmp_path / "chain.txt"
+        path.write_text(f"threshold 1/2\nprofile\n1 0\n0 1\n{line}\n")
+        status, out, err = run_cli(
+            capsys, "chain", "--fixture-file", str(path), "--mech", "pr"
+        )
+        assert (status, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_unexpected_error_exits_3(self, capsys, monkeypatch, ex23_file):
         def overflow(*args, **kwargs):

@@ -242,6 +242,18 @@ class TestFixtureFiles:
         for value in (fix.epsilon, fix.threshold, *fix.profiles[0][0], *fix.profiles[0][1]):
             assert type(value) is Fraction
 
+    @pytest.mark.parametrize("tokens", ["1 x 2", "1 2", "1 2 3 4", "1 -2 1", "1 2.0 1"])
+    def test_edge_needs_whole_numbers(self, tokens):
+        text = f"threshold 1/2\nprofile\n1 0\n0 1\nedge {tokens}\n"
+        with pytest.raises(
+            ValueError, match="^line 5: edge needs FROM TO PLAYER as whole numbers$"
+        ):
+            parse_fixture(text)
+
+    def test_unknown_model_names_line(self):
+        with pytest.raises(ValueError, match="^line 2: unknown model 'nosuch'$"):
+            parse_fixture("threshold 1/2\nmodel nosuch\nprofile\n1 0\n0 1\n")
+
     def test_short_profile_at_end_names_last_line(self):
         with pytest.raises(ValueError, match="^line 3: profile needs exactly 2 rows, got 1$"):
             parse_fixture("threshold 1/2\nprofile\n1 0 0 0\n")

@@ -8,6 +8,7 @@ from conftest import random_instance
 from mmsfair import (
     CARDINAL,
     MECHANISM_NAMES,
+    EnumerationLimitError,
     ORDINAL,
     PUBLIC_RANKINGS,
     Allocation,
@@ -200,6 +201,15 @@ class TestCutAndChoose:
         # a halved row with no 1/2 in it equals an int row and shares its cut
         assert set(calls) == set(proposers)
         assert len(calls) == len(set(proposers)) < len(proposers)
+
+
+    @pytest.mark.parametrize("m, count", [(21, 1048576), (22, 2097152)])
+    def test_partition_count_over_limit(self, m, count):
+        with pytest.raises(
+            EnumerationLimitError,
+            match=f"^cut-and-choose needs {count} two-partitions, over the limit of 1000000$",
+        ):
+            best_two_partition([1] * m)
 
 
 class TestRandomUniform:

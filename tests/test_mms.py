@@ -1,4 +1,7 @@
+import inspect
+import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +13,7 @@ from conftest import random_instance
 from mmsfair import (
     UNBOUNDED,
     Allocation,
+    EnumerationLimitError,
     Instance,
     approximation_ratio,
     maximin_share,
@@ -216,6 +220,135 @@ class TestTwoPartOracle:
         share, used = _two_part_route(row)
         assert used == []
         assert share == sum(row) // 2
+
+
+# Zeros, small values that make equal loads, and wide values that make the
+# k >= 3 search climb.
+_MANY_PART_INTS = st.one_of(st.just(0), st.integers(1, 12), st.integers(1, 10**6))
+_MANY_PART_FRACTIONS = st.one_of(
+    st.just(0),
+    st.integers(1, 12),
+    st.fractions(min_value=0, max_value=10**3, max_denominator=12),
+)
+
+
+def _climb(weights, k):
+    """``_max_min_partition(weights, k)``, its differencing incumbent (None
+    if it was not computed) and its searches as (target, found) pairs."""
+    incumbent = []
+    searches = []
+    real_ldm, real_cover = mms._largest_differencing, mms._cover
+
+    def ldm(*args):
+        incumbent.append(real_ldm(*args))
+        return incumbent[-1]
+
+    def cover(weights, k, target, nodes):
+        found, nodes = real_cover(weights, k, target, nodes)
+        searches.append((target, found))
+        return found, nodes
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mms, "_largest_differencing", ldm)
+        mp.setattr(mms, "_cover", cover)
+        best = mms._max_min_partition(weights, k)
+    return best, (incumbent or [None])[0], searches
+
+
+def _brute(row, k):
+    return maximin_share_bruteforce(Instance.from_rows([row]), 0, k)
+
+
+# A brute force over 4**8 assignments takes up to 0.2 s.
+_BRUTE_EXAMPLES = settings(DERANDOMIZED, max_examples=60)
+
+
+class TestManyPartOracle:
+    @_BRUTE_EXAMPLES
+    @given(st.integers(3, 4), st.lists(_MANY_PART_INTS, min_size=1, max_size=8))
+    def test_matches_bruteforce_ints(self, k, row):
+        assert maximin_share(Instance.from_rows([row]), 0, k) == _brute(row, k)
+
+    @_BRUTE_EXAMPLES
+    @given(st.integers(3, 4), st.lists(_MANY_PART_FRACTIONS, min_size=1, max_size=8))
+    def test_matches_bruteforce_fractions(self, k, row):
+        # the brute force runs on the row scaled to integers, as Fraction
+        # sums over 4**8 assignments would take a second an example
+        scale = math.lcm(*(Fraction(v).denominator for v in row))
+        scaled = [int(v * scale) for v in row]
+        share = maximin_share(Instance.from_rows([row]), 0, k)
+        assert share * scale == _brute(scaled, k)
+
+    def test_differencing_reaches_the_ceiling(self):
+        # 18 // 3 == 6, so no search runs
+        assert _climb([5, 4, 3, 3, 2, 1], 3) == (6, 6, [])
+        assert _brute([5, 4, 3, 3, 2, 1], 3) == 6
+
+    def test_differencing_optimal_below_the_ceiling(self):
+        # the ceiling is 10 // 3 == 3, but no bundle without the 7 gets 2
+        assert _climb([7, 1, 1, 1], 3) == (1, 1, [(2, None)])
+        assert _brute([7, 1, 1, 1], 3) == 1
+
+    @pytest.mark.parametrize(
+        "weights, k, best, incumbent, searches",
+        [
+            ([24, 11, 9, 8, 6, 4], 3, 19, 17, [(18, 18), (19, 19), (20, None)]),
+            # the third search jumps from 37 to 39, the fourth ends at the ceiling
+            (
+                [20, 20, 15, 15, 15, 14, 12, 10], 3, 40, 35,
+                [(36, 36), (37, 37), (38, 39), (40, 40)],
+            ),
+            ([24, 21, 13, 10, 9, 6, 5], 4, 21, 19, [(20, 20), (21, 21), (22, None)]),
+        ],
+    )
+    def test_climb_of_several_steps(self, weights, k, best, incumbent, searches):
+        assert _climb(weights, k) == (best, incumbent, searches)
+        assert _brute(weights, k) == best
+
+    def test_one_item_per_bundle(self):
+        assert _climb([7, 5, 2], 3) == (2, None, [])
+
+    @pytest.mark.parametrize("row", [[0, 0, 0, 0], [0, 5, 0, 9, 0], [1, 1]])
+    def test_zero_share_needs_no_search(self, row, monkeypatch):
+        # fewer positive values than bundles: the share is 0 before any search
+        def search(*args):
+            raise AssertionError("a zero share reached the search")
+
+        monkeypatch.setattr(mms, "_max_min_partition", search)
+        assert maximin_share(Instance.from_rows([row]), 0, 3) == 0 == _brute(row, 3)
+
+    def test_thousand_items(self):
+        rng = random.Random(1100)
+        row = [rng.randint(1, 10**6) for _ in range(1100)]
+        share = maximin_share(Instance.from_rows([row]), 0, 3)
+        assert share == sum(row) // 3
+
+    def test_deep_search_needs_no_call_stack(self):
+        # the search places over 400 items, one node each, before two bundles
+        # close; with 50 frames of call stack to spare it must still finish
+        rng = random.Random(1100)
+        weights = sorted((rng.randint(1, 10**6) for _ in range(1100)), reverse=True)
+        target = sum(weights) // 3 - 10**6
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            found, nodes = mms._cover(weights, 3, target, 0)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert found >= target
+        assert nodes > 400
+
+    def test_node_limit(self, monkeypatch):
+        # its four searches visit 29 nodes in all
+        weights = [20, 20, 15, 15, 15, 14, 12, 10]
+        monkeypatch.setattr(mms, "NODE_LIMIT", 29)
+        assert mms._max_min_partition(weights, 3) == 40
+        monkeypatch.setattr(mms, "NODE_LIMIT", 28)
+        with pytest.raises(
+            EnumerationLimitError,
+            match="^maximin share search needs more than the limit of 28 nodes$",
+        ):
+            mms._max_min_partition(weights, 3)
 
 
 class TestInvariants:

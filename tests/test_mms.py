@@ -273,7 +273,7 @@ class TestManyPartOracle:
     @given(st.integers(3, 4), st.lists(_MANY_PART_FRACTIONS, min_size=1, max_size=8))
     def test_matches_bruteforce_fractions(self, k, row):
         # the brute force runs on the row scaled to integers, as Fraction
-        # sums over 4**8 assignments would take a second an example
+        # sums over 4**8 assignments take up to a second an example
         scale = math.lcm(*(Fraction(v).denominator for v in row))
         scaled = [int(v * scale) for v in row]
         share = maximin_share(Instance.from_rows([row]), 0, k)

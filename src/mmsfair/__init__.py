@@ -67,6 +67,7 @@ from .mechanisms import (
     random_uniform_allocation,
     run_mechanism,
     run_picking_sequence,
+    theoretical_ratio,
     truthful_models,
     value_oblivious,
 )
@@ -94,7 +95,6 @@ from .seqbuild import (
     pair_schedule,
     power_lower_rational,
     sqrt_seq_params,
-    theoretical_ratio,
     verify_pick_positions,
     verify_schedule_demand,
 )

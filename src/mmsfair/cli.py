@@ -33,13 +33,14 @@ from .instance import (
     parse_instance,
 )
 from .mechanisms import (
+    _SPECS,
     MECHANISM_NAMES,
     MODELS,
-    SQRT_SEQ,
     Mechanism,
     MechanismError,
     mechanism,
     run_mechanism,
+    theoretical_ratio,
 )
 from .mms import UNBOUNDED, approximation_ratio, maximin_share
 from .montecarlo import mc_config, montecarlo_randomized, parse_distribution
@@ -47,7 +48,6 @@ from .seqbuild import (
     InfeasibleParams,
     build_sqrt_sequence,
     sqrt_seq_params,
-    theoretical_ratio,
     verify_pick_positions,
     verify_schedule_demand,
 )
@@ -104,12 +104,12 @@ def _load_instance(path: str) -> Instance:
 
 
 def _mech_from_args(args) -> Mechanism:
+    if not _SPECS[args.mech].takes_epsilon:
+        return mechanism(args.mech)
     eps = getattr(args, "epsilon", None)
-    if args.mech == SQRT_SEQ:
-        if eps is None:
-            raise MechanismError("sqrt-seq needs --epsilon P/Q")
-        return mechanism(SQRT_SEQ, eps)
-    return mechanism(args.mech)
+    if eps is None:
+        raise MechanismError(f"{args.mech} needs --epsilon P/Q")
+    return mechanism(args.mech, eps)
 
 
 class _Report:
@@ -155,10 +155,7 @@ def _cmd_run(args) -> int:
         values[i] / shares[i] if shares[i] else None for i in range(inst.n)
     ]
     overall = approximation_ratio(inst, alloc)
-    try:
-        bound = theoretical_ratio(mech, inst.n, inst.m)
-    except MechanismError:
-        bound = None
+    bound = theoretical_ratio(mech, inst.n, inst.m) if _SPECS[mech.name].bound else None
 
     out = _Report()
     if args.machine:

@@ -80,7 +80,9 @@ class ChainFixture:
                 and 0 <= dst < len(self.profiles)
                 and player in (0, 1)
             ):
-                raise ValueError(f"edge ({src}, {dst}, {player}) out of range")
+                raise ValueError(
+                    f"edge ({src + 1}, {dst + 1}, player {player + 1}) out of range"
+                )
             if self.profiles[src][1 - player] != self.profiles[dst][1 - player]:
                 raise ValueError(
                     f"edge ({src + 1}, {dst + 1}, player {player + 1}) changes "
@@ -445,13 +447,14 @@ def fixture_applies(fix: ChainFixture, mech: Mechanism, seed: int = 0) -> bool:
 def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
     """Parse the fixture text format: optional ``epsilon`` and ``model``
     lines, a ``threshold`` line, ``profile`` blocks of two value rows, and
-    ``edge FROM TO PLAYER`` lines (1-based).  Values are ``p`` or ``p/q``, as
-    in instance files."""
+    ``edge FROM TO PLAYER`` lines (1-based; edges may precede the profiles
+    they name).  Values are ``p`` or ``p/q``, as in instance files."""
     threshold = None
     epsilon = Fraction(1, 10)
     model = CARDINAL
     profiles: list[Profile] = []
     edges: list[tuple[int, int, int]] = []
+    edge_lines: list[int] = []
     pending_rows: list[Row] = []
     in_profile = False
 
@@ -497,6 +500,7 @@ def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
                 )
             src, dst, player = (int(t) for t in tokens[1:])
             edges.append((src - 1, dst - 1, player - 1))
+            edge_lines.append(lineno)
         elif in_profile:
             pending_rows.append(tuple(Fraction(parse_value(t, lineno)) for t in tokens))
         else:
@@ -504,6 +508,13 @@ def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
     flush_profile(len(lines))
     if threshold is None:
         raise ValueError("fixture file is missing a threshold line")
+    limits = (len(profiles), len(profiles), 2)
+    for lineno, edge in zip(edge_lines, edges):
+        for field, k, limit in zip(("FROM", "TO", "PLAYER"), edge, limits):
+            if not 0 <= k < limit:
+                raise ValueError(
+                    f"line {lineno}: edge {field} {k + 1} out of range [1, {limit}]"
+                )
     return ChainFixture(
         name=name,
         epsilon=epsilon,

@@ -30,6 +30,10 @@ class EnumerationLimitError(ValueError):
     """The request would enumerate more than the search can afford."""
 
 
+class MechanismError(ValueError):
+    """Mechanism/model mismatch or invalid mechanism input."""
+
+
 class InstanceError(ValueError):
     """Malformed instance data; carries the offending line number if known."""
 

@@ -2,6 +2,14 @@
 for public rankings, the cut-and-choose baseline, and the uniform random
 mechanism.
 
+Each mechanism has one private record in ``_SPECS``: the models it runs in
+and is truthful in, whether it reads values, rankings or no report, its
+epsilon and shape rules, how it allocates from raw orders and rows (a
+picking sequence or a bundles function), its proven ratio, and whether a
+value grid decides its choices.  :func:`run_mechanism`, the raw allocator
+``_allocate`` shared with the deviation searches, and every property query
+read that table instead of matching mechanism names.
+
 Every mechanism is deterministic given its inputs (and seed, for the random
 one).  Ties inside picking steps resolve to the lowest item index; ties
 between bundles resolve to the bundle containing the lowest-index item.
@@ -13,16 +21,23 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .instance import (
     BUDGET,
     Allocation,
     EnumerationLimitError,
     Instance,
+    MechanismError,
     Ranking,
     Value,
     ranking_order,
+)
+from .seqbuild import (
+    PickingSequence,
+    build_sqrt_sequence,
+    power_lower_rational,
+    sqrt_seq_params,
 )
 
 # Information models.
@@ -39,45 +54,6 @@ PR_EXACT_24 = "pr-exact-2-4"
 SQRT_SEQ = "sqrt-seq"
 CUT_AND_CHOOSE = "cut-and-choose"
 RANDOM_UNIFORM = "random-uniform"
-MECHANISM_NAMES = (
-    BEST_ITEM,
-    PICK_SEQ,
-    PR,
-    PR_EXACT_24,
-    SQRT_SEQ,
-    CUT_AND_CHOOSE,
-    RANDOM_UNIFORM,
-)
-
-_ALL_MODELS = frozenset(MODELS)
-_MODELS_FOR = {
-    BEST_ITEM: _ALL_MODELS,
-    PICK_SEQ: _ALL_MODELS,
-    PR: _ALL_MODELS,
-    SQRT_SEQ: _ALL_MODELS,
-    PR_EXACT_24: frozenset({PUBLIC_RANKINGS}),
-    CUT_AND_CHOOSE: frozenset({CARDINAL, PUBLIC_RANKINGS}),
-    RANDOM_UNIFORM: _ALL_MODELS,
-}
-# Models in which the mechanism is immune to unilateral misreports.  The
-# cyclic sequences (pr, sqrt-seq) are truthful only when rankings are public:
-# as reported-ranking mechanisms they are not sequential dictatorships.
-_TRUTHFUL_MODELS = {
-    BEST_ITEM: _ALL_MODELS,
-    PICK_SEQ: _ALL_MODELS,
-    PR: frozenset({PUBLIC_RANKINGS}),
-    SQRT_SEQ: frozenset({PUBLIC_RANKINGS}),
-    PR_EXACT_24: frozenset({PUBLIC_RANKINGS}),
-    CUT_AND_CHOOSE: frozenset(),
-    RANDOM_UNIFORM: _ALL_MODELS,
-}
-_VALUE_OBLIVIOUS = frozenset(
-    {BEST_ITEM, PICK_SEQ, PR, SQRT_SEQ, RANDOM_UNIFORM}
-)
-
-
-class MechanismError(ValueError):
-    """Mechanism/model mismatch or invalid mechanism input."""
 
 
 @dataclass(frozen=True)
@@ -91,14 +67,14 @@ class Mechanism:
     def __post_init__(self):
         if self.name not in MECHANISM_NAMES:
             raise MechanismError(f"unknown mechanism {self.name!r}")
-        if self.name == SQRT_SEQ:
+        if _SPECS[self.name].takes_epsilon:
             if self.epsilon is None or self.epsilon <= 0:
-                raise MechanismError("sqrt-seq needs a positive epsilon")
+                raise MechanismError(f"{self.name} needs a positive epsilon")
         elif self.epsilon is not None:
             raise MechanismError(f"{self.name} does not take an epsilon")
 
     def __str__(self):
-        if self.name == SQRT_SEQ:
+        if self.epsilon is not None:
             return f"{self.name}({self.epsilon})"
         return self.name
 
@@ -108,16 +84,26 @@ def mechanism(name: str, epsilon: Fraction | None = None) -> Mechanism:
 
 
 def models_for(mech: Mechanism) -> frozenset:
-    return _MODELS_FOR[mech.name]
+    return _SPECS[mech.name].models
 
 
 def truthful_models(mech: Mechanism) -> frozenset:
-    return _TRUTHFUL_MODELS[mech.name]
+    return _SPECS[mech.name].truthful
 
 
 def value_oblivious(mech: Mechanism) -> bool:
     """True when the allocation depends on reports only through rankings."""
-    return mech.name in _VALUE_OBLIVIOUS
+    return _SPECS[mech.name].value_oblivious
+
+
+def theoretical_ratio(mech: Mechanism, n: int, m: int) -> Fraction:
+    """Proven worst-case guarantee of a sequence mechanism at size (n, m)."""
+    if n < 1 or m < 0:
+        raise ValueError("need n >= 1 and m >= 0")
+    bound = _SPECS[mech.name].bound
+    if bound is None:
+        raise MechanismError(f"no guarantee ratio is defined for {mech}")
+    return bound(mech, n, m)
 
 
 def _check_defined(mech: Mechanism, model: str, n: int, m: int) -> None:
@@ -125,26 +111,16 @@ def _check_defined(mech: Mechanism, model: str, n: int, m: int) -> None:
     take."""
     if model not in MODELS:
         raise MechanismError(f"unknown model {model!r}")
-    if model not in models_for(mech):
+    spec = _SPECS[mech.name]
+    if model not in spec.models:
         raise MechanismError(f"{mech} is not defined in the {model} model")
-    if mech.name == PR_EXACT_24 and (n, m) != (2, 4):
-        raise MechanismError("pr-exact-2-4 requires exactly 2 players and 4 items")
-    if mech.name == CUT_AND_CHOOSE and n != 2:
-        raise MechanismError("cut-and-choose requires exactly 2 players")
-
-
-@dataclass(frozen=True)
-class PickingSequence:
-    """A sequence of player indices; each named player takes her favorite
-    remaining item in turn.  A cyclic sequence repeats until the items run
-    out; a non-cyclic one must be long enough on its own."""
-
-    picks: tuple[int, ...]
-    cyclic: bool = False
-
-    def __post_init__(self):
-        if not self.picks:
-            raise MechanismError("a picking sequence needs at least one pick")
+    if spec.shape is not None:
+        players, items = spec.shape
+        if n != players or items not in (None, m):
+            need = f" and {items} items" if items is not None else ""
+            raise MechanismError(
+                f"{mech.name} requires exactly {players} players{need}"
+            )
 
 
 def best_item_sequence(n: int, m: int) -> PickingSequence:
@@ -174,29 +150,6 @@ def pr_sequence(n: int) -> PickingSequence:
     if n < 1:
         raise MechanismError("need at least one player")
     return PickingSequence(tuple(range(n)) + (n - 1,), cyclic=True)
-
-
-_SEQUENCE_CACHE: dict = {}
-
-
-def _sequence_for(mech: Mechanism, n: int, m: int) -> PickingSequence | None:
-    """Picking sequence of a sequence mechanism, or None for the others; each
-    is built once per (mechanism, n, m)."""
-    key = (mech.name, mech.epsilon, n, m)
-    if key in _SEQUENCE_CACHE:
-        return _SEQUENCE_CACHE[key]
-    if mech.name in (BEST_ITEM, PICK_SEQ):
-        seq = best_item_sequence(n, m)
-    elif mech.name == PR:
-        seq = pr_sequence(n)
-    elif mech.name == SQRT_SEQ:
-        from .seqbuild import build_sqrt_sequence, sqrt_seq_params
-
-        seq = build_sqrt_sequence(sqrt_seq_params(n, m, mech.epsilon))
-    else:
-        seq = None
-    _SEQUENCE_CACHE[key] = seq
-    return seq
 
 
 def positions_bundle(ranking: Ranking, positions: Iterable[int]) -> frozenset[int]:
@@ -275,10 +228,7 @@ def run_picking_sequence(
     return Allocation.from_bundles(bundles)
 
 
-def _pr_exact_24_bundles(
-    orders: Sequence[tuple[int, ...]],
-    rows: Sequence[Sequence[Value]],
-) -> tuple[frozenset[int], frozenset[int]]:
+def _pr_exact_24_bundles(orders, rows, n, m, seed):
     """Two-player, four-item exact mechanism on raw orders and reported rows.
 
     Distinct favorite items: the sequence 1,2,2,1.  Shared favorite: player 1
@@ -303,9 +253,7 @@ def _pr_exact_24_bundles(
 def mechanism_pr_exact_24(inst: Instance) -> Allocation:
     """Exact maximin-share mechanism for two players and four items, with the
     players' rankings treated as public (derived from the instance)."""
-    _check_defined(Mechanism(PR_EXACT_24), PUBLIC_RANKINGS, inst.n, inst.m)
-    orders = [ranking_order(row) for row in inst.values]
-    return Allocation(_pr_exact_24_bundles(orders, inst.values))
+    return run_mechanism(Mechanism(PR_EXACT_24), PUBLIC_RANKINGS, inst)
 
 
 def best_two_partition(row: Sequence[Value]) -> tuple[frozenset[int], frozenset[int]]:
@@ -350,9 +298,7 @@ def _proposal(row: tuple[Value, ...]) -> tuple[frozenset[int], frozenset[int]]:
     return best_two_partition(row)
 
 
-def _cut_and_choose_bundles(
-    rows: Sequence[Sequence[Value]],
-) -> tuple[frozenset[int], frozenset[int]]:
+def _cut_and_choose_bundles(orders, rows, n, m, seed):
     """Player 1 proposes her most balanced 2-partition; player 2 takes the
     side her report values more (tie: the side holding item 1)."""
     proposal_a, proposal_b = _proposal(tuple(rows[0]))
@@ -368,8 +314,7 @@ def _cut_and_choose_bundles(
 def cut_and_choose(inst: Instance) -> Allocation:
     """Two-player cut and choose: exact under truthful reports, but the
     proposer can manipulate the cut."""
-    _check_defined(Mechanism(CUT_AND_CHOOSE), CARDINAL, inst.n, inst.m)
-    return Allocation(_cut_and_choose_bundles(inst.values))
+    return run_mechanism(Mechanism(CUT_AND_CHOOSE), CARDINAL, inst)
 
 
 def random_uniform_allocation(n: int, m: int, seed: int = 0) -> Allocation:
@@ -382,6 +327,100 @@ def random_uniform_allocation(n: int, m: int, seed: int = 0) -> Allocation:
     for j in range(m):
         bundles[rng.randrange(n)].append(j)
     return Allocation.from_bundles(bundles)
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """One mechanism's record.  A sequence mechanism has ``sequence(mech, n,
+    m)``, any other ``bundles(orders, rows, n, m, seed)``, giving one frozenset
+    of items per player.  ``shape`` is the (players, items) it requires, items
+    ``None`` for any; ``bound(mech, n, m)`` is the proven fraction of the
+    maximin share; ``grid_decides(grid)`` says whether rows drawn from
+    ``grid`` reach every decision of a mechanism that reads values."""
+
+    models: frozenset
+    truthful: frozenset
+    value_oblivious: bool = True
+    ignores_reports: bool = False
+    takes_epsilon: bool = False
+    shape: tuple[int, int | None] | None = None
+    sequence: Callable | None = None
+    bundles: Callable | None = None
+    bound: Callable | None = None
+    grid_decides: Callable | None = None
+
+
+_ALL = frozenset(MODELS)
+_PUBLIC = frozenset({PUBLIC_RANKINGS})
+_BEST_ITEM = _Spec(
+    _ALL, _ALL,
+    sequence=lambda mech, n, m: best_item_sequence(n, m),
+    bound=lambda mech, n, m: Fraction(1, max(2, m - n + 2) // 2),
+)
+# The cyclic sequences (pr, sqrt-seq) are truthful only when rankings are
+# public: as reported-ranking mechanisms they are not sequential dictatorships.
+# pr-exact-2-4's player 1 takes one binary decision (top item against ranks
+# 2-3); a grid holding zero and a positive value realizes both sides under any
+# public ranking.
+_SPECS = {
+    BEST_ITEM: _BEST_ITEM,
+    PICK_SEQ: _BEST_ITEM,
+    PR: _Spec(
+        _ALL, _PUBLIC,
+        sequence=lambda mech, n, m: pr_sequence(n),
+        bound=lambda mech, n, m: Fraction(2, n + 1),
+    ),
+    PR_EXACT_24: _Spec(
+        _PUBLIC, _PUBLIC, value_oblivious=False, shape=(2, 4),
+        bundles=_pr_exact_24_bundles,
+        grid_decides=lambda grid: any(v == 0 for v in grid) and any(v > 0 for v in grid),
+    ),
+    SQRT_SEQ: _Spec(
+        _ALL, _PUBLIC, takes_epsilon=True,
+        sequence=lambda mech, n, m: build_sqrt_sequence(sqrt_seq_params(n, m, mech.epsilon)),
+        bound=lambda mech, n, m: power_lower_rational(n, Fraction(1, 2) + mech.epsilon),
+    ),
+    CUT_AND_CHOOSE: _Spec(
+        frozenset({CARDINAL, PUBLIC_RANKINGS}), frozenset(), value_oblivious=False,
+        shape=(2, None), bundles=_cut_and_choose_bundles,
+    ),
+    RANDOM_UNIFORM: _Spec(
+        _ALL, _ALL, ignores_reports=True,
+        bundles=lambda orders, rows, n, m, seed: random_uniform_allocation(n, m, seed).bundles,
+    ),
+}
+MECHANISM_NAMES = tuple(_SPECS)
+
+_SEQUENCES: dict = {}
+
+
+def _allocate(
+    mech: Mechanism,
+    orders: Sequence[tuple[int, ...]],
+    rows: Sequence[Sequence[Value]],
+    n: int,
+    m: int,
+    seed: int = 0,
+    cache: dict | None = None,
+) -> tuple[frozenset[int], ...]:
+    """One bundle per player from raw ranking orders and value rows, by the
+    mechanism's bundles function or its picking sequence (built once per
+    (mechanism, n, m)).  Given a ``cache`` dict, a value-oblivious
+    mechanism's outcome is kept there per ranking profile."""
+    spec = _SPECS[mech.name]
+    if cache is not None and spec.value_oblivious:
+        key = tuple(orders)
+        bundles = cache.get(key)
+        if bundles is None:
+            bundles = cache[key] = _allocate(mech, orders, rows, n, m, seed)
+        return bundles
+    if spec.bundles is not None:
+        return spec.bundles(orders, rows, n, m, seed)
+    key = (mech.name, mech.epsilon, n, m)
+    seq = _SEQUENCES.get(key)
+    if seq is None:
+        seq = _SEQUENCES[key] = spec.sequence(mech, n, m)
+    return tuple(map(frozenset, _simulate_picks(orders, m, seq.picks, seq.cyclic)))
 
 
 def _consistent_with_order(row: Sequence[Value], order: Sequence[int]) -> bool:
@@ -461,11 +500,4 @@ def run_mechanism(
     n, m = inst.n, inst.m
     _check_defined(mech, model, n, m)
     orders, rows = _resolve_reports(model, inst, reported)
-    if mech.name == PR_EXACT_24:
-        return Allocation(_pr_exact_24_bundles(orders, rows))
-    if mech.name == CUT_AND_CHOOSE:
-        return Allocation(_cut_and_choose_bundles(rows))
-    if mech.name == RANDOM_UNIFORM:
-        return random_uniform_allocation(n, m, seed)
-    seq = _sequence_for(mech, n, m)
-    return Allocation.from_bundles(_simulate_picks(orders, m, seq.picks, seq.cyclic))
+    return Allocation(_allocate(mech, orders, rows, n, m, seed))

@@ -1,5 +1,5 @@
-"""Construction of long picking sequences with per-player pick deadlines,
-plus the guarantee-ratio lookup for the sequence mechanisms.
+"""Picking sequences, and the construction of long ones with per-player
+pick deadlines.
 
 The construction targets a rate ``alpha = 1 / n**(1/2 + epsilon)``: player
 ``i`` (1-based) gets her 0th pick at overall position ``i`` and her j-th pick
@@ -16,15 +16,21 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .adversary import harmonic_number
-from .mechanisms import (
-    BEST_ITEM,
-    PICK_SEQ,
-    PR,
-    SQRT_SEQ,
-    Mechanism,
-    MechanismError,
-    PickingSequence,
-)
+from .instance import MechanismError
+
+
+@dataclass(frozen=True)
+class PickingSequence:
+    """A sequence of player indices; each named player takes her favorite
+    remaining item in turn.  A cyclic sequence repeats until the items run
+    out; a non-cyclic one must be long enough on its own."""
+
+    picks: tuple[int, ...]
+    cyclic: bool = False
+
+    def __post_init__(self):
+        if not self.picks:
+            raise MechanismError("a picking sequence needs at least one pick")
 
 
 class InfeasibleParams(ValueError):
@@ -244,16 +250,3 @@ def verify_schedule_demand(params: SqrtSeqParams) -> list[DemandViolation]:
                 )
     return violations
 
-
-def theoretical_ratio(mech: Mechanism, n: int, m: int) -> Fraction:
-    """Proven worst-case guarantee of a sequence mechanism at size (n, m)."""
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
-    name = mech.name
-    if name in (BEST_ITEM, PICK_SEQ):
-        return Fraction(1, max(2, m - n + 2) // 2)
-    if name == PR:
-        return Fraction(2, n + 1)
-    if name == SQRT_SEQ:
-        return power_lower_rational(n, Fraction(1, 2) + mech.epsilon)
-    raise MechanismError(f"no guarantee ratio is defined for {mech}")

@@ -37,20 +37,14 @@ from .instance import (
     ranking_order,
 )
 from .mechanisms import (
+    _SPECS,
     CARDINAL,
     ORDINAL,
-    PR_EXACT_24,
     PUBLIC_RANKINGS,
-    RANDOM_UNIFORM,
     Mechanism,
-    MechanismError,
+    _allocate,
     _check_defined,
     _consistent_with_order,
-    _cut_and_choose_bundles,
-    _pr_exact_24_bundles,
-    _sequence_for,
-    _simulate_picks,
-    random_uniform_allocation,
     value_oblivious,
 )
 
@@ -73,40 +67,6 @@ class DeviationReport:
     best_deviation_value: Value
     witness: object | None
     search_complete: bool
-
-
-def _allocate_raw(
-    mech: Mechanism,
-    orders: Sequence[tuple[int, ...]],
-    rows: Sequence[Sequence[Value]],
-    n: int,
-    m: int,
-    seed: int = 0,
-    cache: dict | None = None,
-) -> tuple[tuple[int, ...], ...]:
-    """Mechanism dispatch on raw orders/rows; value-oblivious outcomes are
-    memoized by their ranking profile."""
-    seq = _sequence_for(mech, n, m)
-    if seq is not None:
-        key = tuple(orders)
-        if cache is not None and key in cache:
-            return cache[key]
-        bundles = tuple(
-            tuple(b) for b in _simulate_picks(orders, m, seq.picks, seq.cyclic)
-        )
-        if cache is not None:
-            cache[key] = bundles
-        return bundles
-    if mech.name == PR_EXACT_24:
-        mine, rest = _pr_exact_24_bundles(orders, rows)
-        return tuple(sorted(mine)), tuple(sorted(rest))
-    if mech.name == "cut-and-choose":
-        first, second = _cut_and_choose_bundles(rows)
-        return tuple(sorted(first)), tuple(sorted(second))
-    if mech.name == RANDOM_UNIFORM:
-        alloc = random_uniform_allocation(n, m, seed)
-        return tuple(tuple(sorted(b)) for b in alloc.bundles)
-    raise MechanismError(f"unhandled mechanism {mech}")  # pragma: no cover
 
 
 def _check_enum(m: int) -> None:
@@ -157,8 +117,8 @@ def _reachable(
             if model == CARDINAL:
                 orders[player] = ranking_order(report)
             rows[player] = report
-        bundle = _allocate_raw(mech, orders, rows, n, m, seed, cache)[player]
-        reached.setdefault(frozenset(bundle), report)
+        bundle = _allocate(mech, orders, rows, n, m, seed, cache)[player]
+        reached.setdefault(bundle, report)
     return list(reached.items())
 
 
@@ -176,7 +136,7 @@ def _deviation_search(
     true_row = inst.values[player]
     orders = [ranking_order(row) for row in inst.values]
     cache: dict = {}
-    truthful = _allocate_raw(mech, orders, inst.values, inst.n, inst.m, seed, cache)
+    truthful = _allocate(mech, orders, inst.values, inst.n, inst.m, seed, cache)
     t_val = sum(true_row[j] for j in truthful[player])
     best = t_val
     witness = None
@@ -252,14 +212,10 @@ def deviation_search_cardinal(
 def grid_covers_decisions(mech: Mechanism, grid: Sequence[Value]) -> bool:
     """Whether rows drawn from ``grid`` reach every decision the mechanism
     can take, making a row search over the grid exhaustive."""
-    if value_oblivious(mech):
+    spec = _SPECS[mech.name]
+    if spec.value_oblivious:
         return True
-    if mech.name == PR_EXACT_24:
-        # Player 1's only decision is binary (top item vs ranks 2-3); a grid
-        # holding zero and a positive value realizes both sides under any
-        # public ranking.
-        return any(v == 0 for v in grid) and any(v > 0 for v in grid)
-    return False
+    return spec.grid_decides is not None and spec.grid_decides(grid)
 
 
 def deviation_search_public(
@@ -349,7 +305,7 @@ def verify_truthful_on_grid(
             f"grid sweep needs {total} instances, over the budget of {budget}"
         )
 
-    if mech.name == RANDOM_UNIFORM:
+    if _SPECS[mech.name].ignores_reports:
         # The allocation never reads the reports, so no misreport can matter.
         return GridVerification(
             mechanism=str(mech),
@@ -388,7 +344,7 @@ def verify_truthful_on_grid(
 
     for inst_rows in product(rows_space, repeat=n):
         true_orders = tuple(ranking_order(row) for row in inst_rows)
-        truthful = _allocate_raw(mech, true_orders, inst_rows, n, m, seed, alloc_cache)
+        truthful = _allocate(mech, true_orders, inst_rows, n, m, seed, alloc_cache)
         for player in range(n):
             own = true_orders[player] if model == PUBLIC_RANKINGS else None
             key = (

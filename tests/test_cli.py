@@ -71,6 +71,15 @@ class TestRun:
         assert status == 0
         assert report.read_text().strip() == out.strip()
 
+    def test_sqrt_seq_needs_epsilon(self, capsys, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text("2 8\n8 7 6 5 4 3 2 1\n1 2 3 4 5 6 7 8\n")
+        argv = ["run", "--instance", str(path), "--mech", "sqrt-seq", "--model", "ordinal"]
+        status, out, _ = run_cli(capsys, *argv, "--epsilon", "1/2", "--machine")
+        assert status == 0
+        assert out.startswith("mechanism=sqrt-seq(1/2)\n")
+        assert run_cli(capsys, *argv) == (2, "", "error: sqrt-seq needs --epsilon P/Q\n")
+
     def test_model_mismatch_is_input_error(self, capsys, ex23_file):
         status, _, err = run_cli(
             capsys, "run", "--instance", ex23_file, "--mech", "pr-exact-2-4",
@@ -304,6 +313,9 @@ class TestErrors:
         [
             ("edge 1 x 2", "line 5: edge needs FROM TO PLAYER as whole numbers"),
             ("model nosuch", "line 5: unknown model 'nosuch'"),
+            ("edge 0 1 2", "line 5: edge FROM 0 out of range [1, 1]"),
+            ("edge 2 1 3", "line 5: edge FROM 2 out of range [1, 1]"),
+            ("edge 1 1 3", "line 5: edge PLAYER 3 out of range [1, 2]"),
         ],
     )
     def test_fixture_line_errors(self, capsys, tmp_path, line, message):

@@ -113,6 +113,18 @@ class TestBuiltinFixtures:
                 deviation_edges=((0, 2, 0),),
             )
 
+    def test_constructor_names_out_of_range_edge_one_based(self):
+        fix = builtin_fixture("pr-m6")
+        with pytest.raises(ValueError, match=r"^edge \(1, 6, player 1\) out of range$"):
+            ChainFixture(
+                name="bad",
+                epsilon=E,
+                threshold=Fraction(1, 2),
+                model=PUBLIC_RANKINGS,
+                profiles=fix.profiles,
+                deviation_edges=((0, 5, 0),),
+            )
+
 
 class TestRunChain:
     def test_best_item_fails_at_final_all_ones_profile(self):
@@ -257,3 +269,26 @@ class TestFixtureFiles:
     def test_short_profile_at_end_names_last_line(self):
         with pytest.raises(ValueError, match="^line 3: profile needs exactly 2 rows, got 1$"):
             parse_fixture("threshold 1/2\nprofile\n1 0 0 0\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("edge 0 1 2", "edge FROM 0 out of range [1, 2]"),
+            ("edge 1 0 2", "edge TO 0 out of range [1, 2]"),
+            ("edge 3 1 2", "edge FROM 3 out of range [1, 2]"),
+            ("edge 1 3 2", "edge TO 3 out of range [1, 2]"),
+            ("edge 2 1 3", "edge PLAYER 3 out of range [1, 2]"),
+            ("edge 1 2 0", "edge PLAYER 0 out of range [1, 2]"),
+        ],
+    )
+    def test_edge_out_of_range_names_line(self, line, message):
+        text = f"threshold 1/2\nprofile\n1 0\n0 1\nprofile\n0 1\n0 1\n{line}\n"
+        with pytest.raises(ValueError, match=re.escape(f"line 8: {message}") + "$"):
+            parse_fixture(text)
+
+    def test_edge_may_precede_its_profiles(self):
+        head = "threshold 1/2\nedge 2 1 1\n"
+        fix = parse_fixture(head + "profile\n1 0\n0 1\nprofile\n0 1\n0 1\n")
+        assert fix.deviation_edges == ((1, 0, 0),)
+        with pytest.raises(ValueError, match=r"^line 2: edge FROM 2 out of range \[1, 1\]$"):
+            parse_fixture(head + "profile\n1 0\n0 1\n")

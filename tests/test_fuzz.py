@@ -1,0 +1,108 @@
+"""Fuzzed instance and fixture files through the command line.
+
+Every input must end in an answer (exit 0), found violations (exit 1) or a
+one-line refusal on stderr (exit 2), never in an unexpected error (exit 3).
+Shapes stay small (at most 3 players and 6 items) so every share is cheap.
+"""
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from mmsfair.cli import main
+
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=120,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+VALUES = st.one_of(
+    st.integers(0, 9).map(str),
+    st.builds("{}/{}".format, st.integers(0, 30), st.integers(1, 7)),
+)
+JUNK = st.one_of(
+    st.sampled_from(["-1", "-0", "+3", "0.5", "1e3", "1/0", "/2", "x", "٣", "3/-2", "10" * 12]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def noisy(draw, lines):
+    """The lines of a well-formed file, most of the time left as they are,
+    otherwise with one line dropped or duplicated, one token replaced or one
+    junk line inserted."""
+    lines = list(lines)
+    at = draw(st.integers(0, len(lines) - 1))
+    mutation = draw(st.sampled_from(["none"] * 4 + ["drop", "repeat", "token", "insert"]))
+    if mutation == "drop":
+        del lines[at]
+    elif mutation == "repeat":
+        lines.insert(at, lines[at])
+    elif mutation == "token":
+        tokens = lines[at].split() or [""]
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(JUNK)
+        lines[at] = " ".join(tokens)
+    elif mutation == "insert":
+        lines.insert(at, draw(st.one_of(JUNK, st.sampled_from(["", "# note", "\t"]))))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+def _row(draw, m):
+    return " ".join(draw(st.lists(VALUES, min_size=m, max_size=m)))
+
+
+@st.composite
+def instance_texts(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    return draw(noisy([f"{n} {m}", *(_row(draw, m) for _ in range(n))]))
+
+
+@st.composite
+def fixture_texts(draw):
+    m = draw(st.integers(1, 4))
+    model = draw(st.sampled_from(["cardinal", "ordinal", "public-rankings"]))
+    lines = ["threshold " + draw(VALUES), "epsilon " + draw(VALUES), "model " + model]
+    # Each later profile changes one player's row of an earlier one, and an
+    # edge joins the two in either direction.
+    profiles, edges = [[_row(draw, m), _row(draw, m)]], []
+    for dst in range(2, draw(st.integers(1, 3)) + 1):
+        src, player = draw(st.integers(1, dst - 1)), draw(st.integers(1, 2))
+        profile = list(profiles[src - 1])
+        profile[player - 1] = _row(draw, m)
+        profiles.append(profile)
+        ends = (src, dst) if draw(st.booleans()) else (dst, src)
+        edges.append("edge {} {} {}".format(*ends, player))
+    for rows in profiles:
+        lines += ["profile", *rows]
+    return draw(noisy(lines + edges))
+
+
+def _run(capsys, argv):
+    status = main(argv)
+    out, err = capsys.readouterr()
+    assert status in (0, 1, 2), err
+    if status == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+
+
+@FUZZ
+@given(text=instance_texts())
+@example(text="2 3\n1 1/2 0\n2/3 1 1\n")
+def test_fuzzed_instance_files(capsys, tmp_path, text):
+    path = tmp_path / "inst.txt"
+    path.write_text(text, encoding="utf-8")
+    _run(capsys, ["mms", "--instance", str(path)])
+
+
+@FUZZ
+@given(text=fixture_texts())
+@example(text="threshold 1/2\nedge 0 1 2\nprofile\n1 0\n0 1\n")
+def test_fuzzed_fixture_files(capsys, tmp_path, text):
+    path = tmp_path / "chain.txt"
+    path.write_text(text, encoding="utf-8")
+    _run(capsys, ["chain", "--fixture-file", str(path), "--mech", "pick-seq"])

@@ -390,6 +390,17 @@ class TestGuarantees:
                 share = maximin_share(inst, i, 5)
                 assert inst.value(i, alloc.bundles[i]) >= params.alpha * share
 
+    def test_sqrt_seq_runs_the_sequence_of_its_epsilon(self):
+        from mmsfair import build_sqrt_sequence, sqrt_seq_params
+
+        # At (2, 8) epsilon 1/2 and 1 build different sequences.
+        inst = Instance.from_rows([[8, 7, 6, 5, 4, 3, 2, 1]] * 2)
+        rankings = [derive_ranking(inst, i) for i in range(2)]
+        for eps in (Fraction(1, 2), Fraction(1), Fraction(1, 2)):
+            seq = build_sqrt_sequence(sqrt_seq_params(2, 8, eps))
+            want = run_picking_sequence(rankings, 8, seq)
+            assert run_mechanism(mechanism("sqrt-seq", eps), ORDINAL, inst) == want
+
     def test_pick_seq_guarantee_random(self):
         rng = random.Random(59)
         mech = mechanism("pick-seq")

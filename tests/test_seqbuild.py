@@ -144,3 +144,6 @@ class TestTheoreticalRatio:
     def test_undefined_for_other_mechanisms(self):
         with pytest.raises(MechanismError):
             theoretical_ratio(mechanism("cut-and-choose"), 2, 4)
+        for name in ("pr-exact-2-4", "random-uniform"):
+            with pytest.raises(MechanismError, match=f"^no guarantee ratio is defined for {name}$"):
+                theoretical_ratio(mechanism(name), 2, 4)

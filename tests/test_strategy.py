@@ -186,6 +186,8 @@ class TestPublicSearch:
         assert grid_covers_decisions(mechanism("pr-exact-2-4"), (0, 1, 2))
         assert not grid_covers_decisions(mechanism("pr-exact-2-4"), (1, 2))
         assert not grid_covers_decisions(mechanism("cut-and-choose"), (0, 1))
+        assert grid_covers_decisions(mechanism("sqrt-seq", Fraction(1, 10)), (1, 2))
+        assert grid_covers_decisions(mechanism("random-uniform"), (1, 2))
 
 
 class TestGridVerifier:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .instance import BUDGET, EnumerationLimitError, Instance
-from .mms import maximin_share
+from .instance import BUDGET, EnumerationLimitError
 
 INFEASIBLE = "infeasible"
 FEASIBLE_UNKNOWN = "feasible-unknown"
@@ -130,9 +129,3 @@ def exhaustive_common_ranking_ratio(n: int, m: int) -> Fraction:
             best = worst
     return Fraction(*best)
 
-
-def adversary_share_matches_oracle(i: int, n: int, m: int) -> bool:
-    """Cross-check the closed-form share against the exact oracle."""
-    row = ordinal_adversary_valuation(i, n, m)
-    inst = Instance.from_rows([row])
-    return maximin_share(inst, 0, n) == ordinal_adversary_share(i, n, m)

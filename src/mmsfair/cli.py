@@ -25,13 +25,7 @@ from .adversary import (
     ordinal_lower_bound_check,
 )
 from .fixtures import CONSISTENT, builtin_fixture, parse_fixture, run_chain
-from .instance import (
-    BUDGET,
-    EnumerationLimitError,
-    Instance,
-    InstanceError,
-    parse_instance,
-)
+from .instance import BUDGET, Instance, parse_instance
 from .mechanisms import (
     _SPECS,
     MECHANISM_NAMES,
@@ -45,7 +39,6 @@ from .mechanisms import (
 from .mms import UNBOUNDED, approximation_ratio, maximin_share
 from .montecarlo import mc_config, montecarlo_randomized, parse_distribution
 from .seqbuild import (
-    InfeasibleParams,
     build_sqrt_sequence,
     sqrt_seq_params,
     verify_pick_positions,
@@ -98,9 +91,19 @@ def _misreport(w, machine: bool) -> str:
     return ",".join(render(v) for v in w)
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 file's text, with its line endings kept for the parsers'
+    ``splitlines``; other bytes are refused by file and offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8 at byte offset {exc.start}: {path}") from None
+
+
 def _load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    return parse_instance(_read_text(path))
 
 
 def _mech_from_args(args) -> Mechanism:
@@ -237,8 +240,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_chain(args) -> int:
     if args.fixture_file:
-        with open(args.fixture_file, "r", encoding="utf-8") as fh:
-            fix = parse_fixture(fh.read(), name=args.fixture_file)
+        fix = parse_fixture(_read_text(args.fixture_file), name=args.fixture_file)
     else:
         fix = builtin_fixture(args.fixture, epsilon=args.epsilon)
     mech = _mech_from_args(args)
@@ -465,15 +467,7 @@ def main(argv=None) -> int:
         parser.error("chain needs --fixture or --fixture-file")
     try:
         return args.func(args)
-    except (
-        InstanceError,
-        MechanismError,
-        InfeasibleParams,
-        EnumerationLimitError,
-        FileNotFoundError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         if isinstance(exc, OSError):
             message = f"{exc.strerror}: {exc.filename}"
         else:

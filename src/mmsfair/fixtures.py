@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .instance import Instance, derive_ranking, parse_value
 from .mechanisms import (
@@ -32,21 +32,9 @@ from .mechanisms import (
 from .mms import maximin_share
 from .seqbuild import InfeasibleParams
 
-FIXTURE_NAMES = ("lemma-2+2", "lemma-1+3", "pr-m6", "pr-m5", "ordinal-m4")
-
 APPROX_FAILURE = "approx-failure"
 MANIPULABLE = "manipulable"
 CONSISTENT = "consistent"
-
-# (supremum, inclusive?): the lemma chains need epsilon strictly below 1/2,
-# otherwise 2 - e and 1 + e coincide and distinct profiles collapse.
-_EPSILON_RANGE = {
-    "lemma-2+2": (Fraction(1, 2), False),
-    "lemma-1+3": (Fraction(1, 2), False),
-    "pr-m6": (Fraction(1, 5), True),
-    "pr-m5": (Fraction(1, 6), True),
-    "ordinal-m4": (Fraction(1, 2), True),
-}
 
 Row = tuple[Fraction, ...]
 Profile = tuple[Row, Row]
@@ -83,16 +71,8 @@ class ChainFixture:
                 raise ValueError(
                     f"edge ({src + 1}, {dst + 1}, player {player + 1}) out of range"
                 )
-            if self.profiles[src][1 - player] != self.profiles[dst][1 - player]:
-                raise ValueError(
-                    f"edge ({src + 1}, {dst + 1}, player {player + 1}) changes "
-                    "the other player's row"
-                )
-            if self.profiles[src][player] == self.profiles[dst][player]:
-                raise ValueError(
-                    f"edge ({src + 1}, {dst + 1}, player {player + 1}) changes "
-                    "no row"
-                )
+            if problem := _edge_row_error(self.profiles, src, dst, player):
+                raise ValueError(problem)
 
     @property
     def m(self) -> int:
@@ -102,35 +82,21 @@ class ChainFixture:
         return Instance.from_rows(self.profiles[index])
 
 
-def _check_epsilon(name: str, epsilon: Fraction) -> Fraction:
-    epsilon = Fraction(epsilon)
-    limit, inclusive = _EPSILON_RANGE[name]
-    ok = 0 < epsilon and (epsilon <= limit if inclusive else epsilon < limit)
-    if not ok:
-        bracket = "]" if inclusive else ")"
-        raise ValueError(
-            f"fixture {name} needs epsilon in (0, {limit}{bracket}, got {epsilon}"
-        )
-    return epsilon
+def _edge_row_error(
+    profiles: Sequence[Profile], src: int, dst: int, player: int
+) -> str | None:
+    """Why an in-range edge is no deviation by ``player``: it must change her
+    row and only hers.  ``None`` when it is one."""
+    if profiles[src][1 - player] != profiles[dst][1 - player]:
+        change = "the other player's row"
+    elif profiles[src][player] == profiles[dst][player]:
+        change = "no row"
+    else:
+        return None
+    return f"edge ({src + 1}, {dst + 1}, player {player + 1}) changes {change}"
 
 
-def builtin_fixture(name: str, epsilon: Fraction = Fraction(1, 10)) -> ChainFixture:
-    """Construct one of the built-in chains at the requested epsilon."""
-    if name not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
-    e = _check_epsilon(name, epsilon)
-    if name == "lemma-2+2":
-        return _fixture_two_two(e)
-    if name == "lemma-1+3":
-        return _fixture_one_three(e)
-    if name == "pr-m6":
-        return _fixture_pr_m6(e)
-    if name == "pr-m5":
-        return _fixture_pr_m5(e)
-    return _fixture_ordinal_m4(e)
-
-
-def _fixture_two_two(e: Fraction) -> ChainFixture:
+def _fixture_two_two(e: Fraction):
     """Six profiles over value multisets {2-e, 1+e, 1-e, e/2} and
     {2+e, 1+e, 1-e, e/2} (per-player shares 2 -+ e/2) that corner any
     cardinal mechanism handing two items to each player."""
@@ -145,17 +111,10 @@ def _fixture_two_two(e: Fraction) -> ChainFixture:
         ((up, dn, lo, tiny), (up, hi, dn, tiny)),
     )
     edges = ((1, 0, 1), (1, 2, 0), (3, 2, 1), (0, 4, 0), (5, 4, 1), (5, 3, 0))
-    return ChainFixture(
-        name="lemma-2+2",
-        epsilon=e,
-        threshold=Fraction(1, 2) + e,
-        model=CARDINAL,
-        profiles=profiles,
-        deviation_edges=edges,
-    )
+    return Fraction(1, 2) + e, CARDINAL, profiles, edges
 
 
-def _fixture_one_three(e: Fraction) -> ChainFixture:
+def _fixture_one_three(e: Fraction):
     """Chain closing the one-item-to-a-player case in the cardinal model; it
     ends at an all-ones row whose owner can then be kept below half her
     share."""
@@ -182,17 +141,10 @@ def _fixture_one_three(e: Fraction) -> ChainFixture:
         (3, 7, 0),
         (6, 7, 0),
     )
-    return ChainFixture(
-        name="lemma-1+3",
-        epsilon=e,
-        threshold=Fraction(1, 2) + e,
-        model=CARDINAL,
-        profiles=profiles,
-        deviation_edges=edges,
-    )
+    return Fraction(1, 2) + e, CARDINAL, profiles, edges
 
 
-def _fixture_pr_m6(e: Fraction) -> ChainFixture:
+def _fixture_pr_m6(e: Fraction):
     """Five public-rankings profiles on six commonly-ranked items (shares 3
     or 1 per row) bounding what a truthful mechanism can reach there."""
     one = Fraction(1)
@@ -209,17 +161,10 @@ def _fixture_pr_m6(e: Fraction) -> ChainFixture:
         (ones, split),
     )
     edges = ((1, 0, 0), (1, 2, 1), (3, 2, 0), (3, 4, 1))
-    return ChainFixture(
-        name="pr-m6",
-        epsilon=e,
-        threshold=Fraction(4, 5) + e,
-        model=PUBLIC_RANKINGS,
-        profiles=profiles,
-        deviation_edges=edges,
-    )
+    return Fraction(4, 5) + e, PUBLIC_RANKINGS, profiles, edges
 
 
-def _fixture_pr_m5(e: Fraction) -> ChainFixture:
+def _fixture_pr_m5(e: Fraction):
     """The five-item public-rankings chain; both halves of the case split on
     who receives the top item are transcribed (they share three profiles)."""
     one = Fraction(1)
@@ -249,17 +194,10 @@ def _fixture_pr_m5(e: Fraction) -> ChainFixture:
         (5, 2, 1),
         (5, 6, 0),
     )
-    return ChainFixture(
-        name="pr-m5",
-        epsilon=e,
-        threshold=Fraction(5, 6) + e,
-        model=PUBLIC_RANKINGS,
-        profiles=profiles,
-        deviation_edges=edges,
-    )
+    return Fraction(5, 6) + e, PUBLIC_RANKINGS, profiles, edges
 
 
-def _fixture_ordinal_m4(e: Fraction) -> ChainFixture:
+def _fixture_ordinal_m4(e: Fraction):
     """Six ranking profiles on four items for the ordinal model.  Values are
     near-ties realizing the rankings: the item at rank k is worth the k-th
     entry of (1+e, 1+e/2, 1, 1-e), so every row's two-bundle share is
@@ -286,11 +224,59 @@ def _fixture_ordinal_m4(e: Fraction) -> ChainFixture:
         (row_for(bacd), row_for(abcd)),
     )
     edges = ((0, 1, 1), (2, 1, 1), (2, 3, 0), (4, 3, 1), (4, 5, 1), (0, 5, 0))
+    return Fraction(1, 2) + e, ORDINAL, profiles, edges
+
+
+@dataclass(frozen=True)
+class _Builtin:
+    """One built-in chain: ``build(epsilon)`` gives its (threshold, model,
+    profiles, edges); epsilon must lie in (0, ``limit``), or (0, ``limit``]
+    when ``inclusive``; ``premise`` says from each profile's bundle sizes
+    whether the chain's argument covers a mechanism."""
+
+    build: Callable
+    limit: Fraction
+    inclusive: bool
+    premise: Callable = lambda sizes: True
+
+
+# The lemma chains need epsilon strictly below 1/2, otherwise 2 - e and 1 + e
+# coincide and distinct profiles collapse.  The two-items-each chain binds
+# only mechanisms that split 2+2 on every profile, the one-item chain only
+# those that hand a single item to someone somewhere.
+_BUILTINS = {
+    "lemma-2+2": _Builtin(
+        _fixture_two_two, Fraction(1, 2), False,
+        premise=lambda sizes: all(size == (2, 2) for size in sizes),
+    ),
+    "lemma-1+3": _Builtin(
+        _fixture_one_three, Fraction(1, 2), False,
+        premise=lambda sizes: any(1 in size for size in sizes),
+    ),
+    "pr-m6": _Builtin(_fixture_pr_m6, Fraction(1, 5), True),
+    "pr-m5": _Builtin(_fixture_pr_m5, Fraction(1, 6), True),
+    "ordinal-m4": _Builtin(_fixture_ordinal_m4, Fraction(1, 2), True),
+}
+FIXTURE_NAMES = tuple(_BUILTINS)
+
+
+def builtin_fixture(name: str, epsilon: Fraction = Fraction(1, 10)) -> ChainFixture:
+    """Construct one of the built-in chains at the requested epsilon."""
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    spec = _BUILTINS[name]
+    e = Fraction(epsilon)
+    if not (0 < e and (e <= spec.limit if spec.inclusive else e < spec.limit)):
+        bracket = "]" if spec.inclusive else ")"
+        raise ValueError(
+            f"fixture {name} needs epsilon in (0, {spec.limit}{bracket}, got {e}"
+        )
+    threshold, model, profiles, edges = spec.build(e)
     return ChainFixture(
-        name="ordinal-m4",
+        name=name,
         epsilon=e,
-        threshold=Fraction(1, 2) + e,
-        model=ORDINAL,
+        threshold=threshold,
+        model=model,
         profiles=profiles,
         deviation_edges=edges,
     )
@@ -437,11 +423,8 @@ def fixture_applies(fix: ChainFixture, mech: Mechanism, seed: int = 0) -> bool:
     except (MechanismError, InfeasibleParams):
         return False
     sizes = [tuple(len(b) for b in alloc.bundles) for alloc in allocations]
-    if fix.name == "lemma-2+2":
-        return all(size == (2, 2) for size in sizes)
-    if fix.name == "lemma-1+3":
-        return any(1 in size for size in sizes)
-    return True
+    spec = _BUILTINS.get(fix.name)
+    return spec is None or spec.premise(sizes)
 
 
 def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
@@ -515,6 +498,8 @@ def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
                 raise ValueError(
                     f"line {lineno}: edge {field} {k + 1} out of range [1, {limit}]"
                 )
+        if problem := _edge_row_error(profiles, *edge):
+            raise ValueError(f"line {lineno}: {problem}")
     return ChainFixture(
         name=name,
         epsilon=epsilon,

@@ -81,10 +81,6 @@ class Instance:
     def m(self) -> int:
         return len(self.values[0])
 
-    def row(self, player: int) -> tuple[Value, ...]:
-        self._check_player(player)
-        return self.values[player]
-
     def value(self, player: int, items: Iterable[int]) -> Value:
         """Exact total value of ``items`` for ``player`` (empty set -> 0)."""
         return bundle_value(self, player, items)
@@ -110,10 +106,6 @@ class Ranking:
     @property
     def m(self) -> int:
         return len(self.order)
-
-    def rank_of(self, item: int) -> int:
-        """1-based position of ``item`` in this ranking."""
-        return self.order.index(item) + 1
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,10 @@ def sqrt_seq_params(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     alpha = power_lower_rational(n, Fraction(1, 2) + epsilon, max_den)
+    if alpha == 0:  # no deadline spacing exists at a zero rate
+        raise ValueError(
+            f"epsilon {epsilon} too large: n**-(1/2 + epsilon) is below 1/{max_den}"
+        )
     return SqrtSeqParams(n=n, m=m, epsilon=epsilon, alpha=alpha)
 
 

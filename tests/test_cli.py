@@ -327,6 +327,22 @@ class TestErrors:
         assert (status, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", [["mms", "--instance"], ["chain", "--fixture-file"]])
+    def test_directory_input_exits_2(self, capsys, tmp_path, command):
+        extra = ["--mech", "pr"] if command[0] == "chain" else []
+        status, out, err = run_cli(capsys, *command, str(tmp_path), *extra)
+        assert (status, out) == (2, "")
+        assert err == f"error: Is a directory: {tmp_path}\n"
+
+    @pytest.mark.parametrize("command", [["mms", "--instance"], ["chain", "--fixture-file"]])
+    def test_non_utf8_file_names_file_and_offset(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"2 2\n1 \xff\n1 1\n")
+        extra = ["--mech", "pr"] if command[0] == "chain" else []
+        status, out, err = run_cli(capsys, *command, str(path), *extra)
+        assert (status, out) == (2, "")
+        assert err == f"error: not UTF-8 at byte offset 6: {path}\n"
+
     def test_unexpected_error_exits_3(self, capsys, monkeypatch, ex23_file):
         def overflow(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")

@@ -286,6 +286,21 @@ class TestFixtureFiles:
         with pytest.raises(ValueError, match=re.escape(f"line 8: {message}") + "$"):
             parse_fixture(text)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("edge 1 2 1", "edge (1, 2, player 1) changes the other player's row"),
+            ("edge 2 1 1", "edge (2, 1, player 1) changes the other player's row"),
+            ("edge 2 3 1", "edge (2, 3, player 1) changes no row"),
+            ("edge 3 2 2", "edge (3, 2, player 2) changes no row"),
+        ],
+    )
+    def test_edge_row_errors_name_line(self, line, message):
+        # profiles 1 -> 2 change player 2's row; 2 and 3 are equal
+        text = "threshold 1/2\n" + "profile\n1 0\n0 1\n" + "profile\n1 0\n1 1\n" * 2
+        with pytest.raises(ValueError, match=re.escape(f"line 11: {message}") + "$"):
+            parse_fixture(text + line + "\n")
+
     def test_edge_may_precede_its_profiles(self):
         head = "threshold 1/2\nedge 2 1 1\n"
         fix = parse_fixture(head + "profile\n1 0\n0 1\nprofile\n0 1\n0 1\n")

@@ -1,13 +1,16 @@
-"""Fuzzed instance and fixture files through the command line.
+"""Fuzzed instance and fixture files, built-in chains and sequence builds
+through the command line.
 
 Every input must end in an answer (exit 0), found violations (exit 1) or a
 one-line refusal on stderr (exit 2), never in an unexpected error (exit 3).
-Shapes stay small (at most 3 players and 6 items) so every share is cheap.
+Files stay small (at most 3 players and 6 items) so every share is cheap,
+and sequence builds stay at most 20 players and 60 items.
 """
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from mmsfair import FIXTURE_NAMES, MECHANISM_NAMES
 from mmsfair.cli import main
 
 FUZZ = settings(
@@ -18,6 +21,13 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 
+# The three built-in bounds, small rationals (zero and negatives among them)
+# that fall inside every bound, and large ones past every bound.
+EPSILONS = st.one_of(
+    st.sampled_from(["1/2", "1/5", "1/6"]),
+    st.builds("{}/{}".format, st.integers(-1, 3), st.integers(1, 40)),
+    st.builds("{}/{}".format, st.integers(0, 36), st.integers(1, 3)),
+)
 VALUES = st.one_of(
     st.integers(0, 9).map(str),
     st.builds("{}/{}".format, st.integers(0, 30), st.integers(1, 7)),
@@ -106,3 +116,20 @@ def test_fuzzed_fixture_files(capsys, tmp_path, text):
     path = tmp_path / "chain.txt"
     path.write_text(text, encoding="utf-8")
     _run(capsys, ["chain", "--fixture-file", str(path), "--mech", "pick-seq"])
+
+
+@FUZZ
+@given(
+    name=st.sampled_from(FIXTURE_NAMES),
+    mech=st.sampled_from(MECHANISM_NAMES),
+    epsilon=EPSILONS,
+)
+def test_fuzzed_builtin_chains(capsys, name, mech, epsilon):
+    _run(capsys, ["chain", "--fixture", name, "--mech", mech, "--epsilon=" + epsilon])
+
+
+@FUZZ
+@given(n=st.integers(-1, 20), m=st.integers(-1, 60), epsilon=EPSILONS)
+@example(n=5, m=5, epsilon="12/1")
+def test_fuzzed_sequence_builds(capsys, n, m, epsilon):
+    _run(capsys, ["seq", f"--n={n}", f"--m={m}", "--epsilon=" + epsilon])

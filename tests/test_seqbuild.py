@@ -83,6 +83,12 @@ class TestBuild:
         assert err.value.m == 28
         assert "29" in str(err.value) and "28" in str(err.value)
 
+    def test_rate_below_the_denominator_budget_is_refused(self):
+        # 5**-(1/2 + 12) < 1/10**6: the only rational lower bound would be 0
+        with pytest.raises(ValueError, match=r"^epsilon 12 too large: "):
+            sqrt_seq_params(5, 5, Fraction(12))
+        assert sqrt_seq_params(1, 5, Fraction(12)).alpha == 1
+
     def test_deterministic(self):
         p = sqrt_seq_params(17, 40, Fraction(1, 4))
         assert build_sqrt_sequence(p) == build_sqrt_sequence(p)

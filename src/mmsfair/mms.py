@@ -15,12 +15,12 @@ a cost estimate from the item count and the total, answers: the bitset,
 masked to half the total, or meet-in-the-middle over the subset sums of two
 halves of the items (Horowitz & Sahni, JACM 1974).  Three or more bundles
 start from the k-way largest differencing partition (Korf, AIJ 1998) and
-climb: a depth-first search with symmetry breaking asks for a partition
-whose every bundle beats the incumbent, each one found raises the
-incumbent, and the first search that finds none proves it optimal.  That
-search visits at most :data:`NODE_LIMIT` nodes per share; a larger share is
-refused with :class:`~mmsfair.instance.EnumerationLimitError`.  None of this
-recurses.
+improve it by sequential number partitioning (Korf, Schreiber & Moffitt,
+ISAIM 2014): each first bundle that holds the largest item and could beat
+the incumbent, with the rest split into one bundle fewer, down to the
+two-part oracle.  A share counts at most :data:`NODE_LIMIT` search nodes; a
+larger one is refused with :class:`~mmsfair.instance.EnumerationLimitError`.
+None of this recurses.
 
 Approximation ratios are compared as integer pairs (numerator, denominator)
 by cross-multiplication; only the worst ratio is returned, as a ``Fraction``.
@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Generator, Iterable, Sequence
 
 from .instance import (
     BUDGET,
@@ -73,9 +74,12 @@ _NARROW_HALF = 256
 # 8 <= m <= 28 and values up to 10^7 (CPython 3.11, x86-64 Xeon).
 _STEP_WORDS = 200
 
-# Search nodes a share for three or more bundles may visit, over all its
-# searches, before it is refused like any enumeration over the budget.
+# Nodes a share for three or more bundles may count before it is refused:
+# one per first bundle listed, one per call for one bundle fewer, and one per
+# _NODE_WORDS bitset words an exact two-part decision costs (a node took
+# about 1.2 us, a word 1 to 4 ns).
 NODE_LIMIT = BUDGET
+_NODE_WORDS = 500
 
 
 def maximin_share(
@@ -87,8 +91,9 @@ def maximin_share(
     """Exact maximin share of ``player`` for ``parts`` bundles over ``items``.
 
     ``items`` defaults to the full item set.  A share for three or more
-    bundles whose search would visit more than :data:`NODE_LIMIT` nodes is
-    refused with :class:`~mmsfair.instance.EnumerationLimitError`.
+    bundles comes from sequential partitioning; one whose search would count
+    more than :data:`NODE_LIMIT` nodes is refused with
+    :class:`~mmsfair.instance.EnumerationLimitError`.
 
     >>> inst = Instance.from_rows([[1, 1, 1, 1, 1, 1]] * 2)
     >>> maximin_share(inst, 0, 2)
@@ -126,9 +131,11 @@ def maximin_share(
     return Fraction(best, scale)
 
 
-def _max_min_two_parts(weights: Sequence[int]) -> int:
+def _max_min_two_parts(weights: Sequence[int], nodes: list[int] | None = None) -> int:
     """Best min bundle over all 2-partitions of positive ``weights`` (sorted
     in descending order): the largest subset sum not above ``total // 2``.
+    A search that passes ``nodes`` is charged for the exact method, if one
+    runs, at its price in nodes against :data:`NODE_LIMIT`.
 
     >>> _max_min_two_parts([3, 2, 2, 1])       # narrow: bitset
     4
@@ -144,21 +151,28 @@ def _max_min_two_parts(weights: Sequence[int]) -> int:
     if _karmarkar_karp(weights) == total % 2:
         return half
     count = len(weights)
-    if count * (half // 64 + 1) <= _STEP_WORDS << (count + 1) // 2:
+    words, meet_words = count * (half // 64 + 1), _STEP_WORDS << (count + 1) // 2
+    if nodes is not None:
+        _spend(nodes, min(words, meet_words) // _NODE_WORDS)
+    if words <= meet_words:
         return _two_parts_bitset(weights, half)
     return _two_parts_meet(weights, half)
 
 
 def _two_parts_bitset(weights: Sequence[int], half: int) -> int:
     """Largest subset sum up to ``half``, by a shift-or bitset of achievable
-    sums kept to ``half + 1`` bits.  Items go in ascending order, so the
-    bitset stays short while the prefix sums are small."""
+    sums.  Items go in ascending order, so the bitset stays short while the
+    prefix sums are small; no sum passes ``half`` before the prefix sum does,
+    so only from then on is the bitset masked to ``half + 1`` bits."""
     mask = (1 << (half + 1)) - 1
-    bits = 1
+    bits, prefix = 1, 0
     for w in reversed(weights):
-        bits = (bits | bits << w) & mask
-        if bits >> half:
-            return half
+        prefix += w
+        bits |= bits << w
+        if prefix > half:
+            bits &= mask
+            if bits >> half:
+                return half
     return bits.bit_length() - 1
 
 
@@ -201,27 +215,80 @@ def _subset_sums(weights: Sequence[int], cap: int) -> list[int]:
 
 
 def _max_min_partition(weights: Sequence[int], k: int) -> int:
-    """Best min bundle over all ``k``-partitions of at least ``k`` positive
-    ``weights`` (sorted in descending order), for ``k >= 3``.
-
-    Two bundles go to :func:`_max_min_two_parts` instead.  The k-way largest
-    differencing partition gives the incumbent, and ``total // k`` bounds the
-    answer from above.  Below that bound, :func:`_cover` asks for a partition
-    whose every bundle beats the incumbent; the smallest bundle of each one
-    it finds becomes the new incumbent, and the first search that finds none
-    proves the incumbent optimal.  Nothing here recurses.
-    """
-    if len(weights) == k:
-        return weights[-1]
-    upper = sum(weights) // k
+    """Best min bundle over all ``k``-partitions of positive ``weights``
+    (sorted in descending order), ``k >= 3``, from the k-way largest
+    differencing incumbent.  The levels of :func:`_sequential` are generators
+    on an explicit stack, so nothing recurses however large ``k`` is."""
+    nodes = [0]
     best = _largest_differencing(weights, k)
-    nodes = 0
-    while best < upper:
-        found, nodes = _cover(weights, k, best + 1, nodes)
-        if found is None:
-            break
-        best = found
+    levels = [_sequential(weights, k, best, sum(weights) // k, nodes)]
+    reply = None
+    while True:
+        try:
+            request = levels[-1].send(reply)
+        except StopIteration as done:
+            levels.pop()
+            if not levels:
+                return done.value
+            reply = done.value
+        else:
+            levels.append(_sequential(*request, nodes))
+            reply = None
+
+
+def _sequential(
+    weights: Sequence[int], k: int, best: int, cap: int, nodes: list[int]
+) -> Generator[tuple, int, int]:
+    """Sequential number partitioning (Korf, Schreiber & Moffitt, ISAIM
+    2014): the best min bundle of a ``k``-partition of ``weights`` (sorted
+    in descending order), cut to ``cap``, if it beats ``best``, else ``best``.
+
+    The first bundle holds the largest weight and, to beat ``best``, sums to
+    ``s`` in ``(best, total - (k - 1) * (best + 1)]``.  First bundles are
+    listed depth-first, each multiset once, and each is a node.  One in that
+    window scores the share of the rest in ``k - 1`` bundles, cut to
+    ``min(s, cap)``: the two-part oracle's if ``k == 3``, else the answer
+    sent back for the yielded ``(rest, k - 1, best, min(s, cap))``.
+    """
+    total = sum(weights)
+    cap = min(cap, total // k)
+    if best >= cap or len(weights) < k:
+        return best
+    negated = [-w for w in weights]  # ascending, for bisection
+    tails = list(itertools.accumulate(negated[::-1]))[::-1]  # -sum(weights[i:])
+    stack = [(weights[0], 1, 1)]  # (sum, next weight's index, bundle bitmask)
+    while stack:
+        s, nxt, chosen = stack.pop()
+        high = total - (k - 1) * (best + 1)
+        if s > high:  # pushed before best rose
+            continue
+        _spend(nodes, 2 if s > best else 1)  # the bundle, and its call for k - 1
+        if s > best:
+            rest = [w for i, w in enumerate(weights) if not chosen >> i & 1]
+            if k == 3:
+                score = min(s, cap, _max_min_two_parts(rest, nodes))
+            else:
+                score = yield rest, k - 1, best, min(s, cap)
+            if score > best:
+                best = score
+                if best >= cap:
+                    return best
+            if score < s:  # the rest caps the score, and a child's rest is smaller
+                continue
+        # children add a later weight, fit the window and can still pass best
+        first = bisect_left(negated, s - high, nxt)
+        for i in range(bisect_left(tails, s - best, nxt) - 1, first - 1, -1):
+            if i == first or weights[i] != weights[i - 1]:
+                stack.append((s + weights[i], i + 1, chosen | 1 << i))
     return best
+
+
+def _spend(nodes: list[int], count: int) -> None:
+    nodes[0] += count
+    if nodes[0] > NODE_LIMIT:
+        raise EnumerationLimitError(
+            f"maximin share search needs more than the limit of {NODE_LIMIT} nodes"
+        )
 
 
 def _largest_differencing(weights: Sequence[int], k: int) -> int:
@@ -241,82 +308,6 @@ def _largest_differencing(weights: Sequence[int], k: int) -> int:
         heapq.heapreplace(heap, (sums[-1] - sums[0], tie, tuple(sums)))
         tie += 1
     return heap[0][2][-1]
-
-
-def _cover(
-    weights: Sequence[int], k: int, target: int, nodes: int
-) -> tuple[int | None, int]:
-    """Depth-first search, on an explicit stack, for a partition of
-    ``weights`` into ``k`` bundles each worth at least ``target``, which is
-    at most ``sum(weights) // k``.
-
-    Returns the smallest bundle of the partition found, or ``None`` if there
-    is none, with ``nodes`` advanced by the nodes visited; past
-    :data:`NODE_LIMIT` it raises :class:`EnumerationLimitError`.
-
-    A node is the next item's index and the sorted loads of the bundles still
-    below ``target`` (open).  A bundle that reaches ``target`` closes and
-    takes no more items, which loses no partition, and open bundles of equal
-    load are interchangeable, so the item tries each distinct load once.  The
-    slack is the value of the remaining items minus the open bundles' total
-    deficit; a bundle that closes above ``target`` spends its excess from it.
-    A child is never visited when its slack is negative or fewer items remain
-    than open bundles, and a node that already failed is not searched again.
-    With at most one open bundle the search succeeds: the remaining items go
-    one by one to the lightest bundle, which covers the open one too.
-    """
-    count = len(weights)
-    failed: set = set()  # (item index, open loads) searched without success
-    # [item index, open loads, children, next child]; a child is its open
-    # loads, the load of the bundle it closed (0 if none) and its slack
-    stack: list[list] = []
-    idx, open_loads, slack = 0, (0,) * k, sum(weights) - k * target
-    while True:
-        nodes += 1
-        if nodes > NODE_LIMIT:
-            raise EnumerationLimitError(
-                f"maximin share search needs more than the limit of {NODE_LIMIT} nodes"
-            )
-        unsat = len(open_loads)
-        if unsat <= 1:
-            loads = list(open_loads)
-            for frame in stack:
-                closed = frame[2][frame[3] - 1][1]
-                if closed:
-                    loads.append(closed)
-            heapq.heapify(loads)
-            for w in weights[idx:]:
-                heapq.heapreplace(loads, loads[0] + w)
-            return loads[0], nodes
-        if (idx, open_loads) not in failed:
-            w = weights[idx]
-            items_left = count - idx - 1
-            children = []
-            previous = None
-            for pos in range(unsat - 1, -1, -1):
-                load = open_loads[pos]
-                if load == previous:
-                    continue
-                previous = load
-                new = load + w
-                rest = open_loads[:pos] + open_loads[pos + 1 :]
-                if new < target:
-                    if unsat <= items_left:
-                        children.append((tuple(sorted(rest + (new,))), 0, slack))
-                elif new - target <= slack and unsat - 1 <= items_left:
-                    children.append((rest, new, slack - (new - target)))
-            stack.append([idx, open_loads, children, 0])
-        while stack:
-            frame = stack[-1]
-            if frame[3] < len(frame[2]):
-                open_loads, _, slack = frame[2][frame[3]]
-                frame[3] += 1
-                idx = frame[0] + 1
-                break
-            failed.add((frame[0], frame[1]))
-            stack.pop()
-        else:
-            return None, nodes
 
 
 def maximin_share_bruteforce(

@@ -57,6 +57,10 @@ class SqrtSeqParams:
     alpha: Fraction
 
 
+# power_lower_rational takes 0.05 s at this exponent denominator, 2 s at 10x.
+EXPONENT_DENOMINATOR_LIMIT = 2000
+
+
 class PickPair(NamedTuple):
     player: int  # 0-based
     deadline: int  # 1-based overall pick position
@@ -69,7 +73,8 @@ def power_lower_rational(
 
     Walks the Stern-Brocot tree with an exact comparator
     (``p/q <= n**(-a/b)``  iff  ``p**b * n**a <= q**b``), so no floating
-    point is involved.
+    point is involved; ``b`` over :data:`EXPONENT_DENOMINATOR_LIMIT` is
+    refused with ``ValueError``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -80,6 +85,10 @@ def power_lower_rational(
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
     a_exp, b_exp = exponent.numerator, exponent.denominator
+    if b_exp > EXPONENT_DENOMINATOR_LIMIT:
+        raise ValueError(f"exponent {exponent} has a denominator over {EXPONENT_DENOMINATOR_LIMIT}")
+    if a_exp * (n.bit_length() - 1) > b_exp * max_den.bit_length():
+        return Fraction(0)  # n**a > max_den**b, and n**a may be too large to form
     n_pow = n**a_exp
 
     def below(p: int, q: int) -> bool:

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,6 +42,17 @@ class TestMms:
         )
         assert "mms.1=1/1" in out
         assert "mms.3=3/2" in out
+
+    def test_three_parts_of_24_wide_items(self, capsys, tmp_path):
+        # bench/checks.milp_share gives the same share, in about two minutes
+        rng = random.Random(7)
+        row = [rng.randint(1, 10**6) for _ in range(24)]
+        path = tmp_path / "inst.txt"
+        path.write_text("1 24\n" + " ".join(map(str, row)) + "\n")
+        status, out, err = run_cli(
+            capsys, "mms", "--instance", str(path), "--parts", "3", "--machine"
+        )
+        assert (status, out, err) == (0, "mms.1=3008070/1\n", "")
 
 
 class TestRun:
@@ -287,13 +300,40 @@ class TestErrors:
         )
 
     def test_share_search_over_limit(self, capsys, monkeypatch, tmp_path):
-        # player 1's 3-part share visits 29 search nodes
+        # player 1's 3-part share counts 3 search nodes
         path = tmp_path / "inst.txt"
         path.write_text("3 8\n20 20 15 15 15 14 12 10\n" + "1 1 1 1 1 1 1 1\n" * 2)
-        monkeypatch.setattr(mms, "NODE_LIMIT", 28)
+        monkeypatch.setattr(mms, "NODE_LIMIT", 2)
         status, out, err = run_cli(capsys, "mms", "--instance", str(path))
         assert (status, out) == (2, "")
-        assert err == "error: maximin share search needs more than the limit of 28 nodes\n"
+        assert err == "error: maximin share search needs more than the limit of 2 nodes\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("seq", "--n", "3", "--m", "10", "--epsilon", "1/100001"),
+            ("run", "--instance", "EX23", "--mech", "sqrt-seq", "--model", "ordinal",
+             "--epsilon", "1/100001"),
+        ],
+    )
+    def test_epsilon_with_a_large_denominator(self, capsys, ex23_file, argv):
+        # the exact comparator would raise numbers to the power 200002
+        argv = [ex23_file if a == "EX23" else a for a in argv]
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (status, out) == (2, "")
+        assert err == "error: exponent 100003/200002 has a denominator over 2000\n"
+
+    def test_epsilon_too_large_to_power(self, capsys):
+        # n**(1/2 + epsilon) would have over a billion digits
+        start = time.perf_counter()
+        status, out, err = run_cli(
+            capsys, "seq", "--n", "3", "--m", "10", "--epsilon", "1000000000"
+        )
+        assert time.perf_counter() - start < 1
+        assert (status, out) == (2, "")
+        assert err.startswith("error: epsilon 1000000000 too large")
 
     def test_cut_and_choose_over_limit(self, capsys, tmp_path):
         path = tmp_path / "inst.txt"

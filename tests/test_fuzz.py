@@ -4,7 +4,8 @@ through the command line.
 Every input must end in an answer (exit 0), found violations (exit 1) or a
 one-line refusal on stderr (exit 2), never in an unexpected error (exit 3).
 Files stay small (at most 3 players and 6 items) so every share is cheap,
-and sequence builds stay at most 20 players and 60 items.
+except for shares of 3 to 6 bundles over up to 14 wide values; sequence
+builds stay at most 20 players and 60 items.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -98,6 +99,7 @@ def _run(capsys, argv):
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert err == ""
+    return status
 
 
 @FUZZ
@@ -107,6 +109,25 @@ def test_fuzzed_instance_files(capsys, tmp_path, text):
     path = tmp_path / "inst.txt"
     path.write_text(text, encoding="utf-8")
     _run(capsys, ["mms", "--instance", str(path)])
+
+
+@st.composite
+def wide_instance_texts(draw):
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 14))
+    values = st.one_of(
+        st.integers(0, 10**6).map(str),
+        st.builds("{}/{}".format, st.integers(0, 10**6), st.integers(1, 12)),
+    )
+    rows = [" ".join(draw(st.lists(values, min_size=m, max_size=m))) for _ in range(n)]
+    return "\n".join([f"{n} {m}", *rows]) + "\n"
+
+
+@FUZZ
+@given(text=wide_instance_texts(), parts=st.integers(3, 6))
+def test_fuzzed_many_part_shares(capsys, tmp_path, text, parts):
+    path = tmp_path / "inst.txt"
+    path.write_text(text, encoding="utf-8")
+    assert _run(capsys, ["mms", "--instance", str(path), "--parts", str(parts)]) != 1
 
 
 @FUZZ

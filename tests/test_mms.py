@@ -223,7 +223,7 @@ class TestTwoPartOracle:
 
 
 # Zeros, small values that make equal loads, and wide values that make the
-# k >= 3 search climb.
+# k >= 3 search raise its incumbent.
 _MANY_PART_INTS = st.one_of(st.just(0), st.integers(1, 12), st.integers(1, 10**6))
 _MANY_PART_FRACTIONS = st.one_of(
     st.just(0),
@@ -232,31 +232,50 @@ _MANY_PART_FRACTIONS = st.one_of(
 )
 
 
-def _climb(weights, k):
-    """``_max_min_partition(weights, k)``, its differencing incumbent (None
-    if it was not computed) and its searches as (target, found) pairs."""
-    incumbent = []
-    searches = []
-    real_ldm, real_cover = mms._largest_differencing, mms._cover
+def _search(weights, k):
+    """``_max_min_partition(weights, k)``, its differencing incumbent, the
+    nodes its search counted and the bundle count of each search level."""
+    incumbent, counters, levels = [], [], []
+    real_ldm, real_level = mms._largest_differencing, mms._sequential
 
     def ldm(*args):
         incumbent.append(real_ldm(*args))
         return incumbent[-1]
 
-    def cover(weights, k, target, nodes):
-        found, nodes = real_cover(weights, k, target, nodes)
-        searches.append((target, found))
-        return found, nodes
+    def level(weights, parts, best, cap, nodes):
+        counters.append(nodes)
+        levels.append(parts)
+        return real_level(weights, parts, best, cap, nodes)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mms, "_largest_differencing", ldm)
-        mp.setattr(mms, "_cover", cover)
+        mp.setattr(mms, "_sequential", level)
         best = mms._max_min_partition(weights, k)
-    return best, (incumbent or [None])[0], searches
+    return best, incumbent[0], counters[0][0], levels
 
 
 def _brute(row, k):
     return maximin_share_bruteforce(Instance.from_rows([row]), 0, k)
+
+
+def _splits(row, k, t):
+    """Whether ``row`` splits into ``k`` bundles each worth at least ``t``: a
+    state-set DP over the sorted bundle loads, each load cut to ``t``, that
+    drops a state once the values left cannot fill its total deficit."""
+    left = sum(row)
+    states = {(0,) * k}
+    for w in sorted(row, reverse=True):
+        left -= w
+        grown = set()
+        for loads in states:
+            for b in range(k):
+                if b and loads[b] == loads[b - 1]:
+                    continue
+                new = sorted(loads[:b] + (min(loads[b] + w, t),) + loads[b + 1 :])
+                if k * t - sum(new) <= left:
+                    grown.add(tuple(new))
+        states = grown
+    return bool(states)
 
 
 # A brute force over 4**8 assignments takes up to 0.2 s.
@@ -279,34 +298,42 @@ class TestManyPartOracle:
         share = maximin_share(Instance.from_rows([row]), 0, k)
         assert share * scale == _brute(scaled, k)
 
+    # A share t is the maximin share when the row splits into bundles worth t
+    # each but not t + 1.  The DP takes up to 0.6 s at k = 5 and m = 20.
+    @settings(DERANDOMIZED, max_examples=50)
+    @given(st.integers(3, 5), st.lists(st.integers(0, 40), min_size=1, max_size=20))
+    def test_matches_load_dp(self, k, row):
+        share = maximin_share(Instance.from_rows([row]), 0, k)
+        assert share.denominator == 1
+        t = share.numerator
+        assert _splits(row, k, t) and not _splits(row, k, t + 1)
+
     def test_differencing_reaches_the_ceiling(self):
-        # 18 // 3 == 6, so no search runs
-        assert _climb([5, 4, 3, 3, 2, 1], 3) == (6, 6, [])
+        # 18 // 3 == 6, so no bundle is listed
+        assert _search([5, 4, 3, 3, 2, 1], 3) == (6, 6, 0, [3])
         assert _brute([5, 4, 3, 3, 2, 1], 3) == 6
 
     def test_differencing_optimal_below_the_ceiling(self):
-        # the ceiling is 10 // 3 == 3, but no bundle without the 7 gets 2
-        assert _climb([7, 1, 1, 1], 3) == (1, 1, [(2, None)])
+        # the ceiling is 10 // 3 == 3, but a first bundle above 1 holds the 7,
+        # which leaves 3 < 2 * 2 to the others: the window is empty
+        assert _search([7, 1, 1, 1], 3) == (1, 1, 0, [3])
         assert _brute([7, 1, 1, 1], 3) == 1
 
     @pytest.mark.parametrize(
-        "weights, k, best, incumbent, searches",
+        "weights, k, best, incumbent, nodes, levels",
         [
-            ([24, 11, 9, 8, 6, 4], 3, 19, 17, [(18, 18), (19, 19), (20, None)]),
-            # the third search jumps from 37 to 39, the fourth ends at the ceiling
-            (
-                [20, 20, 15, 15, 15, 14, 12, 10], 3, 40, 35,
-                [(36, 36), (37, 37), (38, 39), (40, 40)],
-            ),
-            ([24, 21, 13, 10, 9, 6, 5], 4, 21, 19, [(20, 20), (21, 21), (22, None)]),
+            ([24, 11, 9, 8, 6, 4], 3, 19, 17, 2, [3]),
+            # the second first bundle listed reaches the ceiling 121 // 3
+            ([20, 20, 15, 15, 15, 14, 12, 10], 3, 40, 35, 3, [3]),
+            ([24, 21, 13, 10, 9, 6, 5], 4, 21, 19, 4, [4, 3]),
         ],
     )
-    def test_climb_of_several_steps(self, weights, k, best, incumbent, searches):
-        assert _climb(weights, k) == (best, incumbent, searches)
+    def test_search_raises_the_incumbent(self, weights, k, best, incumbent, nodes, levels):
+        assert _search(weights, k) == (best, incumbent, nodes, levels)
         assert _brute(weights, k) == best
 
     def test_one_item_per_bundle(self):
-        assert _climb([7, 5, 2], 3) == (2, None, [])
+        assert _search([7, 5, 2], 3) == (2, 2, 2, [3])
 
     @pytest.mark.parametrize("row", [[0, 0, 0, 0], [0, 5, 0, 9, 0], [1, 1]])
     def test_zero_share_needs_no_search(self, row, monkeypatch):
@@ -323,32 +350,40 @@ class TestManyPartOracle:
         share = maximin_share(Instance.from_rows([row]), 0, 3)
         assert share == sum(row) // 3
 
-    def test_deep_search_needs_no_call_stack(self):
-        # the search places over 400 items, one node each, before two bundles
-        # close; with 50 frames of call stack to spare it must still finish
-        rng = random.Random(1100)
-        weights = sorted((rng.randint(1, 10**6) for _ in range(1100)), reverse=True)
-        target = sum(weights) // 3 - 10**6
+    def test_six_bundles_need_no_call_stack(self):
+        # the search opens levels for 6, 5, 4 and 3 bundles; with 50 frames of
+        # call stack to spare it must still finish
+        weights = [39, 39, 34, 34, 31, 25, 20, 18, 15, 14, 13, 13, 9, 8, 1]
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 50)
         try:
-            found, nodes = mms._cover(weights, 3, target, 0)
+            best, incumbent, nodes, levels = _search(weights, 6)
         finally:
             sys.setrecursionlimit(limit)
-        assert found >= target
-        assert nodes > 400
+        assert (best, incumbent, nodes, len(levels)) == (51, 49, 190, 31)
+        assert set(levels) == {3, 4, 5, 6}
+        assert _splits(weights, 6, 51) and not _splits(weights, 6, 52)
 
     def test_node_limit(self, monkeypatch):
-        # its four searches visit 29 nodes in all
+        # its search lists 2 first bundles and decides the rest of one
         weights = [20, 20, 15, 15, 15, 14, 12, 10]
-        monkeypatch.setattr(mms, "NODE_LIMIT", 29)
+        monkeypatch.setattr(mms, "NODE_LIMIT", 3)
         assert mms._max_min_partition(weights, 3) == 40
-        monkeypatch.setattr(mms, "NODE_LIMIT", 28)
+        monkeypatch.setattr(mms, "NODE_LIMIT", 2)
         with pytest.raises(
             EnumerationLimitError,
-            match="^maximin share search needs more than the limit of 28 nodes$",
+            match="^maximin share search needs more than the limit of 2 nodes$",
         ):
             mms._max_min_partition(weights, 3)
+
+    def test_two_part_decisions_are_charged(self, monkeypatch):
+        # 3 x 60 values up to 10^9: one exact two-part decision on the rest
+        # would cost more than the whole budget, so the share is refused
+        # before it runs
+        rng = random.Random(7)
+        row = [rng.randint(1, 10**9) for _ in range(60)]
+        with pytest.raises(EnumerationLimitError):
+            maximin_share(Instance.from_rows([row]), 0, 3)
 
 
 class TestInvariants:

@@ -42,6 +42,19 @@ class TestPowerLowerRational:
         assert power_lower_rational(4, Fraction(1, 2)) == Fraction(1, 2)
         assert power_lower_rational(8, Fraction(1, 3)) == Fraction(1, 2)
 
+    def test_exponent_denominator_limit(self):
+        alpha = power_lower_rational(3, Fraction(1001, 2000))
+        assert alpha.numerator**2000 * 3**1001 <= alpha.denominator**2000
+        with pytest.raises(ValueError, match="^exponent 1001/2001 has a denominator over 2000$"):
+            power_lower_rational(3, Fraction(1001, 2001))
+
+    def test_target_below_every_fraction(self):
+        # 2**20 > 10**6, so 1/10**6 is already above 2**-20; 3**(10**9) is
+        # never formed
+        assert power_lower_rational(2, Fraction(19)) == Fraction(1, 2**19)
+        assert power_lower_rational(2, Fraction(20)) == 0
+        assert power_lower_rational(3, Fraction(10**9)) == 0
+
 
 class TestBuild:
     def test_single_player(self):

@@ -287,7 +287,6 @@ def _cmd_chain(args) -> int:
 
 def _cmd_adversary(args) -> int:
     out = _Report()
-    status = 0
     if args.alpha is not None:
         report = ordinal_lower_bound_check(args.n, args.m, args.alpha)
         if args.machine:
@@ -316,7 +315,7 @@ def _cmd_adversary(args) -> int:
     if args.alpha is None and not args.exhaustive:
         raise MechanismError("nothing to do: pass --alpha and/or --exhaustive")
     out.emit()
-    return status
+    return 0
 
 
 def _cmd_mc(args) -> int:

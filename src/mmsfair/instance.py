@@ -21,8 +21,8 @@ _TOKEN_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 # The fixed limit of every exhaustive enumeration: grid sweeps (by default),
-# the adversary's allocations, cut-and-choose's two-partitions and the nodes
-# of a maximin-share search for three or more bundles.
+# the adversary's allocations and the nodes of a maximin-share search or of
+# cut-and-choose's cut.
 BUDGET = 1_000_000
 
 

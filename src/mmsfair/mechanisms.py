@@ -24,15 +24,14 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .instance import (
-    BUDGET,
     Allocation,
-    EnumerationLimitError,
     Instance,
     MechanismError,
     Ranking,
     Value,
     ranking_order,
 )
+from .mms import _integer_row, _largest_sum, _max_min_two_parts
 from .seqbuild import (
     PickingSequence,
     build_sqrt_sequence,
@@ -260,35 +259,39 @@ def best_two_partition(row: Sequence[Value]) -> tuple[frozenset[int], frozenset[
     """The 2-partition maximizing the minimum bundle value of ``row``.
 
     Among optima, the bundle containing item 0 is lexicographically smallest
-    (as a sorted index tuple); that bundle is returned first.  It enumerates
-    all ``2**(m-1)`` partitions; above :data:`~mmsfair.instance.BUDGET` it
-    raises :class:`~mmsfair.instance.EnumerationLimitError`.
+    (as a sorted index tuple); that bundle is returned first.  It is built
+    one index at a time from the two-part share oracle, within one count of
+    :data:`~mmsfair.mms.NODE_LIMIT` nodes; a row past it raises
+    :class:`~mmsfair.instance.EnumerationLimitError`.
+
+    >>> first, rest = best_two_partition(list(range(1, 23)))
+    >>> [j + 1 for j in sorted(first)], sum(j + 1 for j in rest)
+    ([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 21], 127)
     """
-    m = len(row)
-    if m == 0:
+    if not row:
         return frozenset(), frozenset()
-    if 1 << (m - 1) > BUDGET:
-        raise EnumerationLimitError(
-            f"cut-and-choose needs {1 << (m - 1)} two-partitions, "
-            f"over the limit of {BUDGET}"
-        )
-    total = sum(row)
-    best_score = None
-    best_first: tuple[int, ...] | None = None
-    for mask in range(1 << (m - 1)):
-        first = [0] + [j for j in range(1, m) if mask >> (j - 1) & 1]
-        v = sum(row[j] for j in first)
-        score = min(v, total - v)
-        key = tuple(first)
-        if (
-            best_score is None
-            or score > best_score
-            or (score == best_score and key < best_first)
-        ):
-            best_score = score
-            best_first = key
-    rest = frozenset(range(m)) - set(best_first)
-    return frozenset(best_first), rest
+    weights, nodes = _integer_row(row)[0], [0]
+    low = _max_min_two_parts(sorted(filter(None, weights), reverse=True), nodes)
+    targets = (low, sum(weights) - low)  # the sums of a max-min bundle
+    bundle, s = [0], weights[0]
+    while s not in targets:  # once one is hit, any longer tuple sorts later
+        failed = set()  # a later equal weight has fewer items after it
+        for j in range(bundle[-1] + 1, len(row)):  # the smallest next index
+            w = weights[j]
+            later = [x for x in weights[j + 1 :] if x]
+            if w not in failed and any(_reaches(later, t - s - w, nodes) for t in targets):
+                break
+            failed.add(w)
+        bundle.append(j)
+        s += w
+    return frozenset(bundle), frozenset(range(len(row))) - set(bundle)
+
+
+def _reaches(weights: list[int], r: int, nodes: list[int]) -> bool:
+    """Whether some subset of ``weights`` sums to ``r``, decided on the
+    smaller of ``r`` and its complement."""
+    r = min(r, sum(weights) - r)
+    return r >= 0 and _largest_sum(weights, r, nodes) == r
 
 
 @functools.lru_cache(maxsize=4096)

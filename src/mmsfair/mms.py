@@ -18,9 +18,10 @@ start from the k-way largest differencing partition (Korf, AIJ 1998) and
 improve it by sequential number partitioning (Korf, Schreiber & Moffitt,
 ISAIM 2014): each first bundle that holds the largest item and could beat
 the incumbent, with the rest split into one bundle fewer, down to the
-two-part oracle.  A share counts at most :data:`NODE_LIMIT` search nodes; a
-larger one is refused with :class:`~mmsfair.instance.EnumerationLimitError`.
-None of this recurses.
+two-part oracle.  Its exact methods find the largest subset sum up to any
+cap in any item order, which also builds cut-and-choose's cut.  A share or a
+cut counts at most :data:`NODE_LIMIT` search nodes; a larger one is refused
+with :class:`~mmsfair.instance.EnumerationLimitError`.  None of this recurses.
 
 Approximation ratios are compared as integer pairs (numerator, denominator)
 by cross-multiplication; only the worst ratio is returned, as a ``Fraction``.
@@ -74,10 +75,10 @@ _NARROW_HALF = 256
 # 8 <= m <= 28 and values up to 10^7 (CPython 3.11, x86-64 Xeon).
 _STEP_WORDS = 200
 
-# Nodes a share for three or more bundles may count before it is refused:
-# one per first bundle listed, one per call for one bundle fewer, and one per
-# _NODE_WORDS bitset words an exact two-part decision costs (a node took
-# about 1.2 us, a word 1 to 4 ns).
+# Nodes a share or a cut may count before it is refused: one per first
+# bundle listed, one per call for one bundle fewer, and one per _NODE_WORDS
+# bitset words an exact two-part decision costs (a node took about 1.2 us, a
+# word 1 to 4 ns).
 NODE_LIMIT = BUDGET
 _NODE_WORDS = 500
 
@@ -114,65 +115,72 @@ def maximin_share(
     values = [row[j] for j in subset]
     if parts == 1:
         return Fraction(sum(values))
-    if len(subset) < parts:
-        return Fraction(0)
 
-    scale = math.lcm(*(v.denominator for v in values))
-    weights = sorted((int(v * scale) for v in values), reverse=True)
-    while weights and weights[-1] == 0:
-        weights.pop()
+    scaled, scale = _integer_row(values)
+    weights = sorted(filter(None, scaled), reverse=True)
     if len(weights) < parts:
         return Fraction(0)
 
     if parts == 2:
-        best = _max_min_two_parts(weights)
+        best = _max_min_two_parts(weights, [0])
     else:
         best = _max_min_partition(weights, parts)
     return Fraction(best, scale)
 
 
-def _max_min_two_parts(weights: Sequence[int], nodes: list[int] | None = None) -> int:
+def _integer_row(values: Sequence[Value]) -> tuple[list[int], int]:
+    """``values`` times their least common denominator, and that scale."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [int(v * scale) for v in values], scale
+
+
+def _max_min_two_parts(weights: Sequence[int], nodes: list[int]) -> int:
     """Best min bundle over all 2-partitions of positive ``weights`` (sorted
     in descending order): the largest subset sum not above ``total // 2``.
-    A search that passes ``nodes`` is charged for the exact method, if one
-    runs, at its price in nodes against :data:`NODE_LIMIT`.
+    The exact method, if one runs, is charged to ``nodes``.
 
-    >>> _max_min_two_parts([3, 2, 2, 1])       # narrow: bitset
+    >>> _max_min_two_parts([3, 2, 2, 1], [0])       # narrow: bitset
     4
-    >>> _max_min_two_parts([600, 500, 400, 300])   # differencing reaches 900
+    >>> _max_min_two_parts([600, 500, 400, 300], [0])   # differencing reaches 900
     900
-    >>> _max_min_two_parts([10**6, 10**6 - 1, 3])  # meet-in-the-middle
+    >>> _max_min_two_parts([10**6, 10**6 - 1, 3], [0])  # meet-in-the-middle
     1000000
     """
     total = sum(weights)
     half = total // 2
-    if half < _NARROW_HALF:
-        return _two_parts_bitset(weights, half)
-    if _karmarkar_karp(weights) == total % 2:
+    if half >= _NARROW_HALF and _karmarkar_karp(weights) == total % 2:
         return half
+    return _largest_sum(weights, half, nodes)
+
+
+def _largest_sum(weights: Sequence[int], cap: int, nodes: list[int]) -> int:
+    """Largest subset sum up to ``cap`` of nonnegative ``weights`` in any
+    order, by the cheaper exact method for a cost estimate from the item
+    count and the cap, charged at its price in nodes against
+    :data:`NODE_LIMIT`."""
     count = len(weights)
-    words, meet_words = count * (half // 64 + 1), _STEP_WORDS << (count + 1) // 2
-    if nodes is not None:
-        _spend(nodes, min(words, meet_words) // _NODE_WORDS)
+    words, meet_words = count * (cap // 64 + 1), _STEP_WORDS << (count + 1) // 2
+    _spend(nodes, min(words, meet_words) // _NODE_WORDS)
     if words <= meet_words:
-        return _two_parts_bitset(weights, half)
-    return _two_parts_meet(weights, half)
+        return _two_parts_bitset(weights, cap)
+    return _two_parts_meet(weights, cap)
 
 
-def _two_parts_bitset(weights: Sequence[int], half: int) -> int:
-    """Largest subset sum up to ``half``, by a shift-or bitset of achievable
-    sums.  Items go in ascending order, so the bitset stays short while the
-    prefix sums are small; no sum passes ``half`` before the prefix sum does,
-    so only from then on is the bitset masked to ``half + 1`` bits."""
-    mask = (1 << (half + 1)) - 1
+def _two_parts_bitset(weights: Sequence[int], cap: int) -> int:
+    """Largest subset sum up to ``cap``, by a shift-or bitset of achievable
+    sums.  Items go in reverse order, ascending for the oracle's weights, so
+    the bitset stays short while the prefix sums are small; no sum passes
+    ``cap`` before the prefix sum does, so only from then on is the bitset
+    masked to ``cap + 1`` bits."""
+    mask = (1 << (cap + 1)) - 1
     bits, prefix = 1, 0
     for w in reversed(weights):
         prefix += w
         bits |= bits << w
-        if prefix > half:
+        if prefix > cap:
             bits &= mask
-            if bits >> half:
-                return half
+            if bits >> cap:
+                return cap
     return bits.bit_length() - 1
 
 
@@ -188,20 +196,20 @@ def _karmarkar_karp(weights: Sequence[int]) -> int:
     return -heap[0]
 
 
-def _two_parts_meet(weights: Sequence[int], half: int) -> int:
-    """Largest subset sum up to ``half``, by meet-in-the-middle: the subset
+def _two_parts_meet(weights: Sequence[int], cap: int) -> int:
+    """Largest subset sum up to ``cap``, by meet-in-the-middle: the subset
     sums of the even-index and of the odd-index weights, the second list
     sorted, and for each sum of the first its largest partner that keeps the
-    pair within ``half``."""
-    left = _subset_sums(weights[0::2], half)
-    right = sorted(_subset_sums(weights[1::2], half))
+    pair within ``cap``."""
+    left = _subset_sums(weights[0::2], cap)
+    right = sorted(_subset_sums(weights[1::2], cap))
     best = 0
     for s in left:
-        # right[0] == 0 <= half - s, so the partner always exists
-        pair = s + right[bisect_right(right, half - s) - 1]
+        # right[0] == 0 <= cap - s, so the partner always exists
+        pair = s + right[bisect_right(right, cap - s) - 1]
         if pair > best:
             best = pair
-            if best == half:
+            if best == cap:
                 break
     return best
 

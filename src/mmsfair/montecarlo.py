@@ -83,6 +83,22 @@ def parse_distribution(spec: str):
     raise ValueError(f"unknown distribution {spec!r}")
 
 
+# A trial's own generator takes as long as about 2,000 draws (50 us against
+# 15 to 35 ns a draw).  The limit keeps a run within about 2 s and one
+# trial's value array within 400 MB.
+_TRIAL_DRAWS = 2000
+_DRAW_LIMIT = 5 * 10**7
+
+
+def _check_draws(n: int, m: int, trials: int) -> None:
+    draws = trials * (n * max(m, 1) + _TRIAL_DRAWS)
+    if draws > _DRAW_LIMIT:
+        raise ValueError(
+            f"{trials} x {n} x {m} values count {draws} draws with "
+            f"{_TRIAL_DRAWS} a trial, over the limit of {_DRAW_LIMIT}"
+        )
+
+
 @dataclass(frozen=True)
 class MCConfig:
     n: int
@@ -101,6 +117,7 @@ class MCConfig:
             raise ValueError("rho must be in [0, 1)")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        _check_draws(self.n, self.m, self.trials)
         for d in self.distributions:
             if d.mean <= 0:
                 raise ValueError("every distribution needs a positive mean")
@@ -115,6 +132,7 @@ def mc_config(
     seed: int = 0,
 ) -> MCConfig:
     """Config with the same distribution for every player."""
+    _check_draws(n, m, trials)
     return MCConfig(
         n=n,
         m=m,

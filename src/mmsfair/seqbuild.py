@@ -60,6 +60,10 @@ class SqrtSeqParams:
 # power_lower_rational takes 0.05 s at this exponent denominator, 2 s at 10x.
 EXPONENT_DENOMINATOR_LIMIT = 2000
 
+# n * max(n, m) up to this keeps a build within about 1 s: it takes 10 us a
+# pick, 30 ns a player per pick, and the exact H_n grows faster than n.
+_SIZE_LIMIT = 200_000
+
 
 class PickPair(NamedTuple):
     player: int  # 0-based
@@ -129,6 +133,10 @@ def sqrt_seq_params(
         raise ValueError("n must be at least 1")
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if n * max(n, m) > _SIZE_LIMIT:
+        raise ValueError(
+            f"n * max(n, m) = {n * max(n, m)} is over the limit of {_SIZE_LIMIT}"
+        )
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

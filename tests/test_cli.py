@@ -75,6 +75,20 @@ class TestRun:
         )
         assert out1 == out2
 
+    def test_cut_and_choose_of_22_items(self, capsys, tmp_path):
+        # the proposer's cut {1..14, 21} (126 against 127) is the one the
+        # enumeration of all 2**21 two-partitions gives; the chooser, who
+        # counts items, takes it
+        path = tmp_path / "inst.txt"
+        path.write_text("2 22\n" + " ".join(map(str, range(1, 23))) + "\n" + "1 " * 22 + "\n")
+        status, out, err = run_cli(
+            capsys, "run", "--instance", str(path), "--mech", "cut-and-choose",
+            "--model", "cardinal", "--machine",
+        )
+        assert (status, err) == (0, "")
+        assert "bundle.1=15,16,17,18,19,20,22\nvalue.1=127/1\nmms.1=126/1\n" in out
+        assert "bundle.2=1,2,3,4,5,6,7,8,9,10,11,12,13,14,21\nvalue.2=15/1\n" in out
+
     def test_report_file(self, capsys, tmp_path, ex23_file):
         report = tmp_path / "report.txt"
         status, out, _ = run_cli(
@@ -335,18 +349,43 @@ class TestErrors:
         assert (status, out) == (2, "")
         assert err.startswith("error: epsilon 1000000000 too large")
 
-    def test_cut_and_choose_over_limit(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # numpy was asked for 21.8 TiB and raised an exit-3 MemoryError
+            (("mc", "--n", "3", "--m", "300", "--rho", "4/5", "--trials", "1000000000000"),
+             "1000000000000 x 3 x 300 values count 2900000000000000 draws with 2000 "
+             "a trial, over the limit of 50000000"),
+            (("mc", "--n", "1", "--m", "0", "--rho", "4/5", "--trials", "25000"),
+             "25000 x 1 x 0 values count 50025000 draws with 2000 a trial, "
+             "over the limit of 50000000"),
+            (("mc", "--n", "1000000000000", "--m", "0", "--rho", "4/5", "--trials", "1"),
+             "1 x 1000000000000 x 0 values count 1000000002000 draws with 2000 a "
+             "trial, over the limit of 50000000"),
+            (("seq", "--n", "2", "--m", "10000000", "--epsilon", "1/4"),
+             "n * max(n, m) = 20000000 is over the limit of 200000"),
+            (("seq", "--n", "100000", "--m", "0", "--epsilon", "1/4"),
+             "n * max(n, m) = 10000000000 is over the limit of 200000"),
+        ],
+    )
+    def test_sizes_over_limit(self, capsys, argv, message):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
+    def test_two_part_share_over_limit(self, capsys, tmp_path):
+        # one exact decision on 50 values up to 10^9 would run
+        # meet-in-the-middle over 2**25 sums per side
+        rng = random.Random(7)
+        rows = [" ".join(str(rng.randint(1, 10**9)) for _ in range(50)) for _ in range(2)]
         path = tmp_path / "inst.txt"
-        path.write_text("2 22\n" + " ".join(["1"] * 22) + "\n" + " ".join(["2"] * 22) + "\n")
-        status, out, err = run_cli(
-            capsys, "run", "--instance", str(path), "--mech", "cut-and-choose",
-            "--model", "cardinal",
-        )
+        path.write_text("2 50\n" + "\n".join(rows) + "\n")
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "mms", "--instance", str(path))
+        assert time.perf_counter() - start < 1
         assert (status, out) == (2, "")
-        assert err == (
-            "error: cut-and-choose needs 2097152 two-partitions, "
-            "over the limit of 1000000\n"
-        )
+        assert err == "error: maximin share search needs more than the limit of 1000000 nodes\n"
 
     @pytest.mark.parametrize(
         "line, message",

@@ -1,11 +1,12 @@
-"""Fuzzed instance and fixture files, built-in chains and sequence builds
-through the command line.
+"""Fuzzed instance and fixture files, built-in chains, sequence builds,
+mechanism runs and grid sweeps through the command line.
 
 Every input must end in an answer (exit 0), found violations (exit 1) or a
 one-line refusal on stderr (exit 2), never in an unexpected error (exit 3).
 Files stay small (at most 3 players and 6 items) so every share is cheap,
-except for shares of 3 to 6 bundles over up to 14 wide values; sequence
-builds stay at most 20 players and 60 items.
+except for shares of 3 to 6 bundles over up to 14 wide values and
+cut-and-choose over 2 rows of up to 30; sequence builds stay at most 20
+players and 60 items, and sweeps at most 4 players and 4 items.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -154,3 +155,64 @@ def test_fuzzed_builtin_chains(capsys, name, mech, epsilon):
 @example(n=5, m=5, epsilon="12/1")
 def test_fuzzed_sequence_builds(capsys, n, m, epsilon):
     _run(capsys, ["seq", f"--n={n}", f"--m={m}", "--epsilon=" + epsilon])
+
+
+MODELS = st.sampled_from(["cardinal", "ordinal", "public-rankings"])
+
+
+@st.composite
+def mechanism_args(draw):
+    """A mechanism with an epsilon if it takes one (sqrt-seq), and one time
+    in five the other way round."""
+    mech = draw(st.sampled_from(MECHANISM_NAMES))
+    takes = (mech == "sqrt-seq") != (draw(st.integers(0, 4)) == 0)
+    return ["--mech", mech] + (["--epsilon=" + draw(EPSILONS)] if takes else [])
+
+
+@st.composite
+def two_player_texts(draw):
+    """A clean 2 x m instance for cut-and-choose, m up to 30, with small or
+    wide values."""
+    m = draw(st.integers(1, 30))
+    values = st.one_of(VALUES, st.integers(0, 10**6).map(str))
+    rows = [" ".join(draw(st.lists(values, min_size=m, max_size=m))) for _ in range(2)]
+    return "\n".join([f"2 {m}", *rows]) + "\n"
+
+
+@FUZZ
+@given(text=instance_texts(), mech=mechanism_args(), model=MODELS)
+@example(
+    text="2 4\n1 1/2 0 3\n2/3 1 1 0\n",
+    mech=["--mech", "sqrt-seq", "--epsilon=1/4"],
+    model="ordinal",
+)
+def test_fuzzed_runs(capsys, tmp_path, text, mech, model):
+    path = tmp_path / "inst.txt"
+    path.write_text(text, encoding="utf-8")
+    _run(capsys, ["run", "--instance", str(path), *mech, "--model", model])
+
+
+@FUZZ
+@given(text=two_player_texts())
+@example(text="2 22\n" + " ".join(map(str, range(1, 23))) + "\n" + "1 " * 22 + "\n")
+def test_fuzzed_cut_and_choose(capsys, tmp_path, text):
+    path = tmp_path / "inst.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = ["run", "--instance", str(path), "--mech", "cut-and-choose", "--model", "cardinal"]
+    assert _run(capsys, argv) != 1
+
+
+@FUZZ
+@given(
+    mech=mechanism_args(),
+    model=MODELS,
+    n=st.integers(0, 4),
+    m=st.integers(0, 4),
+    grid=st.lists(VALUES, min_size=1, max_size=3),
+)
+@example(mech=["--mech", "cut-and-choose"], model="cardinal", n=2, m=4, grid=["1", "3"])
+@example(mech=["--mech", "pr"], model="ordinal", n=2, m=2, grid=["-1", "1"])
+def test_fuzzed_verify_sweeps(capsys, mech, model, n, m, grid):
+    argv = ["verify", *mech, "--model", model, f"--n={n}", f"--m={m}",
+            "--grid=" + ",".join(grid), "--budget=4096"]
+    _run(capsys, argv)

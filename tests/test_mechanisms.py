@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -31,7 +32,7 @@ from mmsfair import (
     run_picking_sequence,
     validate_allocation,
 )
-from mmsfair import mechanisms
+from mmsfair import mechanisms, mms
 from mmsfair.mechanisms import best_two_partition
 
 
@@ -203,13 +204,67 @@ class TestCutAndChoose:
         assert len(calls) == len(set(proposers)) < len(proposers)
 
 
-    @pytest.mark.parametrize("m, count", [(21, 1048576), (22, 2097152)])
-    def test_partition_count_over_limit(self, m, count):
-        with pytest.raises(
-            EnumerationLimitError,
-            match=f"^cut-and-choose needs {count} two-partitions, over the limit of 1000000$",
-        ):
-            best_two_partition([1] * m)
+    def test_matches_enumeration(self):
+        rng = random.Random(12)
+        for _ in range(400):
+            m = rng.randint(1, 10)
+            top = rng.choice((2, 10, 10**6))
+            row = [rng.choice((0, rng.randint(1, top), Fraction(rng.randint(1, top), 6)))
+                   for _ in range(m)]
+            assert best_two_partition(row) == _enumerated_cut(row), row
+
+    @pytest.mark.parametrize("m", [21, 22])
+    def test_exact_past_the_old_limit(self, m):
+        # the old enumeration of all 2**(m-1) two-partitions refused these
+        # sizes; given more room it found these cuts, in over 20 s a row
+        first = {
+            21: [0, 2, 3, 5, 6, 7, 8, 10, 11, 12, 14, 16, 17, 18, 19, 20],
+            22: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 19, 21],
+        }[m]
+        rng = random.Random(m)
+        row = [rng.choice([0, rng.randint(1, 10**6), Fraction(rng.randint(1, 10**6), 7)])
+               for _ in range(m)]
+        assert sorted(best_two_partition(row)[0]) == first
+        half = frozenset(range(m // 2))
+        assert best_two_partition([1] * m) == (half, frozenset(range(m)) - half)
+
+    def test_twenty_wide_items(self):
+        rng = random.Random(20)
+        row = [rng.randint(1, 10**6) for _ in range(20)]
+        start = time.perf_counter()
+        first, rest = best_two_partition(row)
+        assert time.perf_counter() - start < 0.5
+        low = min(sum(row[j] for j in first), sum(row[j] for j in rest))
+        assert low == maximin_share(Instance.from_rows([row]), 0, 2)
+
+    def test_cut_shares_one_node_budget(self, monkeypatch):
+        # the share alone fits the limit; the reachability decisions of
+        # the cut, charged to the same count, do not
+        rng = random.Random(30)
+        row = [rng.randint(1, 10**6) for _ in range(30)]
+        nodes = [0]
+        mms._max_min_two_parts(sorted(row, reverse=True), nodes)
+        monkeypatch.setattr(mms, "NODE_LIMIT", nodes[0])
+        assert maximin_share(Instance.from_rows([row]), 0, 2) > 0
+        with pytest.raises(EnumerationLimitError, match="limit of"):
+            best_two_partition(row)
+
+
+def _enumerated_cut(row):
+    """Reference cut: every two-partition, the one with the largest min
+    bundle and, among those, the lexicographically smallest bundle with
+    item 0."""
+    m, total = len(row), sum(row)
+    if m == 0:
+        return frozenset(), frozenset()
+    best = None
+    for mask in range(1 << (m - 1)):
+        first = (0,) + tuple(j for j in range(1, m) if mask >> (j - 1) & 1)
+        v = sum(row[j] for j in first)
+        key = (-min(v, total - v), first)
+        if best is None or key < best:
+            best = key
+    return frozenset(best[1]), frozenset(range(m)) - set(best[1])
 
 
 class TestRandomUniform:

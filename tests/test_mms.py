@@ -510,9 +510,9 @@ class TestShareMemo:
         calls = []
         real = mms._max_min_two_parts
 
-        def spy(weights):
+        def spy(weights, nodes):
             calls.append(weights)
-            return real(weights)
+            return real(weights, nodes)
 
         monkeypatch.setattr(mms, "_max_min_two_parts", spy)
         assert maximin_share(inst, 0, 2) == 4

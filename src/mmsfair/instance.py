@@ -123,7 +123,7 @@ class Allocation:
         return len(self.bundles)
 
 
-def parse_instance(text: str | Iterable[str]) -> Instance:
+def parse_instance(text: str) -> Instance:
     """Parse the instance file format.
 
     Lines starting with ``#`` are ignored, as are blank lines.  The first data
@@ -133,13 +133,8 @@ def parse_instance(text: str | Iterable[str]) -> Instance:
     >>> parse_instance("2 3\\n1 1/2 0\\n2/3 1 1").values[0]
     (1, Fraction(1, 2), 0)
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in text]
-
     data: list[tuple[int, str]] = []  # (1-based line number, content)
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

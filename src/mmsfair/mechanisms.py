@@ -432,59 +432,62 @@ def _consistent_with_order(row: Sequence[Value], order: Sequence[int]) -> bool:
     return all(row[order[t]] >= row[order[t + 1]] for t in range(len(order) - 1))
 
 
+def _submit(model: str, orders: list, rows: list, player: int, report) -> None:
+    """Apply ``player``'s report to the raw ``orders`` and ``rows``: an
+    ordinal ``Ranking`` replaces her order, a cardinal row replaces her row
+    and her order, a public-rankings row replaces her row only (the caller
+    keeps it consistent with her public ranking)."""
+    if model == ORDINAL:
+        orders[player] = report.order
+        return
+    if model == CARDINAL:
+        orders[player] = ranking_order(report)
+    rows[player] = report
+
+
 def _resolve_reports(
     model: str,
     inst: Instance,
     reported,
 ) -> tuple[list[tuple[int, ...]], list[Sequence[Value]]]:
-    """Per-model resolution of (ranking orders, value rows) for dispatch.
+    """The (ranking orders, value rows) a mechanism reads: the true ones, with
+    each player's report submitted in turn.
 
     In the public-rankings model a reported row inconsistent with the
-    player's true ranking is ignored, i.e. replaced by her true row; the
-    rankings used are always the true (public) ones.  Truthful reports
-    (``None``) give the true orders and rows in every model.
+    player's true ranking is dropped, which leaves her true row.  Truthful
+    reports (``None``) give the true orders and rows in every model.
     """
+    orders = [ranking_order(row) for row in inst.values]
+    rows: list[Sequence[Value]] = list(inst.values)
     if reported is None:
-        return [ranking_order(row) for row in inst.values], list(inst.values)
+        return orders, rows
 
     if model == ORDINAL:
         if isinstance(reported, Instance):
             raise MechanismError(
                 "the ordinal model takes a list of rankings, not a value matrix"
             )
-        rankings = list(reported)
-        if len(rankings) != inst.n or not all(
-            isinstance(r, Ranking) for r in rankings
-        ):
+        reports = list(reported)
+        if len(reports) != inst.n or not all(isinstance(r, Ranking) for r in reports):
             raise MechanismError("need one Ranking per player")
-        for r in rankings:
-            if r.m != inst.m:
-                raise MechanismError("rankings must cover all items")
-        return [r.order for r in rankings], list(inst.values)
+        if any(r.m != inst.m for r in reports):
+            raise MechanismError("rankings must cover all items")
+    else:
+        if not isinstance(reported, Instance):
+            try:
+                reported = Instance.from_rows(reported)
+            except (TypeError, ValueError) as exc:
+                raise MechanismError(
+                    f"the {model} model takes a reported value matrix: {exc}"
+                ) from None
+        if reported.n != inst.n or reported.m != inst.m:
+            raise MechanismError("reported matrix must match the instance shape")
+        reports = reported.values
 
-    if not isinstance(reported, Instance):
-        try:
-            reported = Instance.from_rows(reported)
-        except (TypeError, ValueError) as exc:
-            raise MechanismError(
-                f"the {model} model takes a reported value matrix: {exc}"
-            ) from None
-    if reported.n != inst.n or reported.m != inst.m:
-        raise MechanismError("reported matrix must match the instance shape")
-
-    if model == CARDINAL:
-        orders = [ranking_order(reported.values[i]) for i in range(inst.n)]
-        return orders, list(reported.values)
-
-    true_orders = [ranking_order(row) for row in inst.values]
-    rows: list[Sequence[Value]] = []
-    for i in range(inst.n):
-        row = reported.values[i]
-        if _consistent_with_order(row, true_orders[i]):
-            rows.append(row)
-        else:
-            rows.append(inst.values[i])
-    return true_orders, rows
+    for i, report in enumerate(reports):
+        if model != PUBLIC_RANKINGS or _consistent_with_order(report, orders[i]):
+            _submit(model, orders, rows, i, report)
+    return orders, rows
 
 
 def run_mechanism(

@@ -34,12 +34,16 @@ class PickingSequence:
 
 
 class InfeasibleParams(ValueError):
-    """The length bound fails: building would need more than ``m`` picks."""
+    """The deadlines cannot all be met: the length bound fails (building
+    would need more than ``m`` picks), or ``required`` picks are due by
+    position ``deadline < required``."""
 
-    def __init__(self, required: int, m: int):
+    def __init__(self, required: int, m: int, deadline: int | None = None):
         super().__init__(
             f"infeasible parameters: the construction needs "
             f"n + ceil(alpha * H_n * m) = {required} picks but only m = {m} fit"
+            if deadline is None
+            else f"infeasible parameters: {required} picks are due by position {deadline}"
         )
         self.required = required
         self.m = m
@@ -57,6 +61,9 @@ class SqrtSeqParams:
     alpha: Fraction
 
 
+# Rates are rounded down to a fraction with at most this denominator.
+_MAX_DEN = 10**6
+
 # power_lower_rational takes 0.05 s at this exponent denominator, 2 s at 10x.
 EXPONENT_DENOMINATOR_LIMIT = 2000
 
@@ -70,10 +77,8 @@ class PickPair(NamedTuple):
     deadline: int  # 1-based overall pick position
 
 
-def power_lower_rational(
-    n: int, exponent: Fraction, max_den: int = 10**6
-) -> Fraction:
-    """Largest fraction ``p/q`` with ``q <= max_den`` and ``p/q <= n**-exponent``.
+def power_lower_rational(n: int, exponent: Fraction) -> Fraction:
+    """Largest fraction ``p/q`` with ``q <= _MAX_DEN`` and ``p/q <= n**-exponent``.
 
     Walks the Stern-Brocot tree with an exact comparator
     (``p/q <= n**(-a/b)``  iff  ``p**b * n**a <= q**b``), so no floating
@@ -82,8 +87,6 @@ def power_lower_rational(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if max_den < 1:
-        raise ValueError("max_den must be at least 1")
     if n == 1 or exponent == 0:
         return Fraction(1)
     if exponent < 0:
@@ -91,8 +94,8 @@ def power_lower_rational(
     a_exp, b_exp = exponent.numerator, exponent.denominator
     if b_exp > EXPONENT_DENOMINATOR_LIMIT:
         raise ValueError(f"exponent {exponent} has a denominator over {EXPONENT_DENOMINATOR_LIMIT}")
-    if a_exp * (n.bit_length() - 1) > b_exp * max_den.bit_length():
-        return Fraction(0)  # n**a > max_den**b, and n**a may be too large to form
+    if a_exp * (n.bit_length() - 1) > b_exp * _MAX_DEN.bit_length():
+        return Fraction(0)  # n**a > _MAX_DEN**b, and n**a may be too large to form
     n_pow = n**a_exp
 
     def below(p: int, q: int) -> bool:
@@ -100,11 +103,11 @@ def power_lower_rational(
 
     lo_n, lo_d = 0, 1  # lower bound, <= target
     hi_n, hi_d = 1, 1  # upper bound, > target (the target is < 1)
-    while lo_d + hi_d <= max_den:
+    while lo_d + hi_d <= _MAX_DEN:
         if below(lo_n + hi_n, lo_d + hi_d):
             # Mediant is still below: advance the lower bound as far as the
             # denominator budget and the target allow.
-            cap = (max_den - lo_d) // hi_d
+            cap = (_MAX_DEN - lo_d) // hi_d
             lo_k, hi_k = 1, cap
             while lo_k < hi_k:
                 mid = (lo_k + hi_k + 1) // 2
@@ -114,7 +117,7 @@ def power_lower_rational(
                     hi_k = mid - 1
             lo_n, lo_d = lo_n + lo_k * hi_n, lo_d + lo_k * hi_d
         else:
-            cap = (max_den - hi_d) // lo_d
+            cap = (_MAX_DEN - hi_d) // lo_d
             lo_k, hi_k = 1, cap
             while lo_k < hi_k:
                 mid = (lo_k + hi_k + 1) // 2
@@ -126,9 +129,7 @@ def power_lower_rational(
     return Fraction(lo_n, lo_d)
 
 
-def sqrt_seq_params(
-    n: int, m: int, epsilon: Fraction, max_den: int = 10**6
-) -> SqrtSeqParams:
+def sqrt_seq_params(n: int, m: int, epsilon: Fraction) -> SqrtSeqParams:
     if n < 1:
         raise ValueError("n must be at least 1")
     if m < 0:
@@ -140,10 +141,10 @@ def sqrt_seq_params(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    alpha = power_lower_rational(n, Fraction(1, 2) + epsilon, max_den)
+    alpha = power_lower_rational(n, Fraction(1, 2) + epsilon)
     if alpha == 0:  # no deadline spacing exists at a zero rate
         raise ValueError(
-            f"epsilon {epsilon} too large: n**-(1/2 + epsilon) is below 1/{max_den}"
+            f"epsilon {epsilon} too large: n**-(1/2 + epsilon) is below 1/{_MAX_DEN}"
         )
     return SqrtSeqParams(n=n, m=m, epsilon=epsilon, alpha=alpha)
 
@@ -175,7 +176,9 @@ def build_sqrt_sequence(params: SqrtSeqParams) -> PickingSequence:
     """Emit a non-cyclic sequence of length exactly ``m`` meeting every
     deadline: the sorted pair players form the prefix, remaining picks are
     padded round-robin over ascending players, skipping any player whose
-    extra pick would land past her next deadline.
+    extra pick would land past her next deadline.  Parameters that fail the
+    length bound, or whose k-th sorted pair is due before position k (then
+    no order meets every deadline), raise :class:`InfeasibleParams`.
 
     A single player needs no deadline bookkeeping and is always feasible.
     """
@@ -185,9 +188,11 @@ def build_sqrt_sequence(params: SqrtSeqParams) -> PickingSequence:
     required = length_bound(params)
     if required > m:
         raise InfeasibleParams(required, m)
-    picks = [p.player for p in pair_schedule(params)]
-    if len(picks) > m:  # ruled out by the length bound
-        raise InfeasibleParams(len(picks), m)
+    pairs = pair_schedule(params)
+    for k, pair in enumerate(pairs, start=1):  # deadlines are <= m: at most m pairs
+        if pair.deadline < k:
+            raise InfeasibleParams(k, m, pair.deadline)
+    picks = [p.player for p in pairs]
     occurrences = [0] * n
     for p in picks:
         occurrences[p] += 1

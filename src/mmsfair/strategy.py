@@ -1,21 +1,25 @@
 """Exhaustive search for profitable unilateral misreports.
 
 A mechanism is immune to misreports when no player can strictly raise the
-true value of her bundle by deviating alone.  The search space depends on
-the information model: all ``m!`` rankings in the ordinal model, value rows
-in the other two.  The cardinal row space is infinite, so a cardinal or
-public-rankings search is exhaustive only when the mechanism ignores values
-(then rankings cover everything) or when the supplied row pool covers every
-decision the mechanism actually takes; the ``search_complete`` flag records
-which situation holds.
+true value of her bundle by deviating alone.  The ordinal model's report
+space is the ``m!`` rankings; the cardinal and public-rankings models take
+value rows, an infinite space searched through a finite pool.  A search is
+complete (``search_complete``, ``GridVerification.complete``) when the model
+is ordinal, when the mechanism is value-oblivious (every row pool holds one
+row per ranking, and with public rankings her ranking is fixed), or, with
+public rankings, when the pool is every row over a grid that reaches every
+decision the mechanism takes (:func:`grid_covers_decisions`).
+``_search_complete`` is that rule, for the per-instance searches and the
+grid sweep alike.
 
 Every search goes through ``_reachable``: the distinct bundles a player
-obtains by submitting each report of a pool in turn, the others' reports
-fixed, in order of first appearance and each with the first report reaching
-it.  Scanning that list stops at the same report as scanning the pool,
-because every report before the first profitable one reaches a bundle worth
-no more than the truthful one.  What a player can reach never depends on her
-own true values, only on her index, the others' rankings, the others' rows
+obtains by submitting each report of a pool in turn (``mechanisms._submit``
+says what a report replaces in each model), the others' reports fixed, in
+order of first appearance and each with the first report reaching it.
+Scanning that list stops at the same report as scanning the pool, because
+every report before the first profitable one reaches a bundle worth no more
+than the truthful one.  What a player can reach never depends on her own
+true values, only on her index, the others' rankings, the others' rows
 (unless the mechanism is value-oblivious; every ordinal-model mechanism is)
 and, with public rankings, her own true ranking, which fixes her pool.  The
 grid sweep builds the list once per such key, so its cost grows with the
@@ -45,6 +49,7 @@ from .mechanisms import (
     _allocate,
     _check_defined,
     _consistent_with_order,
+    _submit,
     value_oblivious,
 )
 
@@ -101,112 +106,16 @@ def _reachable(
 ) -> list[tuple[frozenset[int], object]]:
     """The distinct bundles ``player`` obtains by submitting each report of
     ``pool`` in turn, the others' orders and rows fixed, in order of first
-    appearance and each paired with the first report reaching it.
-
-    An ordinal report is a ``Ranking``; a cardinal report replaces her row
-    and her ranking; a public-rankings report replaces her row only, so it
-    must be consistent with her public ranking.
-    """
+    appearance and each paired with the first report reaching it.  A
+    public-rankings pool holds only rows consistent with her ranking."""
     n, m = len(rows), len(rows[0])
     orders, rows = list(orders), list(rows)
     reached: dict[frozenset[int], object] = {}
     for report in pool:
-        if model == ORDINAL:
-            orders[player] = report.order
-        else:
-            if model == CARDINAL:
-                orders[player] = ranking_order(report)
-            rows[player] = report
+        _submit(model, orders, rows, player, report)
         bundle = _allocate(mech, orders, rows, n, m, seed, cache)[player]
         reached.setdefault(bundle, report)
     return list(reached.items())
-
-
-def _deviation_search(
-    mech: Mechanism,
-    model: str,
-    inst: Instance,
-    player: int,
-    pool: Iterable,
-    seed: int,
-    complete: bool,
-) -> DeviationReport:
-    """Best report of ``pool`` for ``player``, the others truthful; the
-    witness is the first report reaching the best value."""
-    true_row = inst.values[player]
-    orders = [ranking_order(row) for row in inst.values]
-    cache: dict = {}
-    truthful = _allocate(mech, orders, inst.values, inst.n, inst.m, seed, cache)
-    t_val = sum(true_row[j] for j in truthful[player])
-    best = t_val
-    witness = None
-    for bundle, report in _reachable(
-        mech, model, orders, inst.values, player, pool, seed, cache
-    ):
-        val = sum(true_row[j] for j in bundle)
-        if val > best:
-            best = val
-            witness = report
-    return DeviationReport(
-        player=player,
-        model=model,
-        truthful_value=t_val,
-        best_deviation_value=best,
-        witness=witness,
-        search_complete=complete,
-    )
-
-
-def deviation_search_ordinal(
-    mech: Mechanism, inst: Instance, player: int, seed: int = 0
-) -> DeviationReport:
-    """Try every ranking the player could submit, others truthful."""
-    _check_defined(mech, ORDINAL, inst.n, inst.m)
-    _check_enum(inst.m)
-    inst._check_player(player)
-    pool = (Ranking(perm) for perm in permutations(range(inst.m)))
-    return _deviation_search(mech, ORDINAL, inst, player, pool, seed, True)
-
-
-def _row_pool(
-    inst: Instance, player: int, misreports: Iterable[Sequence[Value]], model: str
-) -> list[tuple[Value, ...]]:
-    """The true row, the supplied rows, then the built-in pool: every
-    permutation of the true row and one strict-ranking representative row
-    for each of the m! rankings.  With public rankings a row inconsistent
-    with the player's ranking is ignored, which leaves her with her true
-    row, already first in the pool."""
-    true_row = tuple(inst.values[player])
-    pool = dict.fromkeys(
-        [
-            true_row,
-            *_validate_misreports(misreports, inst.m),
-            *permutations(true_row),
-            *permutations(range(inst.m, 0, -1)),
-        ]
-    )
-    if model == PUBLIC_RANKINGS:
-        order = ranking_order(true_row)
-        return [row for row in pool if _consistent_with_order(row, order)]
-    return list(pool)
-
-
-def deviation_search_cardinal(
-    mech: Mechanism,
-    inst: Instance,
-    player: int,
-    misreports: Iterable[Sequence[Value]] = (),
-    seed: int = 0,
-) -> DeviationReport:
-    """Try the supplied rows plus the built-in pool (permutations of the true
-    row and one representative row per strict ranking)."""
-    _check_defined(mech, CARDINAL, inst.n, inst.m)
-    _check_enum(inst.m)
-    inst._check_player(player)
-    pool = _row_pool(inst, player, misreports, CARDINAL)
-    return _deviation_search(
-        mech, CARDINAL, inst, player, pool, seed, value_oblivious(mech)
-    )
 
 
 def grid_covers_decisions(mech: Mechanism, grid: Sequence[Value]) -> bool:
@@ -218,24 +127,90 @@ def grid_covers_decisions(mech: Mechanism, grid: Sequence[Value]) -> bool:
     return spec.grid_decides is not None and spec.grid_decides(grid)
 
 
+def _search_complete(mech: Mechanism, model: str, grid: Sequence[Value] = ()) -> bool:
+    """The module docstring's completeness rule; ``grid`` is given when the
+    pool is every row over it (the empty grid reaches no decision)."""
+    return (
+        model == ORDINAL
+        or value_oblivious(mech)
+        or (model == PUBLIC_RANKINGS and grid_covers_decisions(mech, grid))
+    )
+
+
+def _deviation_search(
+    mech: Mechanism,
+    model: str,
+    inst: Instance,
+    player: int,
+    misreports: Iterable[Sequence[Value]],
+    seed: int,
+) -> DeviationReport:
+    """Best report for ``player``, the others truthful; the witness is the
+    first report reaching the best value.  The ordinal pool is every ranking.
+    A row pool is the true row, the supplied rows, every permutation of the
+    true row and one strict-ranking representative row for each of the m!
+    rankings, less, with public rankings, the rows inconsistent with her
+    ranking (those leave her with her true row, already first)."""
+    _check_defined(mech, model, inst.n, inst.m)
+    _check_enum(inst.m)
+    inst._check_player(player)
+    true_row = inst.values[player]
+    orders = [ranking_order(row) for row in inst.values]
+    if model == ORDINAL:
+        pool = (Ranking(perm) for perm in permutations(range(inst.m)))
+    else:
+        pool = dict.fromkeys([
+            tuple(true_row),
+            *_validate_misreports(misreports, inst.m),
+            *permutations(true_row),
+            *permutations(range(inst.m, 0, -1)),
+        ])
+        if model == PUBLIC_RANKINGS:
+            pool = [r for r in pool if _consistent_with_order(r, orders[player])]
+    cache: dict = {}
+    truthful = _allocate(mech, orders, inst.values, inst.n, inst.m, seed, cache)
+    t_val = sum(true_row[j] for j in truthful[player])
+    best, witness = t_val, None
+    for bundle, report in _reachable(
+        mech, model, orders, inst.values, player, pool, seed, cache
+    ):
+        val = sum(true_row[j] for j in bundle)
+        if val > best:
+            best, witness = val, report
+    return DeviationReport(
+        player, model, t_val, best, witness, _search_complete(mech, model)
+    )
+
+
+def deviation_search_ordinal(
+    mech: Mechanism, inst: Instance, player: int, seed: int = 0
+) -> DeviationReport:
+    """Try every ranking the player could submit, others truthful."""
+    return _deviation_search(mech, ORDINAL, inst, player, (), seed)
+
+
+def deviation_search_cardinal(
+    mech: Mechanism,
+    inst: Instance,
+    player: int,
+    misreports: Iterable[Sequence[Value]] = (),
+    seed: int = 0,
+) -> DeviationReport:
+    """Try the supplied rows plus the built-in pool (permutations of the true
+    row and one representative row per strict ranking)."""
+    return _deviation_search(mech, CARDINAL, inst, player, misreports, seed)
+
+
 def deviation_search_public(
     mech: Mechanism,
     inst: Instance,
     player: int,
     misreports: Iterable[Sequence[Value]] = (),
     seed: int = 0,
-    pool_covers_decisions: bool = False,
 ) -> DeviationReport:
     """Like the cardinal search, but the player's ranking is public: a
     misreport inconsistent with it is replaced by her true row."""
-    _check_defined(mech, PUBLIC_RANKINGS, inst.n, inst.m)
-    _check_enum(inst.m)
-    inst._check_player(player)
-    pool = _row_pool(inst, player, misreports, PUBLIC_RANKINGS)
-    complete = value_oblivious(mech) or pool_covers_decisions
-    return _deviation_search(
-        mech, PUBLIC_RANKINGS, inst, player, pool, seed, complete
-    )
+    return _deviation_search(mech, PUBLIC_RANKINGS, inst, player, misreports, seed)
 
 
 @dataclass(frozen=True)
@@ -331,11 +306,7 @@ def verify_truthful_on_grid(
     consistent: dict[tuple[int, ...], list[tuple[Value, ...]]] = {}
 
     oblivious = value_oblivious(mech)
-    complete = (
-        model == ORDINAL
-        or oblivious
-        or (model == PUBLIC_RANKINGS and grid_covers_decisions(mech, grid))
-    )
+    complete = _search_complete(mech, model, grid)
 
     alloc_cache: dict = {}
     reach: dict = {}

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -263,6 +265,14 @@ class TestSeq:
         )
         assert status == 2
         assert "infeasible" in err
+
+    def test_overrun_deadline_is_input_error(self, capsys):
+        # passes the length bound, but 5 picks fall due by position 4
+        status, out, err = run_cli(
+            capsys, "seq", "--n", "2", "--m", "1000", "--epsilon", "1/4"
+        )
+        assert (status, out) == (2, "")
+        assert err == "error: infeasible parameters: 5 picks are due by position 4\n"
 
 
 class TestErrors:
@@ -585,3 +595,21 @@ README_MACHINE = (
 def test_readme_machine_output_is_pinned(capsys, ex23_file, command, status, stdout):
     argv = [ex23_file if t == "EX23" else t for t in command.split()] + ["--machine"]
     assert run_cli(capsys, *argv) == (status, stdout, "")
+
+
+# Every built-in fixture x mechanism x model through `chain --machine` at the
+# default epsilon: exit status, stdout and stderr as first recorded.  Chain
+# edges replay misreports through run_mechanism in all three models.
+CHAIN_MACHINE = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "chain_machine.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "fixture, mech, model, status, stdout, stderr",
+    CHAIN_MACHINE,
+    ids=["-".join(row[:3]) for row in CHAIN_MACHINE],
+)
+def test_chain_machine_output_is_pinned(capsys, fixture, mech, model, status, stdout, stderr):
+    argv = ["chain", "--fixture", fixture, "--mech", mech, "--model", model, "--machine"]
+    assert run_cli(capsys, *argv) == (status, stdout, stderr)

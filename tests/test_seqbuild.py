@@ -102,6 +102,20 @@ class TestBuild:
             sqrt_seq_params(5, 5, Fraction(12))
         assert sqrt_seq_params(1, 5, Fraction(12)).alpha == 1
 
+    def test_every_build_meets_its_deadlines_or_is_refused(self):
+        outcomes = set()
+        for n in range(2, 6):
+            for m in range(1, 101):
+                for eps in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), 1):
+                    params = sqrt_seq_params(n, m, Fraction(eps))
+                    try:
+                        seq = build_sqrt_sequence(params)
+                    except InfeasibleParams as exc:
+                        outcomes.add("due by" in str(exc))
+                        continue
+                    assert verify_pick_positions(seq, n, params.alpha) == []
+        assert outcomes == {False, True}  # both refusals occur
+
     def test_deterministic(self):
         p = sqrt_seq_params(17, 40, Fraction(1, 4))
         assert build_sqrt_sequence(p) == build_sqrt_sequence(p)

@@ -323,3 +323,75 @@ def test_sweep_matches_plain_reference(mech, model, n, m, grid):
     assert (result.violations, result.complete, result.witness) == _reference_sweep(
         mech, model, n, m, grid
     )
+
+
+def _reference_search(mech, model, inst, player, misreports):
+    """The search's pool for ``player``, each report allocated by
+    run_mechanism with explicit reports; returns (best value, first witness,
+    complete).  Rows go in unfiltered: with public rankings run_mechanism
+    itself drops a row inconsistent with the true ranking."""
+    m = inst.m
+    true_row = inst.values[player]
+    truthful = run_mechanism(mech, model, inst)
+    t_val = sum(true_row[j] for j in truthful.bundles[player])
+    if model == ORDINAL:
+        profile = [derive_ranking(inst, i) for i in range(inst.n)]
+        pool = [Ranking(perm) for perm in permutations(range(m))]
+    else:
+        profile = list(inst.values)
+        pool = dict.fromkeys(
+            [
+                tuple(true_row),
+                *map(tuple, misreports),
+                *permutations(true_row),
+                *permutations(range(m, 0, -1)),
+            ]
+        )
+    best, witness = t_val, None
+    for report in pool:
+        reported = [*profile[:player], report, *profile[player + 1:]]
+        alloc = run_mechanism(mech, model, inst, reported)
+        val = sum(true_row[j] for j in alloc.bundles[player])
+        if val > best:
+            best, witness = val, report
+    return best, witness, model == ORDINAL or value_oblivious(mech)
+
+
+def _search_cases():
+    for n, m in ((2, 3), (2, 4), (3, 3)):
+        for name in MECHANISM_NAMES:
+            mech = mechanism(name, Fraction(2) if name == "sqrt-seq" else None)
+            for model in sorted(models_for(mech)):
+                try:
+                    run_mechanism(mech, model, Instance.from_rows([[0] * m] * n))
+                except ValueError:  # not defined at this (n, m)
+                    continue
+                yield pytest.param(mech, model, n, m, id=f"{name}-{model}-{n}x{m}")
+
+
+SEARCHES = {
+    ORDINAL: lambda mech, inst, player, rows: deviation_search_ordinal(mech, inst, player),
+    CARDINAL: deviation_search_cardinal,
+    PUBLIC_RANKINGS: deviation_search_public,
+}
+
+
+@pytest.mark.parametrize("mech, model, n, m", list(_search_cases()))
+def test_searches_match_plain_reference(mech, model, n, m):
+    rng = random.Random(f"{mech}-{model}-{n}x{m}")
+    for _ in range(8):
+        inst = random_instance(rng, n, m, top=6)
+        for player in range(n):
+            order = derive_ranking(inst, player).order
+            values = sorted((rng.randrange(7) for _ in range(m)), reverse=True)
+            consistent = [0] * m
+            for item, v in zip(order, values):
+                consistent[item] = v
+            inconsistent = [0] * m
+            for rank, item in enumerate(order):
+                inconsistent[item] = rank  # rises along her ranking
+            rows = [consistent, inconsistent, [rng.randrange(7) for _ in range(m)]]
+            rep = SEARCHES[model](mech, inst, player, rows)
+            assert (rep.best_deviation_value, rep.witness, rep.search_complete) == (
+                _reference_search(mech, model, inst, player, rows)
+            )

@@ -83,11 +83,16 @@ def parse_distribution(spec: str):
     raise ValueError(f"unknown distribution {spec!r}")
 
 
-# A trial's own generator takes as long as about 2,000 draws (50 us against
-# 15 to 35 ns a draw).  The limit keeps a run within about 2 s and one
-# trial's value array within 400 MB.
+# A trial's own generator takes as long as about 2,000 draws (20 us against
+# 3 to 10 ns a draw).  The limit keeps a run of three players within about
+# 2 s and one trial's value array within 400 MB.
 _TRIAL_DRAWS = 2000
 _DRAW_LIMIT = 5 * 10**7
+# Trials are summed a block at a time; a block holds about this many values
+# (128 KB), or one trial when a trial alone holds more.  Blocks of 2**16
+# values ran no faster on the README command and raised its peak memory by
+# about 1 MB.
+_BLOCK_VALUES = 2**14
 
 
 def _check_draws(n: int, m: int, trials: int) -> None:
@@ -157,22 +162,46 @@ class MCResult:
 
 
 def montecarlo_randomized(cfg: MCConfig) -> MCResult:
-    """Run the trials and aggregate totals, success rate, and thresholds."""
-    n, m = cfg.n, cfg.m
-    totals = np.empty((cfg.trials, n))
-    successes = np.empty(cfg.trials, dtype=bool)
-    for t in range(cfg.trials):
-        rng = np.random.default_rng((cfg.seed, t))
-        values = np.stack([d.sample(rng, m) for d in cfg.distributions])
-        owner = rng.integers(0, n, size=m)
-        received = np.array(
-            [values[i, owner == i].sum() for i in range(n)]
-        )
-        needed = cfg.rho * values.sum(axis=1) / n
-        totals[t] = received
-        successes[t] = bool(np.all(received >= needed))
+    """Run the trials and aggregate totals, success rate, and thresholds.
+
+    Trial ``t`` draws from its own generator, seeded ``(seed, t)``: each
+    player's ``m`` values in player order, then the ``m`` owners.  The draws
+    of up to ``_BLOCK_VALUES`` values' worth of trials are written into one
+    block, and the block is summed at once: the row sums by one reduction,
+    the owner masks by one comparison, and each player's received total by
+    one reduction of the items the player received, compressed to a
+    contiguous run in item order.  So every total is the same pairwise sum a
+    trial-at-a-time loop takes, bit for bit, and memory stays at one block
+    whatever the number of trials.
+    """
+    n, m, trials = cfg.n, cfg.m, cfg.trials
+    block = max(1, min(trials, _BLOCK_VALUES // (n * max(m, 1))))
+    values = np.empty((block, n, m))
+    owners = np.empty((block, m), dtype=np.int64)
+    players = np.arange(n)[:, None]
+    totals = np.empty((trials, n))
+    row_sums = np.empty((trials, n))
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        for j in range(size):
+            rng = np.random.default_rng((cfg.seed, start + j))
+            for i, d in enumerate(cfg.distributions):
+                values[j, i] = d.sample(rng, m)
+            owners[j] = rng.integers(0, n, size=m)
+        np.add.reduce(values[:size], axis=2, out=row_sums[start : start + size])
+        masks = owners[:size, None] == players
+        # np.extract takes the same elements as values[masks], faster.  Each
+        # run is reduced alone: bincount or a zero-padded sum would round
+        # differently.
+        mine = np.extract(masks, values[:size])
+        ends = np.cumsum(masks.sum(axis=2).ravel()).tolist()
+        totals[start : start + size].flat = [
+            np.add.reduce(mine[a:b]) for a, b in zip([0] + ends, ends)
+        ]
+    needed = cfg.rho * row_sums / n
+    successes = np.all(totals >= needed, axis=1)
     means = totals.mean(axis=0)
-    if cfg.trials > 1:
+    if trials > 1:
         variances = totals.var(axis=0, ddof=1)
     else:
         variances = np.zeros(n)
@@ -180,7 +209,7 @@ def montecarlo_randomized(cfg: MCConfig) -> MCResult:
         cfg.rho * (m * d.mean + m**0.75) / n for d in cfg.distributions
     )
     return MCResult(
-        trials=cfg.trials,
+        trials=trials,
         success_rate=float(successes.mean()),
         means=tuple(float(x) for x in means),
         variances=tuple(float(x) for x in variances),

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from mmsfair import (
@@ -7,10 +9,12 @@ from mmsfair import (
     ContinuousUniform01,
     DiscreteUniform,
     MCConfig,
+    MCResult,
     mc_config,
     montecarlo_randomized,
     parse_distribution,
 )
+from mmsfair.montecarlo import _BLOCK_VALUES
 
 
 class TestDistributions:
@@ -85,3 +89,67 @@ class TestHarness:
         )
         for var in result.variances:
             assert var <= 90 / 3  # theoretical ceiling m/n, huge slack
+
+
+def reference_montecarlo(cfg: MCConfig) -> MCResult:
+    """One trial at a time, each aggregated on its own: the loop that
+    ``montecarlo_randomized`` must match bit for bit."""
+    n, m = cfg.n, cfg.m
+    totals = np.empty((cfg.trials, n))
+    successes = np.empty(cfg.trials, dtype=bool)
+    for t in range(cfg.trials):
+        rng = np.random.default_rng((cfg.seed, t))
+        values = np.stack([d.sample(rng, m) for d in cfg.distributions])
+        owner = rng.integers(0, n, size=m)
+        received = np.array([values[i, owner == i].sum() for i in range(n)])
+        needed = cfg.rho * values.sum(axis=1) / n
+        totals[t] = received
+        successes[t] = bool(np.all(received >= needed))
+    variances = totals.var(axis=0, ddof=1) if cfg.trials > 1 else np.zeros(n)
+    return MCResult(
+        trials=cfg.trials,
+        success_rate=float(successes.mean()),
+        means=tuple(float(x) for x in totals.mean(axis=0)),
+        variances=tuple(float(x) for x in variances),
+        thresholds=tuple(
+            cfg.rho * (m * d.mean + m**0.75) / n for d in cfg.distributions
+        ),
+    )
+
+
+MIXED = (ContinuousUniform01(), DiscreteUniform(7), Bernoulli(0.3))
+EQUALITY_CASES = {
+    "mixed-players": MCConfig(n=3, m=40, distributions=MIXED, rho=0.7, trials=90, seed=5),
+    "discrete-odd-m": mc_config(3, 301, DiscreteUniform(7), rho=0.8, trials=120, seed=2),
+    "no-items": mc_config(2, 0, ContinuousUniform01(), rho=0.5, trials=10, seed=1),
+    "one-trial": mc_config(3, 50, Bernoulli(0.4), rho=0.5, trials=1, seed=3),
+    "partial-last-block": mc_config(3, 300, ContinuousUniform01(), rho=0.8, trials=300, seed=0),
+    "trial-above-block": mc_config(2, 40_000, ContinuousUniform01(), rho=0.8, trials=3, seed=4),
+    "seed-above-2**64": mc_config(3, 30, Bernoulli(0.3), rho=0.5, trials=40, seed=2**64 + 7),
+}
+
+
+class TestBlockLoop:
+    @pytest.mark.parametrize("name", EQUALITY_CASES)
+    def test_matches_trial_at_a_time_reference(self, name):
+        cfg = EQUALITY_CASES[name]
+        assert repr(montecarlo_randomized(cfg)) == repr(reference_montecarlo(cfg))
+
+    def test_cases_reach_the_block_edges(self):
+        partial = EQUALITY_CASES["partial-last-block"]
+        block = _BLOCK_VALUES // (partial.n * partial.m)
+        assert 1 < block < partial.trials and partial.trials % block
+        above = EQUALITY_CASES["trial-above-block"]
+        assert above.n * above.m > _BLOCK_VALUES and above.trials > 1
+
+    def test_memory_stays_at_one_block(self):
+        # Holding every trial's values at once would take 14.4 MB.  (Under
+        # tracemalloc a trial costs about 0.3 ms, so the run is kept short.)
+        cfg = mc_config(3, 300, ContinuousUniform01(), rho=0.8, trials=2_000, seed=0)
+        tracemalloc.start()
+        try:
+            montecarlo_randomized(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

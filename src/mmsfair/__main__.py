@@ -1,0 +1,8 @@
+"""``python -m mmsfair``: the command line of :mod:`mmsfair.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,6 +9,7 @@ Items are indexed ``0..m-1`` internally (the command line prints them
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,12 +95,13 @@ class Instance:
 class Ranking:
     """A strict preference order over items, most-preferred first.
 
-    ``order`` is a permutation of ``0..m-1``.
+    ``order`` is a permutation of ``0..m-1``, kept as a tuple.
     """
 
     order: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "order", tuple(self.order))
         if sorted(self.order) != list(range(len(self.order))):
             raise ValueError("ranking must be a permutation of the item indices")
 
@@ -241,10 +243,18 @@ def derive_ranking(inst: Instance, player: int) -> Ranking:
 def ranking_order(row: Sequence[Value]) -> tuple[int, ...]:
     """Raw order tuple for a single value row (same tie-break as above: a
     reversed sort is still stable, so equal values keep ascending indices).
+    Orders are memoized per row (``_order``); a list row is looked up as its
+    tuple, and rows that compare equal, such as an int row and its
+    ``Fraction`` twin, share one entry.
 
     >>> ranking_order((1, 2, 1, 2))
     (1, 3, 0, 2)
     """
+    return _order(tuple(row))
+
+
+@functools.lru_cache(maxsize=4096)
+def _order(row: tuple[Value, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(len(row)), key=row.__getitem__, reverse=True))
 
 

@@ -394,8 +394,6 @@ _SPECS = {
 }
 MECHANISM_NAMES = tuple(_SPECS)
 
-_SEQUENCES: dict = {}
-
 
 def _allocate(
     mech: Mechanism,
@@ -404,26 +402,32 @@ def _allocate(
     n: int,
     m: int,
     seed: int = 0,
-    cache: dict | None = None,
 ) -> tuple[frozenset[int], ...]:
-    """One bundle per player from raw ranking orders and value rows, by the
-    mechanism's bundles function or its picking sequence (built once per
-    (mechanism, n, m)).  Given a ``cache`` dict, a value-oblivious
-    mechanism's outcome is kept there per ranking profile."""
+    """One bundle per player from raw ranking orders and value rows.  A
+    value-oblivious mechanism's outcome depends on the ranking profile alone,
+    so it is memoized per profile (``_outcome``); any other mechanism runs its
+    bundles function."""
     spec = _SPECS[mech.name]
-    if cache is not None and spec.value_oblivious:
-        key = tuple(orders)
-        bundles = cache.get(key)
-        if bundles is None:
-            bundles = cache[key] = _allocate(mech, orders, rows, n, m, seed)
-        return bundles
+    if spec.value_oblivious:
+        return _outcome(mech.name, mech.epsilon, n, m, seed, tuple(orders))
+    return spec.bundles(orders, rows, n, m, seed)
+
+
+@functools.lru_cache(maxsize=4096)
+def _outcome(name, epsilon, n, m, seed, orders) -> tuple[frozenset[int], ...]:
+    """A value-oblivious mechanism's bundles, keyed by everything they depend
+    on; the tuple of frozensets is immutable, so callers share it."""
+    spec = _SPECS[name]
     if spec.bundles is not None:
-        return spec.bundles(orders, rows, n, m, seed)
-    key = (mech.name, mech.epsilon, n, m)
-    seq = _SEQUENCES.get(key)
-    if seq is None:
-        seq = _SEQUENCES[key] = spec.sequence(mech, n, m)
+        return tuple(spec.bundles(orders, (), n, m, seed))
+    seq = _sequence(Mechanism(name, epsilon), n, m)
     return tuple(map(frozenset, _simulate_picks(orders, m, seq.picks, seq.cyclic)))
+
+
+@functools.lru_cache(maxsize=256)
+def _sequence(mech: Mechanism, n: int, m: int) -> PickingSequence:
+    """A sequence mechanism's picking sequence at size (n, m)."""
+    return _SPECS[mech.name].sequence(mech, n, m)
 
 
 def _consistent_with_order(row: Sequence[Value], order: Sequence[int]) -> bool:

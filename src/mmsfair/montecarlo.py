@@ -84,9 +84,14 @@ def parse_distribution(spec: str):
 
 
 # A trial's own generator takes as long as about 2,000 draws (20 us against
-# 3 to 10 ns a draw).  The limit keeps a run of three players within about
-# 2 s and one trial's value array within 400 MB.
+# 3 to 10 ns a draw).  Each player's sample call costs 2.5 to 10 us a trial
+# whatever m is (uniform to discrete:7, fitted over 200 players with one item
+# each on a 2-core x86 host, where a value costs 13 to 15 ns from draw to
+# total), so a player is charged at least 600 draws.  The limit keeps a run
+# of three players within about 2 s and one trial's value array within
+# 400 MB.
 _TRIAL_DRAWS = 2000
+_PLAYER_DRAWS = 600
 _DRAW_LIMIT = 5 * 10**7
 # Trials are summed a block at a time; a block holds about this many values
 # (128 KB), or one trial when a trial alone holds more.  Blocks of 2**16
@@ -101,6 +106,14 @@ def _check_draws(n: int, m: int, trials: int) -> None:
         raise ValueError(
             f"{trials} x {n} x {m} values count {draws} draws with "
             f"{_TRIAL_DRAWS} a trial, over the limit of {_DRAW_LIMIT}"
+        )
+    # The values alone first; then each player is charged at least
+    # _PLAYER_DRAWS for her sample call, which only raises the count.
+    draws = trials * (n * max(m, _PLAYER_DRAWS) + _TRIAL_DRAWS)
+    if draws > _DRAW_LIMIT:
+        raise ValueError(
+            f"{trials} trials of {n} players count {draws} draws with at least "
+            f"{_PLAYER_DRAWS} a player, over the limit of {_DRAW_LIMIT}"
         )
 
 

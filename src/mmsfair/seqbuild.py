@@ -159,14 +159,21 @@ def _deadline_step(n: int, i: int, alpha: Fraction) -> int:
     return math.floor(Fraction(n - i + 1) / alpha)
 
 
+def _pair_count(params: SqrtSeqParams, i: int) -> int:
+    """How many pairs 1-based player ``i`` gets: ``j_max + 1`` for
+    ``j_max = floor(alpha * (m - i) / (n - i + 1))``, and none when it is
+    negative."""
+    n, m, alpha = params.n, params.m, params.alpha
+    return max(0, math.floor(alpha * (m - i) / (n - i + 1)) + 1)
+
+
 def pair_schedule(params: SqrtSeqParams) -> list[PickPair]:
     """All (player, deadline) pairs, sorted by deadline, ties by player."""
-    n, m, alpha = params.n, params.m, params.alpha
+    n, alpha = params.n, params.alpha
     pairs = []
     for i in range(1, n + 1):
         step = _deadline_step(n, i, alpha)
-        j_max = math.floor(alpha * (m - i) / (n - i + 1))
-        for j in range(j_max + 1):
+        for j in range(_pair_count(params, i)):
             pairs.append(PickPair(player=i - 1, deadline=i + j * step))
     pairs.sort(key=lambda p: (p.deadline, p.player))
     return pairs
@@ -254,19 +261,21 @@ class DemandViolation(NamedTuple):
 
 def verify_schedule_demand(params: SqrtSeqParams) -> list[DemandViolation]:
     """Numeric check that no deadline is oversubscribed: for every generated
-    pair of player ``i`` and index ``j``, the number of picks every player can
-    claim by that deadline,
-    ``n + sum_l floor((i - l + j*step_i) / step_l)``,
+    pair of player ``i`` and index ``j``, the number of generated pairs due by
+    that deadline ``d = i + j*step_i``, counting player ``l``'s deadlines
+    ``l + k*step_l`` only up to her last pair ``k = j_max_l``,
+    ``sum_l min(j_max_l + 1, floor((d - l) / step_l) + 1)`` over ``l <= d``,
     must fit inside the deadline itself."""
-    n, m, alpha = params.n, params.m, params.alpha
+    n, alpha = params.n, params.alpha
+    steps = [_deadline_step(n, i, alpha) for i in range(1, n + 1)]
+    counts = [_pair_count(params, i) for i in range(1, n + 1)]
     violations = []
-    steps = {i: _deadline_step(n, i, alpha) for i in range(1, n + 1)}
     for i in range(1, n + 1):
-        j_max = math.floor(alpha * (m - i) / (n - i + 1))
-        for j in range(j_max + 1):
-            deadline = i + j * steps[i]
-            demand = n + sum(
-                (i - l + j * steps[i]) // steps[l] for l in range(1, n + 1)
+        for j in range(counts[i - 1]):
+            deadline = i + j * steps[i - 1]
+            demand = sum(
+                min(count, (deadline - l) // step + 1)
+                for l, step, count in zip(range(1, deadline + 1), steps, counts)
             )
             if demand > deadline:
                 violations.append(
@@ -275,4 +284,3 @@ def verify_schedule_demand(params: SqrtSeqParams) -> list[DemandViolation]:
                     )
                 )
     return violations
-

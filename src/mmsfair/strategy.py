@@ -102,18 +102,19 @@ def _reachable(
     player: int,
     pool: Iterable,
     seed: int = 0,
-    cache: dict | None = None,
 ) -> list[tuple[frozenset[int], object]]:
     """The distinct bundles ``player`` obtains by submitting each report of
     ``pool`` in turn, the others' orders and rows fixed, in order of first
     appearance and each paired with the first report reaching it.  A
-    public-rankings pool holds only rows consistent with her ranking."""
+    public-rankings pool holds only rows consistent with her ranking.  A
+    value-oblivious mechanism's outcome per ranking profile comes from the
+    allocator's own memo, so reports sharing a ranking cost one lookup."""
     n, m = len(rows), len(rows[0])
     orders, rows = list(orders), list(rows)
     reached: dict[frozenset[int], object] = {}
     for report in pool:
         _submit(model, orders, rows, player, report)
-        bundle = _allocate(mech, orders, rows, n, m, seed, cache)[player]
+        bundle = _allocate(mech, orders, rows, n, m, seed)[player]
         reached.setdefault(bundle, report)
     return list(reached.items())
 
@@ -167,13 +168,10 @@ def _deviation_search(
         ])
         if model == PUBLIC_RANKINGS:
             pool = [r for r in pool if _consistent_with_order(r, orders[player])]
-    cache: dict = {}
-    truthful = _allocate(mech, orders, inst.values, inst.n, inst.m, seed, cache)
+    truthful = _allocate(mech, orders, inst.values, inst.n, inst.m, seed)
     t_val = sum(true_row[j] for j in truthful[player])
     best, witness = t_val, None
-    for bundle, report in _reachable(
-        mech, model, orders, inst.values, player, pool, seed, cache
-    ):
+    for bundle, report in _reachable(mech, model, orders, inst.values, player, pool, seed):
         val = sum(true_row[j] for j in bundle)
         if val > best:
             best, witness = val, report
@@ -262,7 +260,10 @@ def verify_truthful_on_grid(
     every permutation of a true row already lies in ``grid**m``.  Each
     (instance, player) pair then sums its true row over that list and stops
     at the first strict gain, whose first report is the one a scan of the
-    whole pool would stop at, so the witness is unchanged.
+    whole pool would stop at, so the witness is unchanged.  Ranking orders
+    and value-oblivious outcomes come from the memos of
+    :func:`~mmsfair.instance.ranking_order` and the allocator, which every
+    caller shares.
     """
     _check_defined(mech, model, n, m)
     if n < 1 or m < 0:
@@ -308,14 +309,13 @@ def verify_truthful_on_grid(
     oblivious = value_oblivious(mech)
     complete = _search_complete(mech, model, grid)
 
-    alloc_cache: dict = {}
     reach: dict = {}
     violations = 0
     witness = None
 
     for inst_rows in product(rows_space, repeat=n):
         true_orders = tuple(ranking_order(row) for row in inst_rows)
-        truthful = _allocate(mech, true_orders, inst_rows, n, m, seed, alloc_cache)
+        truthful = _allocate(mech, true_orders, inst_rows, n, m, seed)
         for player in range(n):
             own = true_orders[player] if model == PUBLIC_RANKINGS else None
             key = (
@@ -332,7 +332,7 @@ def verify_truthful_on_grid(
                             r for r in rows_space if _consistent_with_order(r, own)
                         ]
                 reachable = reach[key] = _reachable(
-                    mech, model, true_orders, inst_rows, player, pool, seed, alloc_cache
+                    mech, model, true_orders, inst_rows, player, pool, seed
                 )
             true_row = inst_rows[player]
             t_val = sum(true_row[j] for j in truthful[player])

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -384,6 +387,21 @@ class TestErrors:
         assert time.perf_counter() - start < 1
         assert (status, out, err) == (2, "", f"error: {message}\n")
 
+    def test_many_players_charged_per_player(self, capsys, monkeypatch):
+        # a tenth of these trials took 2.75 s before each player's sample
+        # call was charged
+        monkeypatch.setattr(cli, "montecarlo_randomized", lambda cfg: pytest.fail("ran trials"))
+        start = time.perf_counter()
+        status, out, err = run_cli(
+            capsys, "mc", "--n", "100", "--m", "1", "--dist", "discrete:7",
+            "--rho", "1/2", "--trials", "23809", "--seed", "0",
+        )
+        assert time.perf_counter() - start < 1
+        assert (status, out, err) == (
+            2, "", "error: 23809 trials of 100 players count 1476158000 draws with "
+            "at least 600 a player, over the limit of 50000000\n",
+        )
+
     def test_two_part_share_over_limit(self, capsys, tmp_path):
         # one exact decision on 50 values up to 10^9 would run
         # meet-in-the-middle over 2**25 sums per side
@@ -613,3 +631,13 @@ CHAIN_MACHINE = json.loads(
 def test_chain_machine_output_is_pinned(capsys, fixture, mech, model, status, stdout, stderr):
     argv = ["chain", "--fixture", fixture, "--mech", mech, "--model", model, "--machine"]
     assert run_cli(capsys, *argv) == (status, stdout, stderr)
+
+
+def test_python_m_matches_main(capsys, ex23_file):
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mmsfair", "mms", "--instance", ex23_file],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, "mms", "--instance", ex23_file)

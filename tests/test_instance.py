@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,8 @@ from mmsfair import (
     parse_instance,
     validate_allocation,
 )
+from mmsfair import instance
+from mmsfair.instance import ranking_order
 
 
 class TestParsing:
@@ -97,6 +100,32 @@ class TestDeriveRanking:
     def test_ranking_must_be_permutation(self):
         with pytest.raises(ValueError):
             Ranking((0, 0, 1))
+
+    def test_list_order_is_kept_as_a_tuple(self):
+        assert Ranking([2, 0, 1]) == Ranking((2, 0, 1))
+        assert Ranking([2, 0, 1]).order == (2, 0, 1)
+
+
+class TestRankingOrderMemo:
+    def test_list_row(self):
+        assert ranking_order([1, 2, 1, 2]) == ranking_order((1, 2, 1, 2)) == (1, 3, 0, 2)
+
+    def test_int_and_fraction_twins_share_an_entry(self):
+        instance._order.cache_clear()
+        rows = list(product((0, 1, 2), repeat=4))
+        for row in rows:
+            want = tuple(sorted(range(4), key=lambda j: (-row[j], j)))
+            assert ranking_order(row) == want
+            assert ranking_order(tuple(Fraction(v) for v in row)) == want
+            assert ranking_order([Fraction(v, 1) for v in row]) == want
+        assert instance._order.cache_info().currsize == len(rows)
+
+    def test_stays_within_its_bound(self):
+        bound = instance._order.cache_info().maxsize
+        for k in range(2, bound + 100):  # item 1 ranks first, item 2 last
+            assert ranking_order((1, k, 0)) == (1, 0, 2)
+        assert instance._order.cache_info().currsize <= bound
+        assert ranking_order([2, 0, 1]) == (0, 2, 1)
 
 
 class TestValidateAllocation:

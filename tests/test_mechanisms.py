@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -31,9 +31,11 @@ from mmsfair import (
     run_mechanism,
     run_picking_sequence,
     validate_allocation,
+    verify_truthful_on_grid,
 )
-from mmsfair import mechanisms, mms
+from mmsfair import instance, mechanisms, mms
 from mmsfair.mechanisms import best_two_partition
+from mmsfair.seqbuild import build_sqrt_sequence, sqrt_seq_params
 
 
 class TestSequences:
@@ -467,3 +469,83 @@ class TestGuarantees:
             bound = Fraction(1, max(2, m - n + 2) // 2)
             for i in range(n):
                 assert inst.value(i, alloc.bundles[i]) >= bound * maximin_share(inst, i, n)
+
+
+def _fresh_outcome(mech, orders, n, m, seed):
+    """A value-oblivious mechanism's bundles from a freshly built sequence."""
+    if mech.name == "random-uniform":
+        return random_uniform_allocation(n, m, seed).bundles
+    if mech.name == "pr":
+        seq = pr_sequence(n)
+    elif mech.name == "sqrt-seq":
+        seq = build_sqrt_sequence(sqrt_seq_params(n, m, mech.epsilon))
+    else:
+        seq = best_item_sequence(n, m)
+    return tuple(map(frozenset, mechanisms._simulate_picks(orders, m, seq.picks, seq.cyclic)))
+
+
+class TestOutcomeMemo:
+    # The same ranking profiles under every value-oblivious mechanism, two
+    # sqrt-seq epsilons and two random-uniform seeds, at (2, 8) and (3, 9)
+    MECHS = (
+        mechanism("best-item"),
+        mechanism("pick-seq"),
+        mechanism("pr"),
+        mechanism("sqrt-seq", Fraction(1, 2)),
+        mechanism("sqrt-seq", Fraction(1)),
+        mechanism("random-uniform"),
+    )
+
+    def _cases(self):
+        rng = random.Random(31)
+        for n, m in ((2, 8), (3, 9)):
+            profiles = [tuple(tuple(rng.sample(range(m), m)) for _ in range(n)) for _ in range(6)]
+            for orders in profiles:
+                for mech in self.MECHS:
+                    for seed in ((0, 1) if mech.name == "random-uniform" else (0,)):
+                        yield mech, orders, n, m, seed
+
+    def test_matches_fresh_simulation(self):
+        mechanisms._outcome.cache_clear()
+        cases = list(self._cases())
+        want = [_fresh_outcome(*case) for case in cases]
+        # the same orders lead to different outcomes, so a key missing any
+        # of them would be caught
+        assert len({(case[1], w) for case, w in zip(cases, want)}) > len({c[1] for c in cases})
+        for _ in range(2):  # cold, then warm
+            for (mech, orders, n, m, seed), w in zip(cases, want):
+                rows = [tuple(range(m))] * n  # never read
+                assert mechanisms._allocate(mech, list(orders), rows, n, m, seed) == w
+        info = mechanisms._outcome.cache_info()
+        assert (info.misses, info.hits) == (len(cases), len(cases))
+
+    def test_stays_within_its_bound(self):
+        mech = mechanism("best-item")
+        bound = mechanisms._outcome.cache_info().maxsize
+        others = tuple(range(7))
+        profiles = [(perm, others) for perm in permutations(range(7))]
+        assert len(profiles) > bound
+        for orders in profiles + profiles[:50]:
+            got = mechanisms._allocate(mech, orders, (), 2, 7)
+            assert got == _fresh_outcome(mech, orders, 2, 7, 0)
+        assert mechanisms._outcome.cache_info().currsize <= bound
+
+    def test_sweeps_equal_cold_and_warm(self):
+        cases = (
+            (mechanism("pick-seq"), ORDINAL, 2, 4, (0, 1, 2)),
+            (mechanism("pr"), ORDINAL, 2, 4, (0, 1, 2)),
+            (mechanism("pr"), PUBLIC_RANKINGS, 2, 4, (0, 1)),
+            (mechanism("sqrt-seq", Fraction(2)), CARDINAL, 2, 4, (0, 1)),
+            (mechanism("best-item"), CARDINAL, 3, 3, (0, 1)),
+            (mechanism("pr-exact-2-4"), PUBLIC_RANKINGS, 2, 4, (0, 1, 2)),
+            (mechanism("cut-and-choose"), CARDINAL, 2, 4, (1, 3)),
+        )
+        cold = []
+        for case in cases:
+            mechanisms._outcome.cache_clear()
+            instance._order.cache_clear()
+            cold.append(verify_truthful_on_grid(*case))
+        warm = [verify_truthful_on_grid(*case) for case in cases]
+        assert warm == cold
+        assert [r.violations > 0 for r in cold] == [False, True, False, True, False, False, True]
+

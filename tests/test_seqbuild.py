@@ -23,6 +23,8 @@ from mmsfair import (
     verify_pick_positions,
     verify_schedule_demand,
 )
+from mmsfair.cli import main
+from mmsfair.seqbuild import DemandViolation
 
 
 class TestPowerLowerRational:
@@ -141,6 +143,39 @@ class TestBuild:
                 assert inst.value(i, alloc.bundles[i]) >= params.alpha * maximin_share(
                     inst, i, 17
                 )
+
+
+class TestScheduleDemand:
+    def test_five_players_fifty_one_items(self, capsys):
+        # player 3's pick 6 is due by 45; 43 generated pairs are due by then,
+        # though her deadlines and player 2's go on past their last pairs
+        assert main(["seq", "--n", "5", "--m", "51", "--epsilon", "1/10", "--machine"]) == 0
+        assert capsys.readouterr().out.endswith("position_violations=0\ndemand_violations=0\n")
+
+    def test_matches_a_direct_count_of_the_schedule(self):
+        flagged = 0
+        for n in range(2, 8):
+            for m in range(0, 60, 3):
+                for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+                    try:
+                        params = sqrt_seq_params(n, m, eps)
+                    except ValueError:
+                        continue
+                    pairs = pair_schedule(params)
+                    want, seen = [], [0] * n
+                    for pair in sorted(pairs):  # by player, then deadline
+                        due = sum(1 for q in pairs if q.deadline <= pair.deadline)
+                        if due > pair.deadline:
+                            want.append(
+                                DemandViolation(pair.player, seen[pair.player], due, pair.deadline)
+                            )
+                        seen[pair.player] += 1
+                    assert verify_schedule_demand(params) == want, (n, m, eps)
+                    if want:  # then no order of the pairs meets every deadline
+                        flagged += 1
+                        with pytest.raises(InfeasibleParams):
+                            build_sqrt_sequence(params)
+        assert flagged
 
 
 class TestVerifyPickPositions:

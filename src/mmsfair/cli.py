@@ -9,12 +9,16 @@ Every command is reproducible: seeds default to 0 and rational quantities
 are printed exactly, never as decimals.  With ``--machine`` the output is
 one ``key=value`` record per line.  Exit status: 0 on success / no
 violation, 1 when violations or failures were found, 2 on usage or input
-errors, 3 on an unexpected error (its traceback goes to stderr).
+errors, 3 on an unexpected error (its traceback goes to stderr).  A reader
+that closes stdout early (``| head -1``) changes none of these: the command
+stops printing, still writes ``--report``, prints nothing to stderr and
+exits with the status it would have had.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -125,8 +129,17 @@ class _Report:
         self.lines.append(line)
 
     def emit(self, path: str | None = None) -> None:
+        """Print the lines, then write them to ``path`` if one is given.  A
+        reader that closes the pipe early (``| head``) ends the printing
+        quietly: stdout is pointed at the null device, so the interpreter's
+        final flush raises nothing, and the command keeps its status."""
         text = "\n".join(self.lines)
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         if path:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

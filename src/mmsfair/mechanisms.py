@@ -230,14 +230,15 @@ def run_picking_sequence(
 def _pr_exact_24_bundles(orders, rows, n, m, seed):
     """Two-player, four-item exact mechanism on raw orders and reported rows.
 
-    Distinct favorite items: the sequence 1,2,2,1.  Shared favorite: player 1
-    takes the better (by her report) of her top item and her ranks-2-3 pair,
-    ties keeping just the top item; player 2 takes the complement.
+    Distinct favorite items: the sequence 1,2,2,1, which is ``pr``'s outcome
+    at (2, 4), so it comes from ``pr``'s memoized outcome.  Shared favorite:
+    player 1 takes the better (by her report) of her top item and her
+    ranks-2-3 pair, ties keeping just the top item; player 2 takes the
+    complement.
     """
     o1, o2 = orders
     if o1[0] != o2[0]:
-        bundles = _simulate_picks(orders, 4, (0, 1, 1, 0), cyclic=False)
-        return frozenset(bundles[0]), frozenset(bundles[1])
+        return _outcome(PR, None, 2, 4, 0, tuple(orders))
     top = o1[0]
     pair = (o1[1], o1[2])
     row1 = rows[0]

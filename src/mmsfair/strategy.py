@@ -23,7 +23,11 @@ true values, only on her index, the others' rankings, the others' rows
 (unless the mechanism is value-oblivious; every ordinal-model mechanism is)
 and, with public rankings, her own true ranking, which fixes her pool.  The
 grid sweep builds the list once per such key, so its cost grows with the
-distinct keys, not with instances times misreports.
+distinct keys, not with instances times misreports.  For a value-oblivious
+mechanism the player's truthful bundle is fixed by the key and her own
+ranking too, so her verdict (whether she gains, with which first report,
+and both values) is fixed by the key and her true row; the sweep decides it
+once per such pair.
 """
 
 from __future__ import annotations
@@ -260,7 +264,11 @@ def verify_truthful_on_grid(
     every permutation of a true row already lies in ``grid**m``.  Each
     (instance, player) pair then sums its true row over that list and stops
     at the first strict gain, whose first report is the one a scan of the
-    whole pool would stop at, so the witness is unchanged.  Ranking orders
+    whole pool would stop at, so the witness is unchanged.  A value-oblivious
+    mechanism's verdict is fixed by (key, true row), so it is decided once
+    per such pair and reused; any other mechanism's key already holds the
+    others' rows, so its verdicts are not kept.  Instances are still scanned
+    in enumeration order, so the first witness is the same.  Ranking orders
     and value-oblivious outcomes come from the memos of
     :func:`~mmsfair.instance.ranking_order` and the allocator, which every
     caller shares.
@@ -310,6 +318,8 @@ def verify_truthful_on_grid(
     complete = _search_complete(mech, model, grid)
 
     reach: dict = {}
+    # Value-oblivious only: (key, true row) -> None or (report, t_val, val).
+    verdicts: dict = {}
     violations = 0
     witness = None
 
@@ -323,32 +333,34 @@ def verify_truthful_on_grid(
                 true_orders[:player] + (own,) + true_orders[player + 1 :],
                 None if oblivious else inst_rows[:player] + inst_rows[player + 1 :],
             )
-            reachable = reach.get(key)
-            if reachable is None:
-                if own is not None:
-                    pool = consistent.get(own)
-                    if pool is None:
-                        pool = consistent[own] = [
-                            r for r in rows_space if _consistent_with_order(r, own)
-                        ]
-                reachable = reach[key] = _reachable(
-                    mech, model, true_orders, inst_rows, player, pool, seed
-                )
             true_row = inst_rows[player]
-            t_val = sum(true_row[j] for j in truthful[player])
-            for bundle, report in reachable:
-                val = sum(true_row[j] for j in bundle)
-                if val > t_val:
-                    violations += 1
-                    if witness is None:
-                        witness = GridWitness(
-                            instance_rows=tuple(inst_rows),
-                            player=player,
-                            misreport=report,
-                            truthful_value=t_val,
-                            deviation_value=val,
-                        )
-                    break
+            if oblivious and (key, true_row) in verdicts:
+                gain = verdicts[key, true_row]
+            else:
+                reachable = reach.get(key)
+                if reachable is None:
+                    if own is not None:
+                        pool = consistent.get(own)
+                        if pool is None:
+                            pool = consistent[own] = [
+                                r for r in rows_space if _consistent_with_order(r, own)
+                            ]
+                    reachable = reach[key] = _reachable(
+                        mech, model, true_orders, inst_rows, player, pool, seed
+                    )
+                t_val = sum(true_row[j] for j in truthful[player])
+                gain = None
+                for bundle, report in reachable:
+                    val = sum(true_row[j] for j in bundle)
+                    if val > t_val:
+                        gain = (report, t_val, val)
+                        break
+                if oblivious:
+                    verdicts[key, true_row] = gain
+            if gain is not None:
+                violations += 1
+                if witness is None:
+                    witness = GridWitness(tuple(inst_rows), player, *gain)
     return GridVerification(
         mechanism=str(mech),
         model=model,

@@ -641,3 +641,38 @@ def test_python_m_matches_main(capsys, ex23_file):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, "mms", "--instance", ex23_file)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "command, status",
+    [
+        ("mc --n 3 --m 30 --dist uniform --rho 4/5 --trials 100 --seed 0 --machine", 0),
+        ("verify --mech cut-and-choose --model cardinal --n 2 --m 4 --grid 1,3", 1),
+        ("run --instance EX23 --mech pr --model ordinal --report REPORT", 0),
+    ],
+    ids=["mc", "verify", "run-report"],
+)
+def test_closed_pipe_keeps_status(capsys, ex23_file, tmp_path, command, status, unbuffered):
+    # stdout is a pipe whose reader is gone before the command starts, so
+    # every write to it fails with EPIPE
+    report = tmp_path / "report.txt"
+    argv = [{"EX23": ex23_file, "REPORT": str(report)}.get(t, t) for t in command.split()]
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmsfair", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (status, "")
+    if "--report" in argv:
+        written = report.read_text()
+        assert written == run_cli(capsys, *argv)[1]

@@ -121,6 +121,41 @@ class TestPrExact24:
         alloc = mechanism_pr_exact_24(inst)
         assert alloc.bundles == (frozenset({1, 2}), frozenset({0, 3}))
 
+    def test_distinct_favorites_is_pr(self, monkeypatch):
+        # every ordered pair of orders with distinct top items, against a
+        # 1,2,2,1 pick written out here and against pr with public rankings
+        rng = random.Random(16)
+        profiles = [
+            (o1, o2)
+            for o1 in permutations(range(4))
+            for o2 in permutations(range(4))
+            if o1[0] != o2[0]
+        ]
+        assert len(profiles) == 432
+        calls = []
+        simulate = mechanisms._simulate_picks
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        mechanisms._outcome.cache_clear()
+        monkeypatch.setattr(mechanisms, "_simulate_picks", spy)
+        exact, pr = mechanism("pr-exact-2-4"), mechanism("pr")
+        for _ in range(2):  # cold, then warm
+            calls.clear()
+            for o1, o2 in profiles:
+                first = [o1[0]]
+                second = [j for j in o2 if j not in first][:2]
+                first += [j for j in range(4) if j not in first + second]
+                want = (frozenset(first), frozenset(second))
+                rows = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(2)]
+                assert mechanisms._allocate(exact, [o1, o2], rows, 2, 4) == want
+                strict = [tuple(4 - o.index(j) for j in range(4)) for o in (o1, o2)]
+                inst = Instance.from_rows(strict)
+                assert run_mechanism(pr, PUBLIC_RANKINGS, inst).bundles == want
+        assert calls == []  # the warm pass reads pr's memoized outcomes
+
     def test_wrong_dimensions(self):
         with pytest.raises(MechanismError):
             mechanism_pr_exact_24(Instance.from_rows([[1, 1, 1]] * 2))

@@ -245,6 +245,36 @@ class TestGridVerifier:
         assert result.complete
 
 
+# Acceptance criterion 4's five sweeps at n = 2, m = 4 over the benchmark's
+# grids: (mechanism, model, grid, violations, complete, witness).
+CRITERION_4 = (
+    ("pick-seq", ORDINAL, (0, 1, 2), 0, True, None),
+    (
+        "pr", ORDINAL, (0, 1, 2), 558, True,
+        GridWitness(((0, 0, 1, 1), (0, 0, 0, 1)), 0, Ranking((3, 0, 1, 2)), 1, 2),
+    ),
+    ("pr", PUBLIC_RANKINGS, (0, 1, 2), 0, True, None),
+    ("pr-exact-2-4", PUBLIC_RANKINGS, (0, 1, 2), 0, True, None),
+    (
+        "cut-and-choose", CARDINAL, (1, 3), 135, False,
+        GridWitness(((1, 1, 1, 1), (3, 1, 1, 1)), 0, (3, 1, 1, 1), 2, 3),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "name, model, grid, violations, complete, witness",
+    CRITERION_4,
+    ids=[f"{c[0]}-{c[1]}" for c in CRITERION_4],
+)
+def test_criterion_4_sweeps_are_pinned(name, model, grid, violations, complete, witness):
+    result = verify_truthful_on_grid(mechanism(name), model, 2, 4, grid)
+    assert result.instances == len(grid) ** 8
+    assert (result.violations, result.complete, result.witness) == (
+        violations, complete, witness
+    )
+
+
 def _reference_sweep(mech, model, n, m, grid):
     """Every instance, player and report in the sweep's pool order, each
     allocated by run_mechanism with explicit reports; returns (violations,

@@ -219,6 +219,8 @@ def _cmd_verify(args) -> int:
         out.add(f"instances={result.instances}")
         out.add(f"violations={result.violations}")
         out.add(f"complete={'true' if result.complete else 'false'}")
+        if result.certificate:
+            out.add(f"certificate={result.certificate}")
         if result.witness is not None:
             w = result.witness
             for i, row in enumerate(w.instance_rows):

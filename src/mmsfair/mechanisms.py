@@ -92,7 +92,7 @@ def truthful_models(mech: Mechanism) -> frozenset:
 
 def value_oblivious(mech: Mechanism) -> bool:
     """True when the allocation depends on reports only through rankings."""
-    return _SPECS[mech.name].value_oblivious
+    return not _SPECS[mech.name].rows_read
 
 
 def theoretical_ratio(mech: Mechanism, n: int, m: int) -> Fraction:
@@ -340,11 +340,14 @@ class _Spec:
     of items per player.  ``shape`` is the (players, items) it requires, items
     ``None`` for any; ``bound(mech, n, m)`` is the proven fraction of the
     maximin share; ``grid_decides(grid)`` says whether rows drawn from
-    ``grid`` reach every decision of a mechanism that reads values."""
+    ``grid`` reach every decision of a mechanism that reads values.
+    ``rows_read`` is the players whose reported value rows the allocation
+    reads: replacing any other player's row, her order kept, leaves every
+    bundle unchanged.  It is empty for a value-oblivious mechanism."""
 
     models: frozenset
     truthful: frozenset
-    value_oblivious: bool = True
+    rows_read: tuple[int, ...] = ()
     ignores_reports: bool = False
     takes_epsilon: bool = False
     shape: tuple[int, int | None] | None = None
@@ -375,7 +378,7 @@ _SPECS = {
         bound=lambda mech, n, m: Fraction(2, n + 1),
     ),
     PR_EXACT_24: _Spec(
-        _PUBLIC, _PUBLIC, value_oblivious=False, shape=(2, 4),
+        _PUBLIC, _PUBLIC, rows_read=(0,), shape=(2, 4),
         bundles=_pr_exact_24_bundles,
         grid_decides=lambda grid: any(v == 0 for v in grid) and any(v > 0 for v in grid),
     ),
@@ -385,7 +388,7 @@ _SPECS = {
         bound=lambda mech, n, m: power_lower_rational(n, Fraction(1, 2) + mech.epsilon),
     ),
     CUT_AND_CHOOSE: _Spec(
-        frozenset({CARDINAL, PUBLIC_RANKINGS}), frozenset(), value_oblivious=False,
+        frozenset({CARDINAL, PUBLIC_RANKINGS}), frozenset(), rows_read=(0, 1),
         shape=(2, None), bundles=_cut_and_choose_bundles,
     ),
     RANDOM_UNIFORM: _Spec(
@@ -409,7 +412,7 @@ def _allocate(
     so it is memoized per profile (``_outcome``); any other mechanism runs its
     bundles function."""
     spec = _SPECS[mech.name]
-    if spec.value_oblivious:
+    if not spec.rows_read:
         return _outcome(mech.name, mech.epsilon, n, m, seed, tuple(orders))
     return spec.bundles(orders, rows, n, m, seed)
 

@@ -19,15 +19,19 @@ order of first appearance and each with the first report reaching it.
 Scanning that list stops at the same report as scanning the pool, because
 every report before the first profitable one reaches a bundle worth no more
 than the truthful one.  What a player can reach never depends on her own
-true values, only on her index, the others' rankings, the others' rows
-(unless the mechanism is value-oblivious; every ordinal-model mechanism is)
-and, with public rankings, her own true ranking, which fixes her pool.  The
-grid sweep builds the list once per such key, so its cost grows with the
-distinct keys, not with instances times misreports.  For a value-oblivious
-mechanism the player's truthful bundle is fixed by the key and her own
-ranking too, so her verdict (whether she gains, with which first report,
-and both values) is fixed by the key and her true row; the sweep decides it
-once per such pair.
+true values, only on her index, the others' rankings, those of the
+others' rows the mechanism reads (its ``rows_read``; none for a
+value-oblivious mechanism, and every ordinal-model mechanism is one) and,
+with public rankings, her own true ranking, which fixes her pool.  The grid
+sweep builds the list once per such key, so its cost grows with the
+distinct keys, not with instances times misreports.  Her truthful bundle is
+fixed by the key and her own true row, so her verdict (whether she gains,
+with which first report, and both values) is fixed by the key and her true
+row; the sweep decides it once per such pair whenever the mechanism leaves
+some row unread (reading every row, the pair is the whole instance).  With
+public rankings a report replaces only the player's row, so a player whose
+row the mechanism never reads reaches only her truthful bundle: the sweep
+skips her, and the per-instance search takes her true row as its pool.
 """
 
 from __future__ import annotations
@@ -127,7 +131,7 @@ def grid_covers_decisions(mech: Mechanism, grid: Sequence[Value]) -> bool:
     """Whether rows drawn from ``grid`` reach every decision the mechanism
     can take, making a row search over the grid exhaustive."""
     spec = _SPECS[mech.name]
-    if spec.value_oblivious:
+    if not spec.rows_read:
         return True
     return spec.grid_decides is not None and spec.grid_decides(grid)
 
@@ -155,18 +159,23 @@ def _deviation_search(
     A row pool is the true row, the supplied rows, every permutation of the
     true row and one strict-ranking representative row for each of the m!
     rankings, less, with public rankings, the rows inconsistent with her
-    ranking (those leave her with her true row, already first)."""
+    ranking (those leave her with her true row, already first).  With public
+    rankings and her row unread, the pool is her true row alone, the
+    supplied rows still validated."""
     _check_defined(mech, model, inst.n, inst.m)
-    _check_enum(inst.m)
+    unread = model == PUBLIC_RANKINGS and player not in _SPECS[mech.name].rows_read
+    if not unread:
+        _check_enum(inst.m)
     inst._check_player(player)
     true_row = inst.values[player]
     orders = [ranking_order(row) for row in inst.values]
     if model == ORDINAL:
         pool = (Ranking(perm) for perm in permutations(range(inst.m)))
     else:
-        pool = dict.fromkeys([
+        supplied = _validate_misreports(misreports, inst.m)
+        pool = [tuple(true_row)] if unread else dict.fromkeys([
             tuple(true_row),
-            *_validate_misreports(misreports, inst.m),
+            *supplied,
             *permutations(true_row),
             *permutations(range(inst.m, 0, -1)),
         ])
@@ -258,20 +267,25 @@ def verify_truthful_on_grid(
     keeps the first witness in enumeration order.
 
     The distinct bundles a player can reach are listed once per key (her
-    index, the others' rankings, the others' rows unless the mechanism is
-    value-oblivious, and her own ranking with public rankings; see the module
-    docstring).  The cardinal pool is the same for every instance, since
-    every permutation of a true row already lies in ``grid**m``.  Each
-    (instance, player) pair then sums its true row over that list and stops
-    at the first strict gain, whose first report is the one a scan of the
-    whole pool would stop at, so the witness is unchanged.  A value-oblivious
-    mechanism's verdict is fixed by (key, true row), so it is decided once
-    per such pair and reused; any other mechanism's key already holds the
-    others' rows, so its verdicts are not kept.  Instances are still scanned
-    in enumeration order, so the first witness is the same.  Ranking orders
-    and value-oblivious outcomes come from the memos of
+    index, the others' rankings, those of the others' rows in the
+    mechanism's ``rows_read``, and her own ranking with public rankings; see
+    the module docstring).  The cardinal pool is the same for every
+    instance, since every permutation of a true row already lies in
+    ``grid**m``.  Each (instance, player) pair then sums its true row over
+    that list and stops at the first strict gain, whose first report is the
+    one a scan of the whole pool would stop at, so the witness is unchanged.
+    A verdict is fixed by (key, true row), so when the mechanism leaves some
+    row unread it is decided once per such pair and reused; a mechanism
+    reading every row gives each instance its own pair, so its verdicts are
+    not kept.  With public rankings a player outside ``rows_read`` is
+    skipped, since no report of hers moves her bundle; when no player is
+    left, no instance is scanned.  The truthful allocation is made only for
+    an instance where some player's verdict is not yet known.  Instances are
+    still scanned in enumeration order, so the first witness is the same.
+    Ranking orders and value-oblivious outcomes come from the memos of
     :func:`~mmsfair.instance.ranking_order` and the allocator, which every
-    caller shares.
+    caller shares.  Only the ordinal and cardinal pools hold the ``m!``
+    rankings, so only they are refused past ``ENUM_LIMIT`` items.
     """
     _check_defined(mech, model, n, m)
     if n < 1 or m < 0:
@@ -304,7 +318,8 @@ def verify_truthful_on_grid(
             certificate="input-oblivious: the allocation ignores all reports",
         )
 
-    _check_enum(m)
+    if model != PUBLIC_RANKINGS:
+        _check_enum(m)
     rows_space = list(product(grid, repeat=m))
     if model == ORDINAL:
         pool = [Ranking(perm) for perm in permutations(range(m))]
@@ -314,27 +329,29 @@ def verify_truthful_on_grid(
     # player's own ranking, shared by every key holding that ranking.
     consistent: dict[tuple[int, ...], list[tuple[Value, ...]]] = {}
 
-    oblivious = value_oblivious(mech)
+    rows_read = _SPECS[mech.name].rows_read
+    players = [p for p in range(n) if model != PUBLIC_RANKINGS or p in rows_read]
+    keep = len(rows_read) < n
     complete = _search_complete(mech, model, grid)
 
     reach: dict = {}
-    # Value-oblivious only: (key, true row) -> None or (report, t_val, val).
+    # Kept when some row is unread: (key, true row) -> None or (report, t_val, val).
     verdicts: dict = {}
     violations = 0
     witness = None
 
-    for inst_rows in product(rows_space, repeat=n):
+    for inst_rows in product(rows_space, repeat=n) if players else ():
         true_orders = tuple(ranking_order(row) for row in inst_rows)
-        truthful = _allocate(mech, true_orders, inst_rows, n, m, seed)
-        for player in range(n):
+        truthful = None
+        for player in players:
             own = true_orders[player] if model == PUBLIC_RANKINGS else None
             key = (
                 player,
                 true_orders[:player] + (own,) + true_orders[player + 1 :],
-                None if oblivious else inst_rows[:player] + inst_rows[player + 1 :],
+                tuple([inst_rows[i] for i in rows_read if i != player]) if rows_read else (),
             )
             true_row = inst_rows[player]
-            if oblivious and (key, true_row) in verdicts:
+            if keep and (key, true_row) in verdicts:
                 gain = verdicts[key, true_row]
             else:
                 reachable = reach.get(key)
@@ -348,6 +365,7 @@ def verify_truthful_on_grid(
                     reachable = reach[key] = _reachable(
                         mech, model, true_orders, inst_rows, player, pool, seed
                     )
+                truthful = truthful or _allocate(mech, true_orders, inst_rows, n, m, seed)
                 t_val = sum(true_row[j] for j in truthful[player])
                 gain = None
                 for bundle, report in reachable:
@@ -355,7 +373,7 @@ def verify_truthful_on_grid(
                     if val > t_val:
                         gain = (report, t_val, val)
                         break
-                if oblivious:
+                if keep:
                     verdicts[key, true_row] = gain
             if gain is not None:
                 violations += 1

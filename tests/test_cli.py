@@ -177,6 +177,30 @@ class TestVerify:
         assert status == 2
         assert "6561" in err
 
+    def test_public_rankings_past_enumeration_limit(self, capsys):
+        # the row pool is grid rows, not m! rankings, and pr reads no row
+        status, out, err = run_cli(
+            capsys, "verify", "--mech", "pr", "--model", "public-rankings",
+            "--n", "2", "--m", "9", "--grid", "0,1",
+        )
+        assert (status, err) == (0, "")
+        assert out == "mechanism pr, model public-rankings: 262144 instances, 0 violations\n"
+
+    def test_machine_prints_certificate(self, capsys):
+        status, out, _ = run_cli(
+            capsys, "verify", "--mech", "random-uniform", "--model", "cardinal",
+            "--n", "2", "--m", "3", "--grid", "0,1", "--machine",
+        )
+        assert status == 0
+        assert out.splitlines() == [
+            "mechanism=random-uniform",
+            "model=cardinal",
+            "instances=64",
+            "violations=0",
+            "complete=true",
+            "certificate=input-oblivious: the allocation ignores all reports",
+        ]
+
 
 class TestChain:
     def test_builtin_fixture(self, capsys):

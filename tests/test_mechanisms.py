@@ -584,3 +584,38 @@ class TestOutcomeMemo:
         assert warm == cold
         assert [r.violations > 0 for r in cold] == [False, True, False, True, False, False, True]
 
+
+class TestRowsRead:
+    # Every mechanism at each (n, m) it takes; sqrt-seq with epsilon 1/2
+    MECHS = [
+        mechanism(name, Fraction(1, 2) if name == "sqrt-seq" else None)
+        for name in MECHANISM_NAMES
+    ]
+    SIZES = ((1, 3), (2, 3), (2, 4), (2, 6), (3, 5), (4, 7))
+
+    def test_unread_rows_never_move_a_bundle(self):
+        rng = random.Random(43)
+        moved = set()
+        for mech in self.MECHS:
+            rows_read = mechanisms._SPECS[mech.name].rows_read
+            sizes = 0
+            for n, m in self.SIZES:
+                model = sorted(models_for(mech))[0]
+                try:
+                    run_mechanism(mech, model, Instance.from_rows([[0] * m] * n))
+                except ValueError:  # not defined at this (n, m)
+                    continue
+                sizes += 1
+                for _ in range(40):
+                    orders = [tuple(rng.sample(range(m), m)) for _ in range(n)]
+                    rows = [tuple(rng.randrange(6) for _ in range(m)) for _ in range(n)]
+                    bundles = mechanisms._allocate(mech, orders, rows, n, m)
+                    for i in range(n):
+                        other = list(rows)
+                        other[i] = tuple(rng.randrange(6) for _ in range(m))
+                        if mechanisms._allocate(mech, orders, other, n, m) != bundles:
+                            assert i in rows_read, (mech, orders, rows, other)
+                            moved.add((mech.name, i))
+            assert sizes, mech
+        # and each row a mechanism declares read does move some bundle
+        assert moved == {("pr-exact-2-4", 0), ("cut-and-choose", 0), ("cut-and-choose", 1)}

@@ -27,6 +27,7 @@ from mmsfair import (
     value_oblivious,
     verify_truthful_on_grid,
 )
+from mmsfair import strategy
 
 
 class TestOrdinalSearch:
@@ -425,3 +426,50 @@ def test_searches_match_plain_reference(mech, model, n, m):
             assert (rep.best_deviation_value, rep.witness, rep.search_complete) == (
                 _reference_search(mech, model, inst, player, rows)
             )
+
+
+class TestUnreadRows:
+    # With public rankings a report replaces only the player's row, so a
+    # player whose row the mechanism never reads cannot move her bundle.
+    def test_public_search_past_enumeration_limit(self):
+        rng = random.Random(5)
+        inst = random_instance(rng, 3, 10)
+        rep = deviation_search_public(mechanism("pr"), inst, 2, [[9] * 10])
+        assert rep.best_deviation_value == rep.truthful_value
+        truthful = run_mechanism(mechanism("pr"), PUBLIC_RANKINGS, inst).bundles[2]
+        assert rep.truthful_value == inst.value(2, truthful)
+        assert (rep.witness, rep.search_complete) == (None, True)
+        with pytest.raises(EnumerationLimitError):
+            deviation_search_cardinal(mechanism("pr"), inst, 2)
+
+    def test_unread_player_still_validates_misreports(self):
+        inst = Instance.from_rows([[3, 2, 1, 0], [0, 1, 2, 3]])
+        with pytest.raises(ValueError, match="4 values"):
+            deviation_search_public(mechanism("pr-exact-2-4"), inst, 1, [[1, 2]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            deviation_search_public(mechanism("pr"), inst, 0, [[1, 2, 3, -1]])
+        rep = deviation_search_public(mechanism("pr-exact-2-4"), inst, 1, [[3, 3, 3, 3]])
+        assert rep.best_deviation_value == rep.truthful_value
+        assert (rep.witness, rep.search_complete) == (None, False)
+
+    def test_only_row_pools_pass_enumeration_limit(self):
+        result = verify_truthful_on_grid(mechanism("pr"), PUBLIC_RANKINGS, 2, 9, (0, 1))
+        assert (result.instances, result.violations, result.complete) == (2**18, 0, True)
+        for model in (ORDINAL, CARDINAL):
+            with pytest.raises(EnumerationLimitError, match="m <= 8"):
+                verify_truthful_on_grid(mechanism("pr"), model, 2, 9, (0, 1))
+
+    @pytest.mark.parametrize("name, most", [("pr", 0), ("pr-exact-2-4", 10_000)])
+    def test_criterion_4_public_sweeps_allocate_little(self, monkeypatch, name, most):
+        # keyed by the whole of the other row, they allocated 22,431 and 62,451 times
+        calls = []
+        real = strategy._allocate
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(strategy, "_allocate", spy)
+        result = verify_truthful_on_grid(mechanism(name), PUBLIC_RANKINGS, 2, 4, (0, 1, 2))
+        assert (result.violations, result.complete) == (0, True)
+        assert len(calls) <= most

@@ -73,6 +73,8 @@ def _grid(text: str):
 
 
 def _frac(x) -> str:
+    if x is UNBOUNDED:
+        return "unbounded"
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
@@ -168,7 +170,7 @@ def _cmd_run(args) -> int:
     shares = [maximin_share(inst, i, inst.n) for i in range(inst.n)]
     values = [inst.value(i, alloc.bundles[i]) for i in range(inst.n)]
     ratios = [
-        values[i] / shares[i] if shares[i] else None for i in range(inst.n)
+        values[i] / shares[i] if shares[i] else UNBOUNDED for i in range(inst.n)
     ]
     overall = approximation_ratio(inst, alloc)
     bound = theoretical_ratio(mech, inst.n, inst.m) if _SPECS[mech.name].bound else None
@@ -184,22 +186,16 @@ def _cmd_run(args) -> int:
             out.add(f"bundle.{i + 1}={_items(alloc.bundles[i])}")
             out.add(f"value.{i + 1}={_frac(values[i])}")
             out.add(f"mms.{i + 1}={_frac(shares[i])}")
-            out.add(
-                f"ratio.{i + 1}="
-                + (_frac(ratios[i]) if ratios[i] is not None else "unbounded")
-            )
-        out.add(
-            "ratio.overall="
-            + ("unbounded" if overall is UNBOUNDED else _frac(overall))
-        )
+            out.add(f"ratio.{i + 1}={_frac(ratios[i])}")
+        out.add(f"ratio.overall={_frac(overall)}")
         out.add("bound=" + (_frac(bound) if bound is not None else "none"))
     else:
         out.add(f"mechanism {mech}, model {args.model}, n={inst.n}, m={inst.m}")
         for i in range(inst.n):
-            ratio = "unbounded" if ratios[i] is None else _human(ratios[i])
             out.add(
                 f"player {i + 1}: items {{{_items(alloc.bundles[i])}}}  "
-                f"value {_human(values[i])}  mms {_human(shares[i])}  ratio {ratio}"
+                f"value {_human(values[i])}  mms {_human(shares[i])}  "
+                f"ratio {_human(ratios[i])}"
             )
         tail = f" (theoretical bound {_human(bound)})" if bound is not None else ""
         out.add(f"overall ratio: {_human(overall)}{tail}")

@@ -29,7 +29,7 @@ from .mechanisms import (
     models_for,
     run_mechanism,
 )
-from .mms import maximin_share
+from .mms import UNBOUNDED, maximin_share
 from .seqbuild import InfeasibleParams
 
 APPROX_FAILURE = "approx-failure"
@@ -288,7 +288,7 @@ class ProfileOutcome:
     bundles: tuple[tuple[int, ...], ...]
     values: tuple[Fraction, ...]
     shares: tuple[Fraction, ...]
-    ratios: tuple[Fraction, ...]
+    ratios: tuple[Fraction, ...]  # UNBOUNDED where the share is 0
     meets_threshold: bool
 
 
@@ -328,26 +328,26 @@ def _reported_for_edge(
     return Instance.from_rows(reported_rows)
 
 
-def run_chain(
-    fix: ChainFixture, mech: Mechanism, model: str, seed: int = 0
-) -> ChainReport:
+def run_chain(fix: ChainFixture, mech: Mechanism, model: str) -> ChainReport:
     """Run a mechanism through every profile and deviation edge of a chain.
 
     The verdict is APPROX-FAILURE on the first profile where some player's
     ratio drops below the threshold, otherwise MANIPULABLE on the first edge
     whose deviator strictly gains (at her true values), otherwise CONSISTENT.
+    A player whose maximin share is 0 has ratio ``UNBOUNDED`` and meets any
+    threshold.
     """
     outcomes = []
     failure = None
     for idx in range(len(fix.profiles)):
         inst = fix.instance(idx)
-        alloc = run_mechanism(mech, model, inst, None, seed)
+        alloc = run_mechanism(mech, model, inst)
         values = tuple(Fraction(inst.value(i, alloc.bundles[i])) for i in range(2))
         shares = tuple(maximin_share(inst, i, 2) for i in range(2))
         ratios = tuple(
-            values[i] / shares[i] if shares[i] else Fraction(0) for i in range(2)
+            values[i] / shares[i] if shares[i] else UNBOUNDED for i in range(2)
         )
-        meets = all(ratios[i] >= fix.threshold for i in range(2))
+        below = [i for i in range(2) if shares[i] and ratios[i] < fix.threshold]
         outcomes.append(
             ProfileOutcome(
                 index=idx,
@@ -355,12 +355,11 @@ def run_chain(
                 values=values,
                 shares=shares,
                 ratios=ratios,
-                meets_threshold=meets,
+                meets_threshold=not below,
             )
         )
-        if not meets and failure is None:
-            player = min(i for i in range(2) if ratios[i] < fix.threshold)
-            failure = (idx, player, ratios[player])
+        if below and failure is None:
+            failure = (idx, below[0], ratios[below[0]])
 
     edge_outcomes = []
     manipulation = None
@@ -368,7 +367,7 @@ def run_chain(
         src, dst, player = edge
         inst = fix.instance(src)
         reported = _reported_for_edge(fix, model, src, dst, player)
-        alloc = run_mechanism(mech, model, inst, reported, seed)
+        alloc = run_mechanism(mech, model, inst, reported)
         d_val = Fraction(inst.value(player, alloc.bundles[player]))
         t_val = outcomes[src].values[player]
         out = EdgeOutcome(
@@ -407,7 +406,7 @@ def run_chain(
     )
 
 
-def fixture_applies(fix: ChainFixture, mech: Mechanism, seed: int = 0) -> bool:
+def fixture_applies(fix: ChainFixture, mech: Mechanism) -> bool:
     """Whether the chain's impossibility argument covers this mechanism: the
     model must match, the mechanism must run at the fixture's dimensions, and
     any structural premise must hold (the two-items-each chain only binds
@@ -417,7 +416,7 @@ def fixture_applies(fix: ChainFixture, mech: Mechanism, seed: int = 0) -> bool:
         return False
     try:
         allocations = [
-            run_mechanism(mech, fix.model, fix.instance(i), None, seed)
+            run_mechanism(mech, fix.model, fix.instance(i))
             for i in range(len(fix.profiles))
         ]
     except (MechanismError, InfeasibleParams):

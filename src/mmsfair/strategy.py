@@ -12,32 +12,42 @@ decision the mechanism takes (:func:`grid_covers_decisions`).
 ``_search_complete`` is that rule, for the per-instance searches and the
 grid sweep alike.
 
+Both searches draw their reports from one rule, ``_pool``: every ranking in
+the ordinal model; in the cardinal model the candidate rows plus one strict
+row per ranking; with public rankings the candidate rows consistent with
+her ranking.  The grid sweep's candidate rows are the grid's rows; a
+per-instance search's are her true row and the supplied rows, plus every
+permutation of her true row (cardinal) or her one strict row, valued m down
+to 1 along her ranking (public rankings): her true row is the only
+permutation of itself consistent with her ranking, and that row the only
+strict one.  Only the ranking pools list ``m!`` reports, so only they are
+held to ``m <= ENUM_LIMIT``.
+
 Every search goes through ``_reachable``: the distinct bundles a player
 obtains by submitting each report of a pool in turn (``mechanisms._submit``
 says what a report replaces in each model), the others' reports fixed, in
 order of first appearance and each with the first report reaching it.
 Scanning that list stops at the same report as scanning the pool, because
 every report before the first profitable one reaches a bundle worth no more
-than the truthful one.  What a player can reach never depends on her own
-true values, only on her index, the others' rankings, those of the
-others' rows the mechanism reads (its ``rows_read``; none for a
-value-oblivious mechanism, and every ordinal-model mechanism is one) and,
-with public rankings, her own true ranking, which fixes her pool.  The grid
-sweep builds the list once per such key, so its cost grows with the
-distinct keys, not with instances times misreports.  Her truthful bundle is
-fixed by the key and her own true row, so her verdict (whether she gains,
-with which first report, and both values) is fixed by the key and her true
-row; the sweep decides it once per such pair whenever the mechanism leaves
-some row unread (reading every row, the pair is the whole instance).  With
-public rankings a report replaces only the player's row, so a player whose
-row the mechanism never reads reaches only her truthful bundle: the sweep
-skips her, and the per-instance search takes her true row as its pool.
+than the truthful one.
+
+A player's verdict (whether she gains, with which first report, and both
+values) depends on her own true row and, for each other player, only on
+that player's class: her ranking, plus her row itself when the mechanism
+reads it (``rows_read``; none for a value-oblivious mechanism, and every
+ordinal-model mechanism is one).  The grid sweep decides each verdict once,
+on the first row of each class, and counts it for every instance the
+classes hold.  With public rankings a report replaces only the player's
+row, so a player whose row the mechanism never reads reaches only her
+truthful bundle and the sweep does not search her.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from fractions import Fraction
+from itertools import chain, permutations, product
+from math import prod
 from typing import Iterable, Sequence
 
 from .instance import (
@@ -89,6 +99,19 @@ def _check_enum(m: int) -> None:
         )
 
 
+def _pool(model: str, m: int, rows: Iterable, own: tuple[int, ...] | None) -> list:
+    """The reports a search tries, by the module docstring's pool rule:
+    every ranking (ordinal), the distinct ``rows`` plus one strict row per
+    ranking (cardinal), or the distinct ``rows`` consistent with her ranking
+    ``own`` (public rankings).  ``rows`` is read only after the ``m!`` check."""
+    if model == PUBLIC_RANKINGS:
+        return [r for r in dict.fromkeys(rows) if _consistent_with_order(r, own)]
+    _check_enum(m)
+    if model == ORDINAL:
+        return [Ranking(perm) for perm in permutations(range(m))]
+    return list(dict.fromkeys(chain(rows, permutations(range(m, 0, -1)))))
+
+
 def _validate_misreports(misreports, m: int) -> list[tuple[Value, ...]]:
     rows = []
     for row in misreports:
@@ -96,6 +119,8 @@ def _validate_misreports(misreports, m: int) -> list[tuple[Value, ...]]:
         if len(row) != m:
             raise ValueError(f"misreport row must have {m} values, got {len(row)}")
         for v in row:
+            if not isinstance(v, (int, Fraction)):
+                raise ValueError(f"misreport value {v!r} is not rational")
             if v < 0:
                 raise ValueError("misreport values must be nonnegative")
         rows.append(row)
@@ -109,7 +134,6 @@ def _reachable(
     rows: Sequence[Sequence[Value]],
     player: int,
     pool: Iterable,
-    seed: int = 0,
 ) -> list[tuple[frozenset[int], object]]:
     """The distinct bundles ``player`` obtains by submitting each report of
     ``pool`` in turn, the others' orders and rows fixed, in order of first
@@ -122,7 +146,7 @@ def _reachable(
     reached: dict[frozenset[int], object] = {}
     for report in pool:
         _submit(model, orders, rows, player, report)
-        bundle = _allocate(mech, orders, rows, n, m, seed)[player]
+        bundle = _allocate(mech, orders, rows, n, m)[player]
         reached.setdefault(bundle, report)
     return list(reached.items())
 
@@ -152,39 +176,29 @@ def _deviation_search(
     inst: Instance,
     player: int,
     misreports: Iterable[Sequence[Value]],
-    seed: int,
 ) -> DeviationReport:
     """Best report for ``player``, the others truthful; the witness is the
-    first report reaching the best value.  The ordinal pool is every ranking.
-    A row pool is the true row, the supplied rows, every permutation of the
-    true row and one strict-ranking representative row for each of the m!
-    rankings, less, with public rankings, the rows inconsistent with her
-    ranking (those leave her with her true row, already first).  With public
-    rankings and her row unread, the pool is her true row alone, the
-    supplied rows still validated."""
+    first report reaching the best value.  The pool follows the module
+    docstring's rule: her true row, the supplied rows, and every permutation
+    of her true row (cardinal) or her strict row (public rankings), so with
+    public rankings it is what her ranking leaves of the cardinal pool.
+    Only the ranking pools (ordinal, cardinal) are held to m <= 8."""
     _check_defined(mech, model, inst.n, inst.m)
-    unread = model == PUBLIC_RANKINGS and player not in _SPECS[mech.name].rows_read
-    if not unread:
-        _check_enum(inst.m)
     inst._check_player(player)
     true_row = inst.values[player]
     orders = [ranking_order(row) for row in inst.values]
-    if model == ORDINAL:
-        pool = (Ranking(perm) for perm in permutations(range(inst.m)))
-    else:
-        supplied = _validate_misreports(misreports, inst.m)
-        pool = [tuple(true_row)] if unread else dict.fromkeys([
-            tuple(true_row),
-            *supplied,
-            *permutations(true_row),
-            *permutations(range(inst.m, 0, -1)),
-        ])
-        if model == PUBLIC_RANKINGS:
-            pool = [r for r in pool if _consistent_with_order(r, orders[player])]
-    truthful = _allocate(mech, orders, inst.values, inst.n, inst.m, seed)
+    own = orders[player]
+    supplied = _validate_misreports(misreports, inst.m)
+    extra = (
+        permutations(true_row)
+        if model == CARDINAL
+        else [tuple(inst.m - own.index(j) for j in range(inst.m))]
+    )
+    pool = _pool(model, inst.m, chain([true_row], supplied, extra), own)
+    truthful = _allocate(mech, orders, inst.values, inst.n, inst.m)
     t_val = sum(true_row[j] for j in truthful[player])
     best, witness = t_val, None
-    for bundle, report in _reachable(mech, model, orders, inst.values, player, pool, seed):
+    for bundle, report in _reachable(mech, model, orders, inst.values, player, pool):
         val = sum(true_row[j] for j in bundle)
         if val > best:
             best, witness = val, report
@@ -194,10 +208,10 @@ def _deviation_search(
 
 
 def deviation_search_ordinal(
-    mech: Mechanism, inst: Instance, player: int, seed: int = 0
+    mech: Mechanism, inst: Instance, player: int
 ) -> DeviationReport:
     """Try every ranking the player could submit, others truthful."""
-    return _deviation_search(mech, ORDINAL, inst, player, (), seed)
+    return _deviation_search(mech, ORDINAL, inst, player, ())
 
 
 def deviation_search_cardinal(
@@ -205,11 +219,10 @@ def deviation_search_cardinal(
     inst: Instance,
     player: int,
     misreports: Iterable[Sequence[Value]] = (),
-    seed: int = 0,
 ) -> DeviationReport:
     """Try the supplied rows plus the built-in pool (permutations of the true
     row and one representative row per strict ranking)."""
-    return _deviation_search(mech, CARDINAL, inst, player, misreports, seed)
+    return _deviation_search(mech, CARDINAL, inst, player, misreports)
 
 
 def deviation_search_public(
@@ -217,11 +230,10 @@ def deviation_search_public(
     inst: Instance,
     player: int,
     misreports: Iterable[Sequence[Value]] = (),
-    seed: int = 0,
 ) -> DeviationReport:
     """Like the cardinal search, but the player's ranking is public: a
     misreport inconsistent with it is replaced by her true row."""
-    return _deviation_search(mech, PUBLIC_RANKINGS, inst, player, misreports, seed)
+    return _deviation_search(mech, PUBLIC_RANKINGS, inst, player, misreports)
 
 
 @dataclass(frozen=True)
@@ -258,34 +270,28 @@ def verify_truthful_on_grid(
     m: int,
     grid: Sequence[Value],
     budget: int = BUDGET,
-    seed: int = 0,
 ) -> GridVerification:
-    """Enumerate every instance with values from ``grid`` and run the
-    applicable deviation search for every player.
+    """Run the applicable deviation search for every player of every
+    instance with values from ``grid``.
 
     Counts (instance, player) pairs admitting a profitable misreport and
-    keeps the first witness in enumeration order.
+    keeps the first witness in ``product`` order of the instances, players
+    in index order within one.
 
-    The distinct bundles a player can reach are listed once per key (her
-    index, the others' rankings, those of the others' rows in the
-    mechanism's ``rows_read``, and her own ranking with public rankings; see
-    the module docstring).  The cardinal pool is the same for every
-    instance, since every permutation of a true row already lies in
-    ``grid**m``.  Each (instance, player) pair then sums its true row over
-    that list and stops at the first strict gain, whose first report is the
-    one a scan of the whole pool would stop at, so the witness is unchanged.
-    A verdict is fixed by (key, true row), so when the mechanism leaves some
-    row unread it is decided once per such pair and reused; a mechanism
-    reading every row gives each instance its own pair, so its verdicts are
-    not kept.  With public rankings a player outside ``rows_read`` is
-    skipped, since no report of hers moves her bundle; when no player is
-    left, no instance is scanned.  The truthful allocation is made only for
-    an instance where some player's verdict is not yet known.  Instances are
-    still scanned in enumeration order, so the first witness is the same.
-    Ranking orders and value-oblivious outcomes come from the memos of
-    :func:`~mmsfair.instance.ranking_order` and the allocator, which every
-    caller shares.  Only the ordinal and cardinal pools hold the ``m!``
-    rankings, so only they are refused past ``ENUM_LIMIT`` items.
+    The instances are not scanned one by one.  A verdict is decided once
+    for each searched player, each combination of the other players'
+    classes and each true row of hers (see the module docstring: a class
+    holds the rows of one ranking, or one row when the mechanism reads it).
+    Each class stands for its first row in ``product`` order, and the
+    verdict counts once for every instance of the combination, the product
+    of the class sizes.  That product of row sets has the representatives
+    as its least instance in ``product`` order, which is lexicographic in
+    the rows, so the least (instance, player) among violating
+    representatives is the first witness a full scan finds.  Reachable
+    bundles are listed once per combination and, with public rankings, per
+    ranking of hers; pools once per ranking of hers (public rankings) or
+    once.  Only the ordinal and cardinal pools hold the ``m!`` rankings, so
+    only they are refused past ``ENUM_LIMIT`` items.
     """
     _check_defined(mech, model, n, m)
     if n < 1 or m < 0:
@@ -318,67 +324,49 @@ def verify_truthful_on_grid(
             certificate="input-oblivious: the allocation ignores all reports",
         )
 
-    if model != PUBLIC_RANKINGS:
-        _check_enum(m)
     rows_space = list(product(grid, repeat=m))
-    if model == ORDINAL:
-        pool = [Ranking(perm) for perm in permutations(range(m))]
-    elif model == CARDINAL:
-        pool = list(dict.fromkeys([*rows_space, *permutations(range(m, 0, -1))]))
-    # With public rankings the pool is the grid rows consistent with the
-    # player's own ranking, shared by every key holding that ranking.
-    consistent: dict[tuple[int, ...], list[tuple[Value, ...]]] = {}
-
     rows_read = _SPECS[mech.name].rows_read
-    players = [p for p in range(n) if model != PUBLIC_RANKINGS or p in rows_read]
-    keep = len(rows_read) < n
-    complete = _search_complete(mech, model, grid)
+    # Each player's classes as (first row, size): the rows of one ranking,
+    # or single rows for a player whose row is read.
+    by_order: dict[tuple[int, ...], list] = {}
+    for row in rows_space:
+        by_order.setdefault(ranking_order(row), []).append(row)
+    ranked = [(rows[0], len(rows)) for rows in by_order.values()]
+    singles = [(row, 1) for row in rows_space]
+    classes = [singles if i in rows_read else ranked for i in range(n)]
 
-    reach: dict = {}
-    # Kept when some row is unread: (key, true row) -> None or (report, t_val, val).
-    verdicts: dict = {}
+    pools: dict = {}
     violations = 0
     witness = None
-
-    for inst_rows in product(rows_space, repeat=n) if players else ():
-        true_orders = tuple(ranking_order(row) for row in inst_rows)
-        truthful = None
-        for player in players:
-            own = true_orders[player] if model == PUBLIC_RANKINGS else None
-            key = (
-                player,
-                true_orders[:player] + (own,) + true_orders[player + 1 :],
-                tuple([inst_rows[i] for i in rows_read if i != player]) if rows_read else (),
-            )
-            true_row = inst_rows[player]
-            if keep and (key, true_row) in verdicts:
-                gain = verdicts[key, true_row]
-            else:
-                reachable = reach.get(key)
+    for player in range(n):
+        if model == PUBLIC_RANKINGS and player not in rows_read:
+            continue  # no report of hers moves her bundle
+        for others in product(*classes[:player], *classes[player + 1 :]):
+            count = prod(size for _, size in others)
+            reps = tuple(row for row, _ in others)
+            reach: dict = {}
+            for true_row in rows_space:
+                inst_rows = reps[:player] + (true_row,) + reps[player:]
+                orders = [ranking_order(row) for row in inst_rows]
+                own = orders[player] if model == PUBLIC_RANKINGS else None
+                reachable = reach.get(own)
                 if reachable is None:
-                    if own is not None:
-                        pool = consistent.get(own)
-                        if pool is None:
-                            pool = consistent[own] = [
-                                r for r in rows_space if _consistent_with_order(r, own)
-                            ]
-                    reachable = reach[key] = _reachable(
-                        mech, model, true_orders, inst_rows, player, pool, seed
+                    if own not in pools:
+                        pools[own] = _pool(model, m, rows_space, own)
+                    reachable = reach[own] = _reachable(
+                        mech, model, orders, inst_rows, player, pools[own]
                     )
-                truthful = truthful or _allocate(mech, true_orders, inst_rows, n, m, seed)
-                t_val = sum(true_row[j] for j in truthful[player])
-                gain = None
+                truthful = _allocate(mech, orders, inst_rows, n, m)[player]
+                t_val = sum(true_row[j] for j in truthful)
                 for bundle, report in reachable:
                     val = sum(true_row[j] for j in bundle)
                     if val > t_val:
-                        gain = (report, t_val, val)
+                        violations += count
+                        if witness is None or (inst_rows, player) < (
+                            witness.instance_rows, witness.player
+                        ):
+                            witness = GridWitness(inst_rows, player, report, t_val, val)
                         break
-                if keep:
-                    verdicts[key, true_row] = gain
-            if gain is not None:
-                violations += 1
-                if witness is None:
-                    witness = GridWitness(tuple(inst_rows), player, *gain)
     return GridVerification(
         mechanism=str(mech),
         model=model,
@@ -388,5 +376,5 @@ def verify_truthful_on_grid(
         instances=total,
         violations=violations,
         witness=witness,
-        complete=complete,
+        complete=_search_complete(mech, model, grid),
     )

@@ -231,6 +231,24 @@ class TestChain:
         assert status == 1
         assert "verdict" in out
 
+    def test_zero_share_is_unbounded(self, capsys, tmp_path):
+        # player 1's maximin share is 0, so any bundle meets the threshold
+        path = tmp_path / "zero.txt"
+        path.write_text("threshold 1/2\nprofile\n1 0 0 0\n1 1 1 1\n")
+        status, out, _ = run_cli(
+            capsys, "chain", "--fixture-file", str(path), "--mech", "best-item"
+        )
+        assert status == 0
+        assert "ratios unbounded, 3/2" in out
+        assert "verdict: consistent" in out
+        status, out, _ = run_cli(
+            capsys, "chain", "--fixture-file", str(path), "--mech", "best-item",
+            "--machine",
+        )
+        assert status == 0
+        assert "profile.1.ratio.1=unbounded\n" in out
+        assert "profile.1.ok=true\n" in out
+
     def test_missing_fixture_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["chain", "--mech", "pr"])

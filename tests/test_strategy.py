@@ -132,6 +132,16 @@ class TestCardinalSearch:
         with pytest.raises(ValueError):
             deviation_search_cardinal(mechanism("pr"), inst, 0, misreports=[[1, -1]])
 
+    @pytest.mark.parametrize("name", ["cut-and-choose", "pick-seq"])
+    def test_non_rational_misreports_refused(self, name):
+        # the rule Instance applies to true values
+        inst = Instance.from_rows([[1, 2, 3, 0], [3, 1, 1, 1]])
+        for search in (deviation_search_cardinal, deviation_search_public):
+            with pytest.raises(ValueError, match="not rational"):
+                search(mechanism(name), inst, 0, [(0.5, 1.5, 0.25, 0.0)])
+            with pytest.raises(ValueError, match="not rational"):
+                search(mechanism(name), inst, 1, [(3, 1, 1, "1")])
+
     def test_value_obliviousness_certificate(self):
         # any cardinal misreport that keeps the truthful ranking leaves a
         # picking-sequence allocation untouched
@@ -181,6 +191,33 @@ class TestPublicSearch:
                 ]
                 rep = deviation_search_public(mech, inst, player, rows)
                 assert rep.best_deviation_value == rep.truthful_value
+
+    def test_row_pool_past_enumeration_limit(self):
+        # her pool is her true row, her consistent supplied rows and her
+        # strict row, never the 10! rankings
+        rng = random.Random(11)
+        mech = mechanism("cut-and-choose")
+        inst = random_instance(rng, 2, 10)
+        for player in range(2):
+            order = derive_ranking(inst, player).order
+            consistent = [0] * 10
+            for rank, item in enumerate(order):
+                consistent[item] = 2 * (10 - rank) // 3
+            strict = [0] * 10
+            for rank, item in enumerate(order):
+                strict[item] = 10 - rank
+            rows = [consistent, [rng.randrange(7) for _ in range(10)]]
+            rep = deviation_search_public(mech, inst, player, rows)
+            values = []
+            for report in (inst.values[player], consistent, strict):
+                reported = list(inst.values)
+                reported[player] = report
+                bundle = run_mechanism(mech, PUBLIC_RANKINGS, inst, reported).bundles[player]
+                values.append(inst.value(player, bundle))
+            truthful = run_mechanism(mech, PUBLIC_RANKINGS, inst).bundles[player]
+            assert rep.truthful_value == inst.value(player, truthful) == values[0]
+            assert rep.best_deviation_value == max(values)
+            assert (rep.witness is None) == (max(values) == values[0])
 
     def test_grid_coverage_rule(self):
         assert grid_covers_decisions(mechanism("pr"), (1, 2))
@@ -335,7 +372,12 @@ def _reference_sweep(mech, model, n, m, grid):
 
 
 def _differential_cases():
-    for n, m, grid in ((2, 3, (0, 1, 2)), (2, 4, (0, 1)), (3, 3, (0, 1))):
+    shapes = (
+        (2, 3, (0, 1, 2)), (2, 4, (0, 1)), (3, 3, (0, 1)),
+        # where the product of the other players' class sizes matters
+        (1, 0, (0, 1, 2)), (1, 1, (0, 1, 2)), (3, 2, (0, 1, 2)),
+    )
+    for n, m, grid in shapes:
         for name in MECHANISM_NAMES:
             if name == RANDOM_UNIFORM:
                 continue

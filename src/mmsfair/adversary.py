@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .instance import BUDGET, EnumerationLimitError
+from .instance import BUDGET, _enumeration_size
 
 INFEASIBLE = "infeasible"
 FEASIBLE_UNKNOWN = "feasible-unknown"
@@ -100,10 +100,9 @@ def exhaustive_common_ranking_ratio(n: int, m: int) -> Fraction:
     """
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
-    if n**m > BUDGET:
-        raise EnumerationLimitError(
-            f"exhaustive search needs {n**m} allocations, over the limit of {BUDGET}"
-        )
+    _enumeration_size(
+        n, m, BUDGET, "exhaustive search needs {} allocations, over the limit of {}"
+    )
     # Scaled by the lcm of its denominators, a slot's row is integral, and so
     # is its share (a bundle sum); a bundle's ratio is the pair of the two.
     slots = []

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -40,7 +41,7 @@ from .mechanisms import (
     run_mechanism,
     theoretical_ratio,
 )
-from .mms import UNBOUNDED, approximation_ratio, maximin_share
+from .mms import UNBOUNDED, maximin_share
 from .montecarlo import mc_config, montecarlo_randomized, parse_distribution
 from .seqbuild import (
     build_sqrt_sequence,
@@ -51,21 +52,34 @@ from .seqbuild import (
 from .strategy import verify_truthful_on_grid
 
 
+# The largest decimal exponent a rational flag takes: Fraction writes the
+# power of ten out in full, and 1e30000000 took minutes.
+_MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)", re.IGNORECASE)
+
+
 def _rational(text: str) -> Fraction:
+    """An exact rational as ``Fraction`` reads it (``6/3``, ``0.25``,
+    ``1e1``), refused if its decimal exponent is past ``_MAX_EXPONENT``."""
+    exponent = _EXPONENT.search(text)
     try:
+        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(
+                f"exponent of {text!r} is over {_MAX_EXPONENT} in magnitude"
+            )
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
 def _grid(text: str):
-    """Grid values as exact rationals; whole numbers become ``int`` so that
-    sweeps over them run in integer arithmetic."""
+    """Grid values as exact rationals (:func:`_rational`); whole numbers
+    become ``int`` so that sweeps over them run in integer arithmetic."""
     values = []
     for tok in text.split(","):
         tok = tok.strip()
         if tok:
-            v = Fraction(tok)
+            v = _rational(tok)
             values.append(v.numerator if v.denominator == 1 else v)
     if not values:
         raise argparse.ArgumentTypeError("empty grid")
@@ -172,7 +186,9 @@ def _cmd_run(args) -> int:
     ratios = [
         values[i] / shares[i] if shares[i] else UNBOUNDED for i in range(inst.n)
     ]
-    overall = approximation_ratio(inst, alloc)
+    # the worst ratio over players with a positive share, as approximation_ratio
+    # rates the allocation, from the shares above
+    overall = min((r for r in ratios if r is not UNBOUNDED), default=UNBOUNDED)
     bound = theoretical_ratio(mech, inst.n, inst.m) if _SPECS[mech.name].bound else None
 
     out = _Report()

@@ -437,6 +437,7 @@ def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
     profiles: list[Profile] = []
     edges: list[tuple[int, int, int]] = []
     edge_lines: list[int] = []
+    row_lines: list[int] = []
     pending_rows: list[Row] = []
     in_profile = False
 
@@ -485,11 +486,18 @@ def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
             edge_lines.append(lineno)
         elif in_profile:
             pending_rows.append(tuple(Fraction(parse_value(t, lineno)) for t in tokens))
+            row_lines.append(lineno)
         else:
             raise ValueError(f"line {lineno}: unexpected content {line!r}")
     flush_profile(len(lines))
     if threshold is None:
         raise ValueError("fixture file is missing a threshold line")
+    rows = [row for profile in profiles for row in profile]
+    for k, (lineno, row) in enumerate(zip(row_lines, rows)):
+        if len(row) != len(rows[0]):
+            raise ValueError(
+                f"line {lineno}: profile {k // 2 + 1} is not a 2 x {len(rows[0])} matrix"
+            )
     limits = (len(profiles), len(profiles), 2)
     for lineno, edge in zip(edge_lines, edges):
         for field, k, limit in zip(("FROM", "TO", "PLAYER"), edge, limits):

@@ -31,6 +31,27 @@ class EnumerationLimitError(ValueError):
     """The request would enumerate more than the search can afford."""
 
 
+def _enumeration_size(base: int, exp: int, limit: int, message: str) -> int:
+    """``base ** exp``, the size of an enumeration, when it is at most
+    ``limit``; otherwise :class:`EnumerationLimitError` with ``message``
+    formatted with the size and the limit.  The power has at least
+    ``exp * (base.bit_length() - 1) + 1`` bits, so past the limit's bit
+    length it is refused without being computed, and a size that may pass
+    4,096 bits is written ``base**exp``.
+
+    >>> _enumeration_size(2, 10**12, 10**6, "{} over {}")
+    Traceback (most recent call last):
+    ...
+    mmsfair.instance.EnumerationLimitError: 2**1000000000000 over 1000000
+    """
+    if base < 2 or exp * (base.bit_length() - 1) < limit.bit_length():
+        size = base**exp
+        if size <= limit:
+            return size
+    written = base**exp if exp * base.bit_length() <= 4096 else f"{base}**{exp}"
+    raise EnumerationLimitError(message.format(written, limit))
+
+
 class MechanismError(ValueError):
     """Mechanism/model mismatch or invalid mechanism input."""
 

@@ -23,13 +23,14 @@ permutation of itself consistent with her ranking, and that row the only
 strict one.  Only the ranking pools list ``m!`` reports, so only they are
 held to ``m <= ENUM_LIMIT``.
 
-Every search goes through ``_reachable``: the distinct bundles a player
-obtains by submitting each report of a pool in turn (``mechanisms._submit``
-says what a report replaces in each model), the others' reports fixed, in
-order of first appearance and each with the first report reaching it.
-Scanning that list stops at the same report as scanning the pool, because
-every report before the first profitable one reaches a bundle worth no more
-than the truthful one.
+Only ``_reachable`` allocates: it submits each report of a pool in turn
+(``mechanisms._submit`` says what a report replaces in each model), the
+others' reports fixed, and keeps her bundle per report class and the
+distinct bundles in order of first appearance, each with its first report.
+Every pool holds her true report, so her truthful bundle comes from that
+step too.  Scanning the distinct bundles (``_gains``) stops at the same
+report as scanning the pool, because every report before the first
+profitable one reaches a bundle worth no more than the truthful one.
 
 A player's verdict (whether she gains, with which first report, and both
 values) depends on her own true row and, for each other player, only on
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations, product
 from math import prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .instance import (
@@ -56,6 +58,7 @@ from .instance import (
     Instance,
     Ranking,
     Value,
+    _enumeration_size,
     ranking_order,
 )
 from .mechanisms import (
@@ -92,13 +95,6 @@ class DeviationReport:
     search_complete: bool
 
 
-def _check_enum(m: int) -> None:
-    if m > ENUM_LIMIT:
-        raise EnumerationLimitError(
-            f"exhaustive ranking enumeration needs m <= {ENUM_LIMIT}, got m = {m}"
-        )
-
-
 def _pool(model: str, m: int, rows: Iterable, own: tuple[int, ...] | None) -> list:
     """The reports a search tries, by the module docstring's pool rule:
     every ranking (ordinal), the distinct ``rows`` plus one strict row per
@@ -106,7 +102,10 @@ def _pool(model: str, m: int, rows: Iterable, own: tuple[int, ...] | None) -> li
     ``own`` (public rankings).  ``rows`` is read only after the ``m!`` check."""
     if model == PUBLIC_RANKINGS:
         return [r for r in dict.fromkeys(rows) if _consistent_with_order(r, own)]
-    _check_enum(m)
+    if m > ENUM_LIMIT:
+        raise EnumerationLimitError(
+            f"exhaustive ranking enumeration needs m <= {ENUM_LIMIT}, got m = {m}"
+        )
     if model == ORDINAL:
         return [Ranking(perm) for perm in permutations(range(m))]
     return list(dict.fromkeys(chain(rows, permutations(range(m, 0, -1)))))
@@ -130,25 +129,42 @@ def _validate_misreports(misreports, m: int) -> list[tuple[Value, ...]]:
 def _reachable(
     mech: Mechanism,
     model: str,
-    orders: Sequence[tuple[int, ...]],
     rows: Sequence[Sequence[Value]],
     player: int,
     pool: Iterable,
-) -> list[tuple[frozenset[int], object]]:
-    """The distinct bundles ``player`` obtains by submitting each report of
-    ``pool`` in turn, the others' orders and rows fixed, in order of first
-    appearance and each paired with the first report reaching it.  A
-    public-rankings pool holds only rows consistent with her ranking.  A
-    value-oblivious mechanism's outcome per ranking profile comes from the
-    allocator's own memo, so reports sharing a ranking cost one lookup."""
+) -> tuple[dict, list[tuple[frozenset[int], object]]]:
+    """Her bundle for each report class (:func:`_report_class`) as she
+    submits each report of ``pool``, the others' rows fixed, and the
+    distinct bundles in order of first appearance, each paired with the
+    first report reaching it.  A public-rankings pool holds only rows
+    consistent with her ranking.  A value-oblivious mechanism's outcome per
+    ranking profile comes from the allocator's own memo, so reports sharing
+    a ranking cost one lookup."""
     n, m = len(rows), len(rows[0])
-    orders, rows = list(orders), list(rows)
+    orders, rows = [ranking_order(row) for row in rows], list(rows)
+    by_class: dict = {}
     reached: dict[frozenset[int], object] = {}
     for report in pool:
         _submit(model, orders, rows, player, report)
         bundle = _allocate(mech, orders, rows, n, m)[player]
+        by_class[_report_class(mech, player, orders[player], rows[player])] = bundle
         reached.setdefault(bundle, report)
-    return list(reached.items())
+    return by_class, list(reached.items())
+
+
+def _report_class(mech: Mechanism, player: int, order, row):
+    """What the allocation reads of her report: her order, and her row if read."""
+    return (order, row) if player in _SPECS[mech.name].rows_read else order
+
+
+def _gains(true_row: Sequence[Value], truthful: frozenset[int], reached: list):
+    """Her truthful value, then lazily each reached ``(value, report)`` worth more."""
+    t_val = sum(map(true_row.__getitem__, truthful))
+    yield t_val
+    for bundle, report in reached:
+        val = sum(map(true_row.__getitem__, bundle))
+        if val > t_val:
+            yield val, report
 
 
 def grid_covers_decisions(mech: Mechanism, grid: Sequence[Value]) -> bool:
@@ -186,8 +202,7 @@ def _deviation_search(
     _check_defined(mech, model, inst.n, inst.m)
     inst._check_player(player)
     true_row = inst.values[player]
-    orders = [ranking_order(row) for row in inst.values]
-    own = orders[player]
+    own = ranking_order(true_row)
     supplied = _validate_misreports(misreports, inst.m)
     extra = (
         permutations(true_row)
@@ -195,13 +210,11 @@ def _deviation_search(
         else [tuple(inst.m - own.index(j) for j in range(inst.m))]
     )
     pool = _pool(model, inst.m, chain([true_row], supplied, extra), own)
-    truthful = _allocate(mech, orders, inst.values, inst.n, inst.m)
-    t_val = sum(true_row[j] for j in truthful[player])
-    best, witness = t_val, None
-    for bundle, report in _reachable(mech, model, orders, inst.values, player, pool):
-        val = sum(true_row[j] for j in bundle)
-        if val > best:
-            best, witness = val, report
+    by_class, reached = _reachable(mech, model, inst.values, player, pool)
+    truthful = by_class[_report_class(mech, player, own, true_row)]
+    gains = _gains(true_row, truthful, reached)
+    t_val = next(gains)
+    best, witness = max(gains, key=itemgetter(0), default=(t_val, None))
     return DeviationReport(
         player, model, t_val, best, witness, _search_complete(mech, model)
     )
@@ -287,11 +300,11 @@ def verify_truthful_on_grid(
     of the class sizes.  That product of row sets has the representatives
     as its least instance in ``product`` order, which is lexicographic in
     the rows, so the least (instance, player) among violating
-    representatives is the first witness a full scan finds.  Reachable
-    bundles are listed once per combination and, with public rankings, per
-    ranking of hers; pools once per ranking of hers (public rankings) or
-    once.  Only the ordinal and cardinal pools hold the ``m!`` rankings, so
-    only they are refused past ``ENUM_LIMIT`` items.
+    representatives is the first witness a full scan finds.  The reach
+    step, which also gives her truthful bundle, runs once per combination
+    and, with public rankings, per ranking of hers; each pool is built
+    once.  Only the ranking pools (ordinal, cardinal) are refused past
+    ``ENUM_LIMIT`` items.
     """
     _check_defined(mech, model, n, m)
     if n < 1 or m < 0:
@@ -303,29 +316,17 @@ def verify_truthful_on_grid(
         if v < 0:
             raise ValueError("grid values must be nonnegative")
 
-    total = len(grid) ** (n * m)
-    if total > budget:
-        raise EnumerationLimitError(
-            f"grid sweep needs {total} instances, over the budget of {budget}"
-        )
-
-    if _SPECS[mech.name].ignores_reports:
-        # The allocation never reads the reports, so no misreport can matter.
-        return GridVerification(
-            mechanism=str(mech),
-            model=model,
-            n=n,
-            m=m,
-            grid=grid,
-            instances=total,
-            violations=0,
-            witness=None,
-            complete=True,
-            certificate="input-oblivious: the allocation ignores all reports",
-        )
-
-    rows_space = list(product(grid, repeat=m))
-    rows_read = _SPECS[mech.name].rows_read
+    total = _enumeration_size(
+        len(grid), n * m, budget, "grid sweep needs {} instances, over the budget of {}"
+    )
+    spec = _SPECS[mech.name]
+    # A player is searched unless no report of hers moves her bundle: the
+    # allocation ignores all reports, or she has only her row to report
+    # (public rankings) and it is never read.
+    searched = [] if spec.ignores_reports else [
+        i for i in range(n) if model != PUBLIC_RANKINGS or i in spec.rows_read
+    ]
+    rows_space = list(product(grid, repeat=m)) if searched else []
     # Each player's classes as (first row, size): the rows of one ranking,
     # or single rows for a player whose row is read.
     by_order: dict[tuple[int, ...], list] = {}
@@ -333,48 +334,37 @@ def verify_truthful_on_grid(
         by_order.setdefault(ranking_order(row), []).append(row)
     ranked = [(rows[0], len(rows)) for rows in by_order.values()]
     singles = [(row, 1) for row in rows_space]
-    classes = [singles if i in rows_read else ranked for i in range(n)]
+    classes = [singles if i in spec.rows_read else ranked for i in range(n)]
 
     pools: dict = {}
-    violations = 0
-    witness = None
-    for player in range(n):
-        if model == PUBLIC_RANKINGS and player not in rows_read:
-            continue  # no report of hers moves her bundle
+    violations, first = 0, None
+    for player in searched:
         for others in product(*classes[:player], *classes[player + 1 :]):
             count = prod(size for _, size in others)
             reps = tuple(row for row, _ in others)
             reach: dict = {}
             for true_row in rows_space:
+                own = ranking_order(true_row)
                 inst_rows = reps[:player] + (true_row,) + reps[player:]
-                orders = [ranking_order(row) for row in inst_rows]
-                own = orders[player] if model == PUBLIC_RANKINGS else None
-                reachable = reach.get(own)
-                if reachable is None:
-                    if own not in pools:
-                        pools[own] = _pool(model, m, rows_space, own)
-                    reachable = reach[own] = _reachable(
-                        mech, model, orders, inst_rows, player, pools[own]
+                fixed = own if model == PUBLIC_RANKINGS else None
+                if fixed not in reach:
+                    if fixed not in pools:
+                        pools[fixed] = _pool(model, m, rows_space, fixed)
+                    reach[fixed] = _reachable(
+                        mech, model, inst_rows, player, pools[fixed]
                     )
-                truthful = _allocate(mech, orders, inst_rows, n, m)[player]
-                t_val = sum(true_row[j] for j in truthful)
-                for bundle, report in reachable:
-                    val = sum(true_row[j] for j in bundle)
-                    if val > t_val:
-                        violations += count
-                        if witness is None or (inst_rows, player) < (
-                            witness.instance_rows, witness.player
-                        ):
-                            witness = GridWitness(inst_rows, player, report, t_val, val)
-                        break
+                by_class, reached = reach[fixed]
+                truthful = by_class[_report_class(mech, player, own, true_row)]
+                gains = _gains(true_row, truthful, reached)
+                t_val, gain = next(gains), next(gains, None)
+                if gain is not None:
+                    violations += count
+                    found = (inst_rows, player, gain[1], t_val, gain[0])
+                    first = min(first or found, found, key=itemgetter(0, 1))
+    certificate = "input-oblivious: the allocation ignores all reports"
     return GridVerification(
-        mechanism=str(mech),
-        model=model,
-        n=n,
-        m=m,
-        grid=grid,
-        instances=total,
-        violations=violations,
-        witness=witness,
-        complete=_search_complete(mech, model, grid),
+        str(mech), model, n, m, grid, total, violations,
+        GridWitness(*first) if first else None,
+        _search_complete(mech, model, grid),
+        certificate if spec.ignores_reports else None,
     )

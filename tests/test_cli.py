@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -10,7 +11,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import EX23_TEXT
-from mmsfair import cli, mms
+from mmsfair import (
+    Instance,
+    Ranking,
+    cli,
+    derive_ranking,
+    mechanism,
+    mms,
+    run_mechanism,
+)
 from mmsfair.cli import build_parser, main
 
 
@@ -102,6 +111,49 @@ class TestRun:
         )
         assert status == 0
         assert report.read_text().strip() == out.strip()
+
+    def test_each_share_computed_once(self, capsys, monkeypatch, tmp_path):
+        # the overall ratio came from approximation_ratio, whose share memo
+        # missed and asked the oracle again: 6 calls for 3 players
+        path = tmp_path / "inst.txt"
+        rng = random.Random(3)
+        path.write_text("3 24\n" + "".join(
+            " ".join(str(rng.randint(1, 10**6)) for _ in range(24)) + "\n" for _ in range(3)
+        ))
+        calls = []
+        real = mms.maximin_share
+
+        def spy(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(mms, "maximin_share", spy)
+        monkeypatch.setattr(cli, "maximin_share", spy)
+        mms._rated_share.cache_clear()
+        status, out, _ = run_cli(
+            capsys, "run", "--instance", str(path), "--mech", "pr", "--model", "ordinal",
+            "--machine",
+        )
+        assert status == 0
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3 2\n0 0\n0 0\n0 0\n", "2 3\n0 0 0\n1 2 3\n", EX23_TEXT, "2 4\n1 1 1 1\n1 2 3 4\n"],
+    )
+    def test_overall_ratio_matches_approximation_ratio(self, capsys, tmp_path, text):
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        for mech in ("pr", "pick-seq", "best-item"):
+            status, out, _ = run_cli(
+                capsys, "run", "--instance", str(path), "--mech", mech, "--model", "ordinal",
+                "--machine",
+            )
+            inst = cli._load_instance(str(path))
+            alloc = run_mechanism(mechanism(mech), "ordinal", inst)
+            want = cli._frac(mms.approximation_ratio(inst, alloc))
+            assert status == 0
+            assert f"ratio.overall={want}\n" in out
 
     def test_sqrt_seq_needs_epsilon(self, capsys, tmp_path):
         path = tmp_path / "inst.txt"
@@ -200,6 +252,30 @@ class TestVerify:
             "complete=true",
             "certificate=input-oblivious: the allocation ignores all reports",
         ]
+
+    def test_ordinal_witness_replays(self, capsys):
+        argv = ["verify", "--mech", "pr", "--model", "ordinal", "--n", "2", "--m", "4",
+                "--grid", "0,1,2"]
+        status, human, _ = run_cli(capsys, *argv)
+        assert status == 1
+        status, out, _ = run_cli(capsys, *argv, "--machine")
+        assert status == 1
+        record = dict(line.split("=", 1) for line in out.splitlines())
+        misreport = record["witness.misreport"]
+        assert misreport.startswith("ranking ")
+        assert f"  misreport {misreport} raises her value 1 -> 2\n" in human
+        rows = [[Fraction(v) for v in record[f"witness.row.{i}"].split(",")] for i in (1, 2)]
+        inst = Instance.from_rows(rows)
+        player = int(record["witness.player"]) - 1
+        reported = [derive_ranking(inst, i) for i in range(inst.n)]
+        reported[player] = Ranking([int(j) - 1 for j in misreport[8:].split(">")])
+        mech = mechanism("pr")
+        truthful = run_mechanism(mech, "ordinal", inst).bundles[player]
+        deviated = run_mechanism(mech, "ordinal", inst, reported).bundles[player]
+        values = (inst.value(player, truthful), inst.value(player, deviated))
+        assert values == (Fraction(record["witness.truthful"]),
+                          Fraction(record["witness.deviation"]))
+        assert values[1] > values[0]
 
 
 class TestChain:
@@ -502,6 +578,53 @@ class TestErrors:
         assert out == ""
         assert err.startswith("Traceback")
         assert err.rstrip().endswith("RecursionError: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # each took seconds to raise the count to its power, then exited 2
+            # because the count had too many digits to print
+            ("verify --mech pr --model ordinal --n 30000 --m 30000 --grid 0,1",
+             "grid sweep needs 2**900000000 instances, over the budget of 1000000"),
+            ("adversary --n 2 --m 100000000 --exhaustive",
+             "exhaustive search needs 2**100000000 allocations, over the limit of 1000000"),
+            ("verify --mech pr --model ordinal --n 2 --m 20 --grid 0,1,2,3",
+             "grid sweep needs 1208925819614629174706176 instances, over the budget of "
+             "1000000"),
+        ],
+    )
+    def test_oversized_enumeration_refused_at_once(self, capsys, argv, message):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "adversary --n 3 --m 6 --alpha 1e30000000",
+            "mc --n 3 --m 30 --rho 1e-300000000 --trials 10",
+            "verify --mech pr --model ordinal --n 2 --m 3 --grid 0,1e30000000",
+            "seq --n 17 --m 29 --epsilon 1e30000000",
+            "chain --fixture lemma-1+3 --mech best-item --epsilon 1e-30000000",
+        ],
+    )
+    def test_huge_exponents_refused_at_once(self, capsys, argv):
+        # Fraction would write out ten to the power of the exponent
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        assert "is over 1000 in magnitude" in capsys.readouterr().err
+
+    def test_exponent_bound(self):
+        assert cli._rational("1e1000") == 10**1000
+        assert cli._rational("-2.5E-1_000") == Fraction(-5, 2 * 10**1000)
+        assert cli._rational("1e+1") == 10
+        for text in ("1e1001", "1e-1001", "0.5e00012345"):
+            with pytest.raises(argparse.ArgumentTypeError, match="over 1000"):
+                cli._rational(text)
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:

@@ -307,3 +307,18 @@ class TestFixtureFiles:
         assert fix.deviation_edges == ((1, 0, 0),)
         with pytest.raises(ValueError, match=r"^line 2: edge FROM 2 out of range \[1, 1\]$"):
             parse_fixture(head + "profile\n1 0\n0 1\n")
+
+    @pytest.mark.parametrize(
+        "rows, line, profile",
+        [
+            (("1 0", "0 1 1", "1 0", "0 1"), 4, 1),
+            (("1 0", "0 1", "1 0 0", "0 1"), 6, 2),
+            (("1 0", "0 1", "1 0", "0"), 7, 2),
+        ],
+    )
+    def test_row_length_error_names_line(self, rows, line, profile):
+        # profile 1's rows sit on lines 3-4, profile 2's on lines 6-7
+        text = "threshold 1/2\nprofile\n{}\n{}\nprofile\n{}\n{}\nedge 1 2 1\n".format(*rows)
+        message = f"line {line}: profile {profile} is not a 2 x 2 matrix"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            parse_fixture(text)

@@ -160,3 +160,21 @@ def test_instance_rejects_bad_rows():
         Instance.from_rows([[1, -1]])
     with pytest.raises(InstanceError):
         Instance.from_rows([[0.5, 1]])
+
+
+class TestEnumerationSize:
+    @pytest.mark.parametrize("limit", [0, 1, 7, 8, 9, 1023, 1024, 10**6, -5])
+    def test_matches_the_plain_power(self, limit):
+        for base, exp in product(range(0, 40), range(0, 25)):
+            size = base**exp
+            if size <= limit:
+                assert instance._enumeration_size(base, exp, limit, "{} {}") == size
+            else:
+                with pytest.raises(instance.EnumerationLimitError) as err:
+                    instance._enumeration_size(base, exp, limit, "needs {}, over {}")
+                assert str(err.value) == f"needs {size}, over {limit}"
+
+    def test_huge_power_is_named_not_computed(self):
+        with pytest.raises(instance.EnumerationLimitError) as err:
+            instance._enumeration_size(3, 10**15, 10**6, "needs {}, over {}")
+        assert str(err.value) == f"needs 3**{10**15}, over 1000000"

@@ -780,6 +780,106 @@ def test_readme_machine_output_is_pinned(capsys, ex23_file, command, status, std
     assert run_cli(capsys, *argv) == (status, stdout, "")
 
 
+# The same seven commands without --machine: exit status and the full human
+# stdout, so that every branch of every formatter is pinned byte for byte.
+README_HUMAN = (
+    (
+        "mms --instance EX23",
+        0,
+        (
+            "instance: 3 players, 5 items; shares for 3 bundles\n"
+            "player 1: mms = 1/2\n"
+            "player 2: mms = 1/4\n"
+            "player 3: mms = 1\n"
+        ),
+    ),
+    (
+        "run --instance EX23 --mech pr --model ordinal",
+        0,
+        (
+            "mechanism pr, model ordinal, n=3, m=5\n"
+            "player 1: items {1,5}  value 5/6  mms 1/2  ratio 5/3\n"
+            "player 2: items {2}  value 1/4  mms 1/4  ratio 1\n"
+            "player 3: items {3,4}  value 3/2  mms 1  ratio 3/2\n"
+            "overall ratio: 1 (theoretical bound 1/2)\n"
+        ),
+    ),
+    (
+        "verify --mech cut-and-choose --model cardinal --n 2 --m 4 --grid 1,3",
+        1,
+        (
+            "mechanism cut-and-choose, model cardinal: 256 instances, "
+            "135 violations (search not exhaustive)\n"
+            "witness: player 1 on instance 1,1,1,1 | 3,1,1,1\n"
+            "  misreport 3,1,1,1 raises her value 2 -> 3\n"
+        ),
+    ),
+    (
+        "chain --fixture lemma-1+3 --mech best-item --model cardinal",
+        1,
+        (
+            "fixture lemma-1+3 (threshold 3/5), mechanism best-item, model cardinal\n"
+            "profile 1: [1 | 2,3,4]  ratios 38/39, 41/39\n"
+            "profile 2: [1 | 2,3,4]  ratios 38/39, 2\n"
+            "profile 3: [2 | 1,3,4]  ratios 38/37, 41/39\n"
+            "profile 4: [2 | 1,3,4]  ratios 38/37, 19/13\n"
+            "profile 5: [2 | 1,3,4]  ratios 38/39, 2\n"
+            "profile 6: [3 | 1,2,4]  ratios 38/39, 41/39\n"
+            "profile 7: [3 | 1,2,4]  ratios 38/39, 61/39\n"
+            "profile 8: [1 | 2,3,4]  ratios 1/2, 41/39  BELOW THRESHOLD\n"
+            "edge 2->1 player 2: truthful 39/10, deviation 39/10, gain 0\n"
+            "edge 2->3 player 1: truthful 19/10, deviation 11/10, gain -4/5\n"
+            "edge 4->3 player 2: truthful 57/20, deviation 57/20, gain 0\n"
+            "edge 5->6 player 1: truthful 19/10, deviation 1/20, gain -37/20\n"
+            "edge 7->6 player 2: truthful 61/20, deviation 61/20, gain 0\n"
+            "edge 1->8 player 1: truthful 19/10, deviation 19/10, gain 0\n"
+            "edge 4->8 player 1: truthful 19/10, deviation 9/10, gain -1\n"
+            "edge 7->8 player 1: truthful 19/10, deviation 11/10, gain -4/5\n"
+            "verdict: approx-failure (profile 8: player 1 gets ratio 1/2 < threshold 3/5)\n"
+        ),
+    ),
+    (
+        "adversary --n 3 --m 6 --alpha 51/100 --exhaustive",
+        0,
+        (
+            "counting bound at alpha = 51/100: 2 + 2 + 3 = 7 > m = 6\n"
+            "verdict: infeasible\n"
+            "exhaustive search over 3**6 allocations: best worst-case ratio 1/2\n"
+        ),
+    ),
+    (
+        "mc --n 3 --m 300 --dist uniform --rho 4/5 --trials 10000 --seed 0",
+        0,
+        (
+            "n=3, m=300, dist=uniform, rho=0.8, trials=10000, seed=0\n"
+            "success rate: 0.9513\n"
+            "player 1: mean 50.022844, variance 25.549755, threshold a_i 59.222491\n"
+            "player 2: mean 50.025122, variance 24.933372, threshold a_i 59.222491\n"
+            "player 3: mean 49.937784, variance 24.868378, threshold a_i 59.222491\n"
+        ),
+    ),
+    (
+        "seq --n 17 --m 29 --epsilon 1/4",
+        0,
+        (
+            "n=17, m=29, epsilon=1/4, alpha=52434/438985\n"
+            "1\n2\n3\n4\n5\n6\n7\n8\n9\n10\n11\n12\n13\n14\n15\n16\n17\n"
+            "17\n1\n2\n3\n4\n5\n6\n7\n8\n9\n10\n11\n"
+            "all pick positions meet their deadlines\n"
+            "deadline demand check: ok\n"
+        ),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "command, status, stdout", README_HUMAN, ids=[c.split()[0] for c, _, _ in README_HUMAN]
+)
+def test_readme_human_output_is_pinned(capsys, ex23_file, command, status, stdout):
+    argv = [ex23_file if t == "EX23" else t for t in command.split()]
+    assert run_cli(capsys, *argv) == (status, stdout, "")
+
+
 # Every built-in fixture x mechanism x model through `chain --machine` at the
 # default epsilon: exit status, stdout and stderr as first recorded.  Chain
 # edges replay misreports through run_mechanism in all three models.

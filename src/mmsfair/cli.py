@@ -5,6 +5,10 @@ ratios), ``verify`` (grid truthfulness sweep), ``chain`` (impossibility
 chains), ``adversary`` (ordinal counting bound), ``mc`` (Monte-Carlo
 harness), ``seq`` (deadline-based sequence construction).
 
+The commands only format: each returns its exit status and its output
+lines, which :func:`main` prints in one place, writing ``--report`` where
+the command has it.  Values, shares and ratios come from :mod:`mmsfair.mms`.
+
 Every command is reproducible: seeds default to 0 and rational quantities
 are printed exactly, never as decimals.  With ``--machine`` the output is
 one ``key=value`` record per line.  Exit status: 0 on success / no
@@ -41,7 +45,7 @@ from .mechanisms import (
     run_mechanism,
     theoretical_ratio,
 )
-from .mms import UNBOUNDED, maximin_share
+from .mms import UNBOUNDED, _player_ratios, approximation_ratio, maximin_share
 from .montecarlo import mc_config, montecarlo_randomized, parse_distribution
 from .seqbuild import (
     build_sqrt_sequence,
@@ -135,137 +139,103 @@ def _mech_from_args(args) -> Mechanism:
     return mechanism(args.mech, eps)
 
 
-class _Report:
-    """Collects output lines and mirrors them to an optional report file."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-
-    def add(self, line: str = ""):
-        self.lines.append(line)
-
-    def emit(self, path: str | None = None) -> None:
-        """Print the lines, then write them to ``path`` if one is given.  A
-        reader that closes the pipe early (``| head``) ends the printing
-        quietly: stdout is pointed at the null device, so the interpreter's
-        final flush raises nothing, and the command keeps its status."""
-        text = "\n".join(self.lines)
-        try:
-            print(text, flush=True)
-        except BrokenPipeError:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-
-
-def _cmd_mms(args) -> int:
+def _cmd_mms(args) -> tuple[int, list[str]]:
     inst = _load_instance(args.instance)
     parts = args.parts if args.parts is not None else inst.n
-    out = _Report()
-    if not args.machine:
-        out.add(f"instance: {inst.n} players, {inst.m} items; shares for {parts} bundles")
+    out = [] if args.machine else [
+        f"instance: {inst.n} players, {inst.m} items; shares for {parts} bundles"
+    ]
     for i in range(inst.n):
         share = maximin_share(inst, i, parts)
         if args.machine:
-            out.add(f"mms.{i + 1}={_frac(share)}")
+            out.append(f"mms.{i + 1}={_frac(share)}")
         else:
-            out.add(f"player {i + 1}: mms = {_human(share)}")
-    out.emit()
-    return 0
+            out.append(f"player {i + 1}: mms = {_human(share)}")
+    return 0, out
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[int, list[str]]:
     inst = _load_instance(args.instance)
     mech = _mech_from_args(args)
     alloc = run_mechanism(mech, args.model, inst, None, args.seed)
-    shares = [maximin_share(inst, i, inst.n) for i in range(inst.n)]
-    values = [inst.value(i, alloc.bundles[i]) for i in range(inst.n)]
-    ratios = [
-        values[i] / shares[i] if shares[i] else UNBOUNDED for i in range(inst.n)
-    ]
-    # the worst ratio over players with a positive share, as approximation_ratio
-    # rates the allocation, from the shares above
-    overall = min((r for r in ratios if r is not UNBOUNDED), default=UNBOUNDED)
+    values, shares, ratios = _player_ratios(inst, alloc)
+    overall = approximation_ratio(inst, alloc)
     bound = theoretical_ratio(mech, inst.n, inst.m) if _SPECS[mech.name].bound else None
 
-    out = _Report()
     if args.machine:
-        out.add(f"mechanism={mech}")
-        out.add(f"model={args.model}")
-        out.add(f"n={inst.n}")
-        out.add(f"m={inst.m}")
-        out.add(f"seed={args.seed}")
+        out = [
+            f"mechanism={mech}",
+            f"model={args.model}",
+            f"n={inst.n}",
+            f"m={inst.m}",
+            f"seed={args.seed}",
+        ]
         for i in range(inst.n):
-            out.add(f"bundle.{i + 1}={_items(alloc.bundles[i])}")
-            out.add(f"value.{i + 1}={_frac(values[i])}")
-            out.add(f"mms.{i + 1}={_frac(shares[i])}")
-            out.add(f"ratio.{i + 1}={_frac(ratios[i])}")
-        out.add(f"ratio.overall={_frac(overall)}")
-        out.add("bound=" + (_frac(bound) if bound is not None else "none"))
+            out.append(f"bundle.{i + 1}={_items(alloc.bundles[i])}")
+            out.append(f"value.{i + 1}={_frac(values[i])}")
+            out.append(f"mms.{i + 1}={_frac(shares[i])}")
+            out.append(f"ratio.{i + 1}={_frac(ratios[i])}")
+        out.append(f"ratio.overall={_frac(overall)}")
+        out.append("bound=" + (_frac(bound) if bound is not None else "none"))
     else:
-        out.add(f"mechanism {mech}, model {args.model}, n={inst.n}, m={inst.m}")
+        out = [f"mechanism {mech}, model {args.model}, n={inst.n}, m={inst.m}"]
         for i in range(inst.n):
-            out.add(
+            out.append(
                 f"player {i + 1}: items {{{_items(alloc.bundles[i])}}}  "
                 f"value {_human(values[i])}  mms {_human(shares[i])}  "
                 f"ratio {_human(ratios[i])}"
             )
         tail = f" (theoretical bound {_human(bound)})" if bound is not None else ""
-        out.add(f"overall ratio: {_human(overall)}{tail}")
-    out.emit(args.report)
-    return 0
+        out.append(f"overall ratio: {_human(overall)}{tail}")
+    return 0, out
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, list[str]]:
     mech = _mech_from_args(args)
     result = verify_truthful_on_grid(
         mech, args.model, args.n, args.m, args.grid, budget=args.budget
     )
-    out = _Report()
+    w = result.witness
     if args.machine:
-        out.add(f"mechanism={result.mechanism}")
-        out.add(f"model={result.model}")
-        out.add(f"instances={result.instances}")
-        out.add(f"violations={result.violations}")
-        out.add(f"complete={'true' if result.complete else 'false'}")
+        out = [
+            f"mechanism={result.mechanism}",
+            f"model={result.model}",
+            f"instances={result.instances}",
+            f"violations={result.violations}",
+            f"complete={'true' if result.complete else 'false'}",
+        ]
         if result.certificate:
-            out.add(f"certificate={result.certificate}")
-        if result.witness is not None:
-            w = result.witness
+            out.append(f"certificate={result.certificate}")
+        if w is not None:
             for i, row in enumerate(w.instance_rows):
-                out.add(f"witness.row.{i + 1}=" + ",".join(_frac(v) for v in row))
-            out.add(f"witness.player={w.player + 1}")
-            out.add(f"witness.misreport={_misreport(w.misreport, True)}")
-            out.add(f"witness.truthful={_frac(w.truthful_value)}")
-            out.add(f"witness.deviation={_frac(w.deviation_value)}")
+                out.append(f"witness.row.{i + 1}=" + ",".join(_frac(v) for v in row))
+            out.append(f"witness.player={w.player + 1}")
+            out.append(f"witness.misreport={_misreport(w.misreport, True)}")
+            out.append(f"witness.truthful={_frac(w.truthful_value)}")
+            out.append(f"witness.deviation={_frac(w.deviation_value)}")
     else:
-        out.add(
+        out = [
             f"mechanism {result.mechanism}, model {result.model}: "
             f"{result.instances} instances, {result.violations} violations"
             + ("" if result.complete else " (search not exhaustive)")
-        )
+        ]
         if result.certificate:
-            out.add(f"certificate: {result.certificate}")
-        if result.witness is not None:
-            w = result.witness
-            out.add(
+            out.append(f"certificate: {result.certificate}")
+        if w is not None:
+            out.append(
                 f"witness: player {w.player + 1} on instance "
                 + " | ".join(
                     ",".join(_human(v) for v in row) for row in w.instance_rows
                 )
             )
-            out.add(
+            out.append(
                 f"  misreport {_misreport(w.misreport, False)} raises her value "
                 f"{_human(w.truthful_value)} -> {_human(w.deviation_value)}"
             )
-    out.emit()
-    return 1 if result.violations else 0
+    return (1 if result.violations else 0), out
 
 
-def _cmd_chain(args) -> int:
+def _cmd_chain(args) -> tuple[int, list[str]]:
     if args.fixture_file:
         fix = parse_fixture(_read_text(args.fixture_file), name=args.fixture_file)
     else:
@@ -273,141 +243,147 @@ def _cmd_chain(args) -> int:
     mech = _mech_from_args(args)
     model = args.model if args.model else fix.model
     report = run_chain(fix, mech, model)
-    out = _Report()
     if args.machine:
-        out.add(f"fixture={report.fixture}")
-        out.add(f"mechanism={report.mechanism}")
-        out.add(f"model={report.model}")
-        out.add(f"threshold={_frac(report.threshold)}")
+        out = [
+            f"fixture={report.fixture}",
+            f"mechanism={report.mechanism}",
+            f"model={report.model}",
+            f"threshold={_frac(report.threshold)}",
+        ]
         for p in report.profiles:
             for i in range(2):
-                out.add(f"profile.{p.index + 1}.ratio.{i + 1}={_frac(p.ratios[i])}")
-            out.add(
-                f"profile.{p.index + 1}.ok="
-                + ("true" if p.meets_threshold else "false")
-            )
+                out.append(f"profile.{p.index + 1}.ratio.{i + 1}={_frac(p.ratios[i])}")
+            out.append(f"profile.{p.index + 1}.ok={'true' if p.meets_threshold else 'false'}")
         for e in report.edges:
             src, dst, player = e.edge
-            out.add(f"edge.{src + 1}.{dst + 1}.{player + 1}.gain={_frac(e.gain)}")
-        out.add(f"verdict={report.verdict}")
+            out.append(f"edge.{src + 1}.{dst + 1}.{player + 1}.gain={_frac(e.gain)}")
+        out.append(f"verdict={report.verdict}")
     else:
-        out.add(
+        out = [
             f"fixture {report.fixture} (threshold {_human(report.threshold)}), "
             f"mechanism {report.mechanism}, model {report.model}"
-        )
+        ]
         for p in report.profiles:
             bundles = " | ".join(_items(b) for b in p.bundles)
             ratios = ", ".join(_human(r) for r in p.ratios)
             flag = "" if p.meets_threshold else "  BELOW THRESHOLD"
-            out.add(f"profile {p.index + 1}: [{bundles}]  ratios {ratios}{flag}")
+            out.append(f"profile {p.index + 1}: [{bundles}]  ratios {ratios}{flag}")
         for e in report.edges:
             src, dst, player = e.edge
-            out.add(
+            out.append(
                 f"edge {src + 1}->{dst + 1} player {player + 1}: "
                 f"truthful {_human(e.truthful_value)}, deviation "
                 f"{_human(e.deviation_value)}, gain {_human(e.gain)}"
             )
-        out.add(f"verdict: {report.verdict} ({report.detail})")
-    out.emit()
-    return 0 if report.verdict == CONSISTENT else 1
+        out.append(f"verdict: {report.verdict} ({report.detail})")
+    return (0 if report.verdict == CONSISTENT else 1), out
 
 
-def _cmd_adversary(args) -> int:
-    out = _Report()
+def _cmd_adversary(args) -> tuple[int, list[str]]:
+    if args.alpha is None and not args.exhaustive:
+        raise MechanismError("nothing to do: pass --alpha and/or --exhaustive")
+    out = []
     if args.alpha is not None:
         report = ordinal_lower_bound_check(args.n, args.m, args.alpha)
         if args.machine:
-            out.add(f"alpha={_frac(report.alpha)}")
-            out.add("terms=" + ",".join(str(t) for t in report.terms))
-            out.add(f"total={report.total}")
-            out.add(f"m={report.m}")
-            out.add(f"verdict={report.verdict}")
+            out.append(f"alpha={_frac(report.alpha)}")
+            out.append("terms=" + ",".join(str(t) for t in report.terms))
+            out.append(f"total={report.total}")
+            out.append(f"m={report.m}")
+            out.append(f"verdict={report.verdict}")
         else:
             terms = " + ".join(str(t) for t in report.terms)
             rel = ">" if report.verdict == INFEASIBLE else "<="
-            out.add(
+            out.append(
                 f"counting bound at alpha = {_human(report.alpha)}: "
                 f"{terms} = {report.total} {rel} m = {report.m}"
             )
-            out.add(f"verdict: {report.verdict}")
+            out.append(f"verdict: {report.verdict}")
     if args.exhaustive:
         best = exhaustive_common_ranking_ratio(args.n, args.m)
         if args.machine:
-            out.add(f"exhaustive.best={_frac(best)}")
+            out.append(f"exhaustive.best={_frac(best)}")
         else:
-            out.add(
+            out.append(
                 f"exhaustive search over {args.n}**{args.m} allocations: "
                 f"best worst-case ratio {_human(best)}"
             )
-    if args.alpha is None and not args.exhaustive:
-        raise MechanismError("nothing to do: pass --alpha and/or --exhaustive")
-    out.emit()
-    return 0
+    return 0, out
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args) -> tuple[int, list[str]]:
     dist = parse_distribution(args.dist)
-    cfg = mc_config(
-        args.n, args.m, dist, float(args.rho), args.trials, args.seed
-    )
+    cfg = mc_config(args.n, args.m, dist, float(args.rho), args.trials, args.seed)
     result = montecarlo_randomized(cfg)
-    out = _Report()
     if args.machine:
-        out.add(f"trials={result.trials}")
-        out.add(f"success_rate={result.success_rate!r}")
+        out = [f"trials={result.trials}", f"success_rate={result.success_rate!r}"]
         for i in range(args.n):
-            out.add(f"mean.{i + 1}={result.means[i]!r}")
-            out.add(f"variance.{i + 1}={result.variances[i]!r}")
-            out.add(f"threshold.{i + 1}={result.thresholds[i]!r}")
+            out.append(f"mean.{i + 1}={result.means[i]!r}")
+            out.append(f"variance.{i + 1}={result.variances[i]!r}")
+            out.append(f"threshold.{i + 1}={result.thresholds[i]!r}")
     else:
-        out.add(
+        out = [
             f"n={args.n}, m={args.m}, dist={dist}, rho={float(args.rho)}, "
-            f"trials={result.trials}, seed={args.seed}"
-        )
-        out.add(f"success rate: {result.success_rate}")
+            f"trials={result.trials}, seed={args.seed}",
+            f"success rate: {result.success_rate}",
+        ]
         for i in range(args.n):
-            out.add(
+            out.append(
                 f"player {i + 1}: mean {result.means[i]:.6f}, "
                 f"variance {result.variances[i]:.6f}, "
                 f"threshold a_i {result.thresholds[i]:.6f}"
             )
-    out.emit()
-    return 0
+    return 0, out
 
 
-def _cmd_seq(args) -> int:
+def _cmd_seq(args) -> tuple[int, list[str]]:
     params = sqrt_seq_params(args.n, args.m, args.epsilon)
     seq = build_sqrt_sequence(params)
     violations = verify_pick_positions(seq, args.n, params.alpha)
-    demand = verify_schedule_demand(params) if args.n > 1 else []
-    out = _Report()
+    demand = verify_schedule_demand(params)
     if args.machine:
-        out.add(f"alpha={_frac(params.alpha)}")
-        out.add(f"length={len(seq.picks)}")
-        out.add("picks=" + ",".join(str(p + 1) for p in seq.picks))
-        out.add(f"position_violations={len(violations)}")
-        out.add(f"demand_violations={len(demand)}")
+        out = [
+            f"alpha={_frac(params.alpha)}",
+            f"length={len(seq.picks)}",
+            "picks=" + ",".join(str(p + 1) for p in seq.picks),
+            f"position_violations={len(violations)}",
+            f"demand_violations={len(demand)}",
+        ]
     else:
-        out.add(
+        out = [
             f"n={args.n}, m={args.m}, epsilon={_human(args.epsilon)}, "
             f"alpha={_human(params.alpha)}"
-        )
-        for p in seq.picks:
-            out.add(str(p + 1))
-        if violations:
-            for v in violations:
-                out.add(
-                    f"VIOLATION: player {v.player + 1} pick {v.occurrence} at "
-                    f"position {v.position} > bound {v.bound}"
-                )
-        else:
-            out.add("all pick positions meet their deadlines")
-        out.add(
+        ]
+        out += [str(p + 1) for p in seq.picks]
+        for v in violations:
+            out.append(
+                f"VIOLATION: player {v.player + 1} pick {v.occurrence} at "
+                f"position {v.position} > bound {v.bound}"
+            )
+        if not violations:
+            out.append("all pick positions meet their deadlines")
+        out.append(
             "deadline demand check: "
             + ("ok" if not demand else f"{len(demand)} violations")
         )
-    out.emit()
-    return 1 if violations or demand else 0
+    return (1 if violations or demand else 0), out
+
+
+def _print(lines: list[str], path: str | None) -> None:
+    """Print a command's lines, then write them to ``path`` if one is given.
+    A reader that closes the pipe early (``| head``) ends the printing
+    quietly: stdout is pointed at the null device, so the interpreter's final
+    flush raises nothing, and the command keeps its status."""
+    text = "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,7 +468,9 @@ def main(argv=None) -> int:
     if args.command == "chain" and not args.fixture and not args.fixture_file:
         parser.error("chain needs --fixture or --fixture-file")
     try:
-        return args.func(args)
+        status, lines = args.func(args)
+        _print(lines, getattr(args, "report", None))
+        return status
     except (OSError, KeyError, ValueError) as exc:
         if isinstance(exc, OSError):
             message = f"{exc.strerror}: {exc.filename}"

@@ -29,7 +29,7 @@ from .mechanisms import (
     models_for,
     run_mechanism,
 )
-from .mms import UNBOUNDED, maximin_share
+from .mms import _player_ratios
 from .seqbuild import InfeasibleParams
 
 APPROX_FAILURE = "approx-failure"
@@ -342,11 +342,7 @@ def run_chain(fix: ChainFixture, mech: Mechanism, model: str) -> ChainReport:
     for idx in range(len(fix.profiles)):
         inst = fix.instance(idx)
         alloc = run_mechanism(mech, model, inst)
-        values = tuple(Fraction(inst.value(i, alloc.bundles[i])) for i in range(2))
-        shares = tuple(maximin_share(inst, i, 2) for i in range(2))
-        ratios = tuple(
-            values[i] / shares[i] if shares[i] else UNBOUNDED for i in range(2)
-        )
+        values, shares, ratios = _player_ratios(inst, alloc)
         below = [i for i in range(2) if shares[i] and ratios[i] < fix.threshold]
         outcomes.append(
             ProfileOutcome(

@@ -379,6 +379,20 @@ def approximation_ratio(inst: Instance, alloc: Allocation):
     return Fraction(*worst)
 
 
+def _player_ratios(inst: Instance, alloc: Allocation) -> tuple[tuple, tuple, tuple]:
+    """Each player's value of her bundle, her maximin share for ``inst.n``
+    bundles and the ratio of the two, as three tuples in player order; the
+    ratio is :data:`UNBOUNDED` where the share is 0.  Shares come from the
+    :func:`_rated_share` memo, so rating the same allocation with
+    :func:`approximation_ratio` asks the oracle nothing more."""
+    values, shares = [], []
+    for row, bundle in zip(inst.values, alloc.bundles):
+        values.append(Fraction(sum(map(row.__getitem__, bundle))))
+        shares.append(Fraction(*_rated_share(tuple(sorted(row, reverse=True)), inst.n)))
+    ratios = tuple(v / s if s else UNBOUNDED for v, s in zip(values, shares))
+    return tuple(values), tuple(shares), ratios
+
+
 @functools.lru_cache(maxsize=4096)
 def _rated_share(values: tuple[Value, ...], parts: int) -> tuple[int, int]:
     """Maximin share ``p/q`` of a row whose values, in descending order, are

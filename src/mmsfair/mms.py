@@ -76,11 +76,13 @@ _NARROW_HALF = 256
 _STEP_WORDS = 200
 
 # Nodes a share or a cut may count before it is refused: one per first
-# bundle listed, one per call for one bundle fewer, and one per _NODE_WORDS
+# bundle listed, one per call for one bundle fewer, one per _NODE_WORDS
 # bitset words an exact two-part decision costs (a node took about 1.2 us, a
-# word 1 to 4 ns).
+# word 1 to 4 ns), and at four or more bundles one per item of a rest of at
+# least _CHARGED_REST items, which its child level copies and sums.
 NODE_LIMIT = BUDGET
 _NODE_WORDS = 500
+_CHARGED_REST = 16
 
 
 def maximin_share(
@@ -276,6 +278,8 @@ def _sequential(
             if k == 3:
                 score = min(s, cap, _max_min_two_parts(rest, nodes))
             else:
+                if len(rest) >= _CHARGED_REST:
+                    _spend(nodes, len(rest))
                 score = yield rest, k - 1, best, min(s, cap)
             if score > best:
                 best = score

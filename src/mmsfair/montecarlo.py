@@ -11,8 +11,10 @@ are bit-for-bit reproducible and independent of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported by the one function that runs trials
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,8 @@ def montecarlo_randomized(cfg: MCConfig) -> MCResult:
     trial-at-a-time loop takes, bit for bit, and memory stays at one block
     whatever the number of trials.
     """
+    import numpy as np
+
     n, m, trials = cfg.n, cfg.m, cfg.trials
     block = max(1, min(trials, _BLOCK_VALUES // (n * max(m, 1))))
     values = np.empty((block, n, m))

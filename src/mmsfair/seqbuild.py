@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -129,6 +130,14 @@ def power_lower_rational(n: int, exponent: Fraction) -> Fraction:
     return Fraction(lo_n, lo_d)
 
 
+def _bounded(x: Fraction) -> str:
+    """``x`` exactly while its terms fit in 64 bits (about 20 digits), else
+    to four significant digits, such as ``1.000e+1000``."""
+    if max(x.numerator, x.denominator).bit_length() <= 64:
+        return str(x)
+    return f"{Decimal(x.numerator) / Decimal(x.denominator):.3e}"
+
+
 def sqrt_seq_params(n: int, m: int, epsilon: Fraction) -> SqrtSeqParams:
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -144,7 +153,8 @@ def sqrt_seq_params(n: int, m: int, epsilon: Fraction) -> SqrtSeqParams:
     alpha = power_lower_rational(n, Fraction(1, 2) + epsilon)
     if alpha == 0:  # no deadline spacing exists at a zero rate
         raise ValueError(
-            f"epsilon {epsilon} too large: n**-(1/2 + epsilon) is below 1/{_MAX_DEN}"
+            f"epsilon {_bounded(epsilon)} too large: "
+            f"n**-(1/2 + epsilon) is below 1/{_MAX_DEN}"
         )
     return SqrtSeqParams(n=n, m=m, epsilon=epsilon, alpha=alpha)
 

@@ -313,6 +313,8 @@ def verify_truthful_on_grid(
     if not grid:
         raise ValueError("grid must be nonempty")
     for v in grid:
+        if not isinstance(v, (int, Fraction)):
+            raise ValueError(f"grid value {v!r} is not rational")
         if v < 0:
             raise ValueError("grid values must be nonnegative")
 

@@ -898,6 +898,15 @@ def test_chain_machine_output_is_pinned(capsys, fixture, mech, model, status, st
     assert run_cli(capsys, *argv) == (status, stdout, stderr)
 
 
+def test_cli_import_leaves_numpy_out():
+    # only mc draws numbers, and numpy is most of the package's import time
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, mmsfair.cli; print('numpy' in sys.modules, 'mmsfair.montecarlo' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False True\n", "")
+
+
 def test_python_m_matches_main(capsys, ex23_file):
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))

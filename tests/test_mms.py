@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -384,6 +385,17 @@ class TestManyPartOracle:
         row = [rng.randint(1, 10**9) for _ in range(60)]
         with pytest.raises(EnumerationLimitError):
             maximin_share(Instance.from_rows([row]), 0, 3)
+
+    @pytest.mark.parametrize("m, k", [(100, 50), (200, 100)])
+    def test_many_parts_refused_promptly(self, m, k):
+        # each first bundle scored at four or more parts copies its rest into
+        # a child level, so the rest is charged by its length
+        rng = random.Random(1)
+        row = [rng.randint(1, 1000) for _ in range(m)]
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimitError):
+            maximin_share(Instance.from_rows([row]), 0, k)
+        assert time.perf_counter() - start < 2
 
 
 class TestInvariants:

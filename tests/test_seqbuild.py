@@ -104,6 +104,19 @@ class TestBuild:
             sqrt_seq_params(5, 5, Fraction(12))
         assert sqrt_seq_params(1, 5, Fraction(12)).alpha == 1
 
+    @pytest.mark.parametrize(
+        "epsilon, shown",
+        [(Fraction(10**1000), "1.000e+1000"), (Fraction(10**20 + 1, 3), "3.333e+19"),
+         (Fraction(2**64 - 1, 7), str(Fraction(2**64 - 1, 7)))],
+    )
+    def test_huge_epsilon_is_written_short(self, epsilon, shown):
+        # an epsilon of more than about 20 digits is not written out in full
+        with pytest.raises(ValueError) as err:
+            sqrt_seq_params(17, 29, epsilon)
+        assert str(err.value) == (
+            f"epsilon {shown} too large: n**-(1/2 + epsilon) is below 1/1000000"
+        )
+
     def test_every_build_meets_its_deadlines_or_is_refused(self):
         outcomes = set()
         for n in range(2, 6):

@@ -282,6 +282,18 @@ class TestGridVerifier:
         assert result.violations == 0
         assert result.complete
 
+    @pytest.mark.parametrize(
+        "mech, model, m, grid",
+        [
+            ("pr", ORDINAL, 3, (0.1, 0.2)),
+            ("pr-exact-2-4", PUBLIC_RANKINGS, 4, (0.0, 0.5)),
+            ("cut-and-choose", CARDINAL, 3, (0.5, 1)),
+        ],
+    )
+    def test_float_grid_refused(self, mech, model, m, grid):
+        with pytest.raises(ValueError, match=r"^grid value 0\.\d is not rational$"):
+            verify_truthful_on_grid(mechanism(mech), model, 2, m, grid)
+
 
 # Acceptance criterion 4's five sweeps at n = 2, m = 4 over the benchmark's
 # grids: (mechanism, model, grid, violations, complete, witness).

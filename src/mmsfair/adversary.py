@@ -71,17 +71,19 @@ def ordinal_lower_bound_check(n: int, m: int, alpha: Fraction) -> CountingReport
     player must receive at least ``ceil(alpha * floor((m-i+1)/(n-i+1)))``
     items, and only ``m`` items exist.  A sum above ``m`` certifies that no
     common-ranking algorithm reaches ``alpha``; otherwise nothing is decided.
+    One term is built per slot, so ``n`` over
+    :data:`~mmsfair.instance.BUDGET` is refused with ``ValueError``.
     """
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
+    if n > BUDGET:
+        raise ValueError(f"n = {n} is over the limit of {BUDGET} slots")
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    terms = []
-    for i in range(1, n + 1):
-        bundles = (m - i + 1) // (n - i + 1)
-        need = alpha * bundles
-        terms.append(-((-need.numerator) // need.denominator))  # exact ceil
+    p, q = alpha.numerator, alpha.denominator
+    # exact ceil of alpha * floor((m-i+1)/(n-i+1)), in integers
+    terms = [-(-p * ((m - i + 1) // (n - i + 1)) // q) for i in range(1, n + 1)]
     total = sum(terms)
     verdict = INFEASIBLE if total > m else FEASIBLE_UNKNOWN
     return CountingReport(

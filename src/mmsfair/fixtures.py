@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .instance import Instance, derive_ranking, parse_value
+from .instance import Instance, _data_lines, _value_row, derive_ranking, parse_value
 from .mechanisms import (
     CARDINAL,
     MODELS,
@@ -426,76 +426,61 @@ def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
     """Parse the fixture text format: optional ``epsilon`` and ``model``
     lines, a ``threshold`` line, ``profile`` blocks of two value rows, and
     ``edge FROM TO PLAYER`` lines (1-based; edges may precede the profiles
-    they name).  Values are ``p`` or ``p/q``, as in instance files."""
+    they name).  Values are ``p`` or ``p/q``, as in instance files, and are
+    refused as instance values are."""
     threshold = None
     epsilon = Fraction(1, 10)
     model = CARDINAL
-    profiles: list[Profile] = []
-    edges: list[tuple[int, int, int]] = []
-    edge_lines: list[int] = []
-    row_lines: list[int] = []
-    pending_rows: list[Row] = []
-    in_profile = False
+    rows: list[tuple[int, Row]] = []  # each profile row, with its line
+    edges: list[tuple[int, tuple[int, int, int]]] = []  # each edge, with its line
+    opened = None  # index in rows of the open profile's first row
 
-    def flush_profile(lineno):
-        nonlocal in_profile
-        if in_profile:
-            if len(pending_rows) != 2:
-                raise ValueError(
-                    f"line {lineno}: profile needs exactly 2 rows, got {len(pending_rows)}"
-                )
-            profiles.append((pending_rows[0], pending_rows[1]))
-            pending_rows.clear()
-            in_profile = False
+    def close_profile(lineno):
+        if opened is not None and len(rows) - opened != 2:
+            raise ValueError(
+                f"line {lineno}: profile needs exactly 2 rows, got {len(rows) - opened}"
+            )
 
     lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for lineno, tokens in _data_lines(lines):
         head = tokens[0]
+        if head not in ("threshold", "epsilon", "model", "profile", "edge"):
+            if opened is None:
+                raise ValueError(
+                    f"line {lineno}: unexpected content {lines[lineno - 1].strip()!r}"
+                )
+            rows.append((lineno, tuple(map(Fraction, _value_row(tokens, lineno)))))
+            continue
         if head in ("threshold", "epsilon", "model") and len(tokens) < 2:
             raise ValueError(f"line {lineno}: {head} needs a value")
+        close_profile(lineno)
+        opened = len(rows) if head == "profile" else None
         if head == "threshold":
-            flush_profile(lineno)
             threshold = Fraction(parse_value(tokens[1], lineno))
         elif head == "epsilon":
-            flush_profile(lineno)
             epsilon = Fraction(parse_value(tokens[1], lineno))
         elif head == "model":
-            flush_profile(lineno)
             model = tokens[1]
             if model not in MODELS:
                 raise ValueError(f"line {lineno}: unknown model {model!r}")
-        elif head == "profile":
-            flush_profile(lineno)
-            in_profile = True
         elif head == "edge":
-            flush_profile(lineno)
             if len(tokens) != 4 or not all(t.isdecimal() for t in tokens[1:]):
                 raise ValueError(
                     f"line {lineno}: edge needs FROM TO PLAYER as whole numbers"
                 )
             src, dst, player = (int(t) for t in tokens[1:])
-            edges.append((src - 1, dst - 1, player - 1))
-            edge_lines.append(lineno)
-        elif in_profile:
-            pending_rows.append(tuple(Fraction(parse_value(t, lineno)) for t in tokens))
-            row_lines.append(lineno)
-        else:
-            raise ValueError(f"line {lineno}: unexpected content {line!r}")
-    flush_profile(len(lines))
+            edges.append((lineno, (src - 1, dst - 1, player - 1)))
+    close_profile(len(lines))
     if threshold is None:
         raise ValueError("fixture file is missing a threshold line")
-    rows = [row for profile in profiles for row in profile]
-    for k, (lineno, row) in enumerate(zip(row_lines, rows)):
-        if len(row) != len(rows[0]):
+    for k, (lineno, row) in enumerate(rows):
+        if len(row) != len(rows[0][1]):
             raise ValueError(
-                f"line {lineno}: profile {k // 2 + 1} is not a 2 x {len(rows[0])} matrix"
+                f"line {lineno}: profile {k // 2 + 1} is not a 2 x {len(rows[0][1])} matrix"
             )
+    profiles = [(a, b) for (_, a), (_, b) in zip(rows[::2], rows[1::2])]
     limits = (len(profiles), len(profiles), 2)
-    for lineno, edge in zip(edge_lines, edges):
+    for lineno, edge in edges:
         for field, k, limit in zip(("FROM", "TO", "PLAYER"), edge, limits):
             if not 0 <= k < limit:
                 raise ValueError(
@@ -509,7 +494,7 @@ def parse_fixture(text: str, name: str = "custom") -> ChainFixture:
         threshold=threshold,
         model=model,
         profiles=tuple(profiles),
-        deviation_edges=tuple(edges),
+        deviation_edges=tuple(edge for _, edge in edges),
     )
 
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Value = Union[int, Fraction]
 
@@ -156,18 +156,11 @@ def parse_instance(text: str) -> Instance:
     >>> parse_instance("2 3\\n1 1/2 0\\n2/3 1 1").values[0]
     (1, Fraction(1, 2), 0)
     """
-    data: list[tuple[int, str]] = []  # (1-based line number, content)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        data.append((lineno, stripped))
-
+    data = list(_data_lines(text.splitlines()))
     if not data:
         raise InstanceError("empty instance: missing 'n m' header")
 
-    header_line, header = data[0]
-    parts = header.split()
+    header_line, parts = data[0]
     if len(parts) != 2:
         raise InstanceError("header must be two integers 'n m'", header_line)
     try:
@@ -187,21 +180,36 @@ def parse_instance(text: str) -> Instance:
         )
 
     rows = []
-    for lineno, content in body:
-        tokens = content.split()
+    for lineno, tokens in body:
         if len(tokens) != m:
             raise InstanceError(
                 f"expected {m} values, found {len(tokens)}", lineno
             )
-        row = []
-        for tok in tokens:
-            value = parse_value(tok, lineno)
-            if value < 0:
-                raise InstanceError(f"negative value {tok!r}", lineno)
-            row.append(value)
-        rows.append(tuple(row))
+        rows.append(_value_row(tokens, lineno))
 
     return Instance(tuple(rows))
+
+
+def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """The 1-based line number and whitespace-separated tokens of each line
+    of a text format that is neither blank nor a ``#`` comment."""
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield lineno, tokens
+
+
+def _value_row(tokens: Sequence[str], line: int) -> tuple[Value, ...]:
+    """A row of values of the text formats, read token by token with
+    :func:`parse_value`; a negative value is refused by its token and
+    ``line``."""
+    row = []
+    for tok in tokens:
+        value = parse_value(tok, line)
+        if value < 0:
+            raise InstanceError(f"negative value {tok!r}", line)
+        row.append(value)
+    return tuple(row)
 
 
 def parse_value(tok: str, line: int | None = None) -> Value:

@@ -79,10 +79,14 @@ _STEP_WORDS = 200
 # bundle listed, one per call for one bundle fewer, one per _NODE_WORDS
 # bitset words an exact two-part decision costs (a node took about 1.2 us, a
 # word 1 to 4 ns), and at four or more bundles one per item of a rest of at
-# least _CHARGED_REST items, which its child level copies and sums.
+# least _CHARGED_REST items, which its child level copies and sums.  The
+# differencing incumbent of at least _CHARGED_REST weights builds a k-tuple
+# per weight and sorts one per merge: one node per _NODE_ENTRIES entries (an
+# entry took 90 to 230 ns).
 NODE_LIMIT = BUDGET
 _NODE_WORDS = 500
 _CHARGED_REST = 16
+_NODE_ENTRIES = 12
 
 
 def maximin_share(
@@ -230,6 +234,8 @@ def _max_min_partition(weights: Sequence[int], k: int) -> int:
     differencing incumbent.  The levels of :func:`_sequential` are generators
     on an explicit stack, so nothing recurses however large ``k`` is."""
     nodes = [0]
+    if len(weights) >= _CHARGED_REST:
+        _spend(nodes, len(weights) * k // _NODE_ENTRIES)
     best = _largest_differencing(weights, k)
     levels = [_sequential(weights, k, best, sum(weights) // k, nodes)]
     reply = None

@@ -24,14 +24,15 @@ from .instance import MechanismError
 class PickingSequence:
     """A sequence of player indices; each named player takes her favorite
     remaining item in turn.  A cyclic sequence repeats until the items run
-    out; a non-cyclic one must be long enough on its own."""
+    out; a non-cyclic one must be long enough on its own, and is empty only
+    for no items."""
 
     picks: tuple[int, ...]
     cyclic: bool = False
 
     def __post_init__(self):
-        if not self.picks:
-            raise MechanismError("a picking sequence needs at least one pick")
+        if self.cyclic and not self.picks:
+            raise MechanismError("a cyclic picking sequence needs at least one pick")
 
 
 class InfeasibleParams(ValueError):
@@ -94,7 +95,10 @@ def power_lower_rational(n: int, exponent: Fraction) -> Fraction:
         raise ValueError("exponent must be nonnegative")
     a_exp, b_exp = exponent.numerator, exponent.denominator
     if b_exp > EXPONENT_DENOMINATOR_LIMIT:
-        raise ValueError(f"exponent {exponent} has a denominator over {EXPONENT_DENOMINATOR_LIMIT}")
+        raise ValueError(
+            f"exponent {_bounded(a_exp)}/{_bounded(b_exp)} has a denominator "
+            f"over {EXPONENT_DENOMINATOR_LIMIT}"
+        )
     if a_exp * (n.bit_length() - 1) > b_exp * _MAX_DEN.bit_length():
         return Fraction(0)  # n**a > _MAX_DEN**b, and n**a may be too large to form
     n_pow = n**a_exp
@@ -102,35 +106,29 @@ def power_lower_rational(n: int, exponent: Fraction) -> Fraction:
     def below(p: int, q: int) -> bool:
         return p**b_exp * n_pow <= q**b_exp
 
-    lo_n, lo_d = 0, 1  # lower bound, <= target
-    hi_n, hi_d = 1, 1  # upper bound, > target (the target is < 1)
-    while lo_d + hi_d <= _MAX_DEN:
-        if below(lo_n + hi_n, lo_d + hi_d):
-            # Mediant is still below: advance the lower bound as far as the
-            # denominator budget and the target allow.
-            cap = (_MAX_DEN - lo_d) // hi_d
-            lo_k, hi_k = 1, cap
-            while lo_k < hi_k:
-                mid = (lo_k + hi_k + 1) // 2
-                if below(lo_n + mid * hi_n, lo_d + mid * hi_d):
-                    lo_k = mid
-                else:
-                    hi_k = mid - 1
-            lo_n, lo_d = lo_n + lo_k * hi_n, lo_d + lo_k * hi_d
+    def advance(bound, step, side):
+        """``bound`` plus the most multiples of ``step`` that keep it on
+        ``side`` (``True``: below) of the target, within the denominator
+        budget; at least one does."""
+        lo_k, hi_k = 1, (_MAX_DEN - bound[1]) // step[1]
+        while lo_k < hi_k:
+            mid = (lo_k + hi_k + 1) // 2
+            if below(bound[0] + mid * step[0], bound[1] + mid * step[1]) == side:
+                lo_k = mid
+            else:
+                hi_k = mid - 1
+        return bound[0] + lo_k * step[0], bound[1] + lo_k * step[1]
+
+    lo, hi = (0, 1), (1, 1)  # lo <= target < hi (the target is < 1)
+    while lo[1] + hi[1] <= _MAX_DEN:
+        if below(lo[0] + hi[0], lo[1] + hi[1]):  # the mediant is still below
+            lo = advance(lo, hi, True)
         else:
-            cap = (_MAX_DEN - hi_d) // lo_d
-            lo_k, hi_k = 1, cap
-            while lo_k < hi_k:
-                mid = (lo_k + hi_k + 1) // 2
-                if not below(hi_n + mid * lo_n, hi_d + mid * lo_d):
-                    lo_k = mid
-                else:
-                    hi_k = mid - 1
-            hi_n, hi_d = hi_n + lo_k * lo_n, hi_d + lo_k * lo_d
-    return Fraction(lo_n, lo_d)
+            hi = advance(hi, lo, False)
+    return Fraction(*lo)
 
 
-def _bounded(x: Fraction) -> str:
+def _bounded(x: int | Fraction) -> str:
     """``x`` exactly while its terms fit in 64 bits (about 20 digits), else
     to four significant digits, such as ``1.000e+1000``."""
     if max(x.numerator, x.denominator).bit_length() <= 64:
@@ -197,11 +195,12 @@ def build_sqrt_sequence(params: SqrtSeqParams) -> PickingSequence:
     length bound, or whose k-th sorted pair is due before position k (then
     no order meets every deadline), raise :class:`InfeasibleParams`.
 
-    A single player needs no deadline bookkeeping and is always feasible.
+    A single player needs no deadline bookkeeping and is always feasible:
+    one pick per item, none for no items.
     """
     n, m = params.n, params.m
     if n == 1:
-        return PickingSequence((0,) * max(m, 1))
+        return PickingSequence((0,) * m)
     required = length_bound(params)
     if required > m:
         raise InfeasibleParams(required, m)

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -82,6 +84,22 @@ class TestCountingBound:
         report = ordinal_lower_bound_check(3, 6, Fraction(1, 2))
         assert report.terms == (1, 1, 2)
         assert report.verdict == FEASIBLE_UNKNOWN
+
+    def test_terms_match_fraction_ceilings(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            m = rng.randint(n, 400)
+            alpha = Fraction(rng.randint(0, 300), rng.randint(1, 100))
+            terms = tuple(
+                math.ceil(alpha * ((m - i + 1) // (n - i + 1))) for i in range(1, n + 1)
+            )
+            assert ordinal_lower_bound_check(n, m, alpha).terms == terms
+
+    def test_refuses_slots_above_the_limit(self):
+        assert len(ordinal_lower_bound_check(BUDGET, BUDGET, Fraction(1, 2)).terms) == BUDGET
+        with pytest.raises(ValueError, match="^n = 1000001 is over the limit of 1000000 slots$"):
+            ordinal_lower_bound_check(BUDGET + 1, BUDGET + 1, Fraction(1, 2))
 
 
 class TestExhaustiveCheck:

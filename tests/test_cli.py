@@ -418,7 +418,7 @@ class TestErrors:
         assert status == 2
         assert err == "error: line 1: threshold needs a value\n"
 
-    @pytest.mark.parametrize("token", ["1e0", "0.5", "1/0"])
+    @pytest.mark.parametrize("token", ["1e0", "0.5", "1/0", "-1"])
     def test_fixture_and_instance_reject_the_same_tokens(self, capsys, tmp_path, token):
         chain = tmp_path / "chain.txt"
         chain.write_text(f"threshold 1/2\nprofile\n{token} 1/2 1/4 1/4\n0 1 1 1\n")
@@ -432,6 +432,42 @@ class TestErrors:
         assert (status, out) == (2, "")
         assert chain_err == inst_err
         assert chain_err.startswith("error: line 3: ") and chain_err.count("\n") == 1
+
+    def test_unexpected_fixture_content_is_quoted_as_written(self, capsys, tmp_path):
+        path = tmp_path / "chain.txt"
+        path.write_text("threshold 1/2\n  what   is  this \nprofile\n1 0\n0 1\n")
+        status, out, err = run_cli(
+            capsys, "chain", "--fixture-file", str(path), "--mech", "pr"
+        )
+        assert (status, out) == (2, "")
+        assert err == "error: line 2: unexpected content 'what   is  this'\n"
+
+    def test_counting_bound_over_limit(self, capsys):
+        # 10**7 slots took 26 s and printed 20 MB before they were refused
+        start = time.perf_counter()
+        status, out, err = run_cli(
+            capsys, "adversary", "--n", "10000000", "--m", "10000000", "--alpha", "1/2",
+            "--machine",
+        )
+        assert time.perf_counter() - start < 1
+        assert (status, out) == (2, "")
+        assert err == "error: n = 10000000 is over the limit of 1000000 slots\n"
+
+    def test_seq_without_items_prints_no_pick(self, capsys):
+        # one player once got one pick of zero items
+        status, out, err = run_cli(
+            capsys, "seq", "--n", "1", "--m", "0", "--epsilon", "1/4", "--machine"
+        )
+        assert (status, err) == (0, "")
+        assert out == (
+            "alpha=1/1\nlength=0\npicks=\nposition_violations=0\ndemand_violations=0\n"
+        )
+        status, out, err = run_cli(capsys, "seq", "--n", "1", "--m", "0", "--epsilon", "1/4")
+        assert (status, err) == (0, "")
+        assert out == (
+            "n=1, m=0, epsilon=1/4, alpha=1\n"
+            "all pick positions meet their deadlines\ndeadline demand check: ok\n"
+        )
 
     def test_exhaustive_adversary_over_limit(self, capsys):
         status, out, err = run_cli(

@@ -386,6 +386,16 @@ class TestManyPartOracle:
         with pytest.raises(EnumerationLimitError):
             maximin_share(Instance.from_rows([row]), 0, 3)
 
+    def test_differencing_incumbent_is_charged(self):
+        # the incumbent holds one 4000-tuple per value, which once took 2.8 s
+        # and 262 MB before the search counted its first node
+        rng = random.Random(3)
+        row = [rng.randint(1, 1000) for _ in range(8000)]
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimitError):
+            maximin_share(Instance.from_rows([row]), 0, 4000)
+        assert time.perf_counter() - start < 1.5
+
     @pytest.mark.parametrize("m, k", [(100, 50), (200, 100)])
     def test_many_parts_refused_promptly(self, m, k):
         # each first bundle scored at four or more parts copies its rest into

@@ -23,6 +23,7 @@ from mmsfair import (
     verify_pick_positions,
     verify_schedule_demand,
 )
+from mmsfair import seqbuild
 from mmsfair.cli import main
 from mmsfair.seqbuild import DemandViolation
 
@@ -50,12 +51,41 @@ class TestPowerLowerRational:
         with pytest.raises(ValueError, match="^exponent 1001/2001 has a denominator over 2000$"):
             power_lower_rational(3, Fraction(1001, 2001))
 
+    def test_huge_exponent_denominator_is_written_short(self):
+        # 1/2 + 10**-1000 once gave an error line of about 2,000 digits
+        with pytest.raises(ValueError) as err:
+            power_lower_rational(17, Fraction(1, 2) + Fraction(1, 10**1000))
+        assert str(err.value) == "exponent 5.000e+999/1.000e+1000 has a denominator over 2000"
+
+    @pytest.mark.parametrize("limit", [1, 2, 7, 60])
+    def test_largest_fraction_under_a_small_denominator_limit(self, monkeypatch, limit):
+        # every p/q with q <= limit, compared exactly with the target
+        monkeypatch.setattr(seqbuild, "_MAX_DEN", limit)
+        rng = random.Random(limit)
+        for _ in range(40):
+            n = rng.randint(2, 30)
+            a, b = rng.randint(1, 40), rng.randint(1, 12)
+            best = max(
+                Fraction(p, q)
+                for q in range(1, limit + 1)
+                for p in range(q + 1)
+                if p**b * n**a <= q**b
+            )
+            assert power_lower_rational(n, Fraction(a, b)) == best
+
     def test_target_below_every_fraction(self):
         # 2**20 > 10**6, so 1/10**6 is already above 2**-20; 3**(10**9) is
         # never formed
         assert power_lower_rational(2, Fraction(19)) == Fraction(1, 2**19)
         assert power_lower_rational(2, Fraction(20)) == 0
         assert power_lower_rational(3, Fraction(10**9)) == 0
+
+
+class TestPickingSequence:
+    def test_only_a_cyclic_sequence_needs_a_pick(self):
+        assert PickingSequence(()).picks == ()
+        with pytest.raises(MechanismError, match="^a cyclic picking sequence needs at least one pick$"):
+            PickingSequence((), cyclic=True)
 
 
 class TestBuild:

@@ -151,7 +151,8 @@ def parse_instance(text: str) -> Instance:
 
     Lines starting with ``#`` are ignored, as are blank lines.  The first data
     line is ``n m``; the next ``n`` lines hold ``m`` whitespace-separated
-    values, each an integer ``p`` or a fraction ``p/q`` with ``q > 0``.
+    values, each an integer ``p`` or a fraction ``p/q`` with ``q > 0``.  With
+    ``m = 0`` the rows are blank, so no row line follows the header.
 
     >>> parse_instance("2 3\\n1 1/2 0\\n2/3 1 1").values[0]
     (1, Fraction(1, 2), 0)
@@ -173,6 +174,8 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError("item count must be nonnegative", header_line)
 
     body = data[1:]
+    if m == 0 and not body:
+        return Instance(((),) * n)
     if len(body) != n:
         raise InstanceError(
             f"expected {n} value rows, found {len(body)}",

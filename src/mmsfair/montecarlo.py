@@ -10,8 +10,10 @@ are bit-for-bit reproducible and independent of evaluation order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import groupby
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # numpy is imported by the one function that runs trials
     import numpy as np
@@ -25,7 +27,7 @@ class ContinuousUniform01:
     def mean(self) -> float:
         return 0.5
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | tuple) -> np.ndarray:
         return rng.random(size)
 
     def __str__(self):
@@ -46,7 +48,7 @@ class DiscreteUniform:
     def mean(self) -> float:
         return 0.5
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | tuple) -> np.ndarray:
         return rng.integers(0, self.levels, size) / (self.levels - 1)
 
     def __str__(self):
@@ -67,7 +69,7 @@ class Bernoulli:
     def mean(self) -> float:
         return self.p
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int | tuple) -> np.ndarray:
         return (rng.random(size) < self.p).astype(float)
 
     def __str__(self):
@@ -85,13 +87,16 @@ def parse_distribution(spec: str):
     raise ValueError(f"unknown distribution {spec!r}")
 
 
-# A trial's own generator takes as long as about 2,000 draws (20 us against
-# 3 to 10 ns a draw).  Each player's sample call costs 2.5 to 10 us a trial
-# whatever m is (uniform to discrete:7, fitted over 200 players with one item
-# each on a 2-core x86 host, where a value costs 13 to 15 ns from draw to
-# total), so a player is charged at least 600 draws.  The limit keeps a run
-# of three players within about 2 s and one trial's value array within
-# 400 MB.
+# A trial costs about 9.5 us before its values, as long as 1,000 to 3,000
+# draws at 3 to 10 ns a draw (one player with no items, on a 2-core x86
+# host): under 1.5 us to seed and reset its generator, the rest its owners
+# call and its loop.  It is charged 2,000 draws.  A player whose distribution
+# differs from the previous player's makes a sample call of her own, 2.5 to
+# 10 us a trial whatever m is (uniform to discrete:7, fitted over 200 players
+# with one item each, where a value costs 13 to 15 ns from draw to total), so
+# a player is charged at least 600 draws, although a run of equal players
+# shares one call.  The limit keeps a run of three players within about 2 s
+# and one trial's value array within 400 MB.
 _TRIAL_DRAWS = 2000
 _PLAYER_DRAWS = 600
 _DRAW_LIMIT = 5 * 10**7
@@ -176,15 +181,97 @@ class MCResult:
         return 1.0 - self.success_rate
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), whose output NEP 19
+# keeps fixed across numpy versions: four pool words, the hash constants
+# that mix entropy into them, and those that draw state words from them.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (O'Neill, PCG 2014, as numpy's pcg64.h).
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _pcg64_states(seed: int, trials) -> Iterator[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` of ``np.random.default_rng((seed, t))``
+    for each trial index ``t`` of the array ``trials``, each below 2**32.
+
+    The ``SeedSequence`` pass runs on ``uint32`` arrays, one element a
+    trial; the entropy is the 32-bit words of ``seed``, low first, then
+    ``t``.  Its four 64-bit state words seed the 128-bit LCG as
+    ``pcg_setseq_128_srandom_r`` does, in Python ints, one trial at a time
+    as the iterator is read.
+    """
+    import numpy as np
+
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    t = np.asarray(trials, dtype=np.uint32)
+    entropy = [
+        np.full(t.shape, seed >> s & 0xFFFFFFFF, dtype=np.uint32)
+        for s in range(0, max(seed.bit_length(), 1), 32)
+    ] + [t]
+
+    def hasher(const, mult):
+        # numpy's hashmix: each call advances the hash constant once.
+        def hashmix(x):
+            nonlocal const
+            x = x ^ np.uint32(const)
+            const = const * mult & 0xFFFFFFFF
+            x = x * np.uint32(const)
+            return x ^ x >> np.uint32(16)
+
+        return hashmix
+
+    def mix(x, y):
+        x = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return x ^ x >> np.uint32(16)
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(t.shape, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    draw = hasher(_INIT_B, _MULT_B)
+    words = np.stack([draw(pool[i % _POOL]) for i in range(8)], axis=1)
+    # generate_state(4, uint64) reads the words as little-endian pairs.
+    state_words = words.astype("<u4").view("<u8")
+    mask = 2**128 - 1
+
+    def seeded():
+        # Python ints take about 230 bytes a trial, so they are made a
+        # chunk at a time.
+        for start in range(0, len(state_words), 1024):
+            for a, b, c, d in state_words[start : start + 1024].tolist():
+                inc = ((c << 64 | d) << 1 | 1) & mask
+                yield ((inc + (a << 64 | b)) * _PCG_MULT + inc) & mask, inc
+
+    return seeded()
+
+
 def montecarlo_randomized(cfg: MCConfig) -> MCResult:
     """Run the trials and aggregate totals, success rate, and thresholds.
 
-    Trial ``t`` draws from its own generator, seeded ``(seed, t)``: each
-    player's ``m`` values in player order, then the ``m`` owners.  The draws
-    of up to ``_BLOCK_VALUES`` values' worth of trials are written into one
-    block, and the block is summed at once: the row sums by one reduction,
-    the owner masks by one comparison, and each player's received total by
-    one reduction of the items the player received, compressed to a
+    Trial ``t`` draws from the stream of ``np.random.default_rng((seed,
+    t))``: each player's ``m`` values in player order, then the ``m``
+    owners.  Every trial's PCG64 state is computed up front by
+    :func:`_pcg64_states`, a vectorized copy of numpy's ``SeedSequence``
+    (its constants are numpy's, from ``bit_generator.pyx``) followed by
+    PCG64's 128-bit seeding (O'Neill's ``pcg_setseq_128_srandom_r``); one
+    generator is then reset to each state in turn.  Each run of consecutive
+    players with equal distributions draws its values in one call, which
+    reads the stream in the same order as one call a player.
+
+    The draws of up to ``_BLOCK_VALUES`` values' worth of trials are written
+    into one block, and the block is summed at once: the row sums by one
+    reduction, the owner masks by one comparison, and each player's received
+    total by one reduction of the items the player received, compressed to a
     contiguous run in item order.  So every total is the same pairwise sum a
     trial-at-a-time loop takes, bit for bit, and memory stays at one block
     whatever the number of trials.
@@ -192,6 +279,19 @@ def montecarlo_randomized(cfg: MCConfig) -> MCResult:
     import numpy as np
 
     n, m, trials = cfg.n, cfg.m, cfg.trials
+    seeds = _pcg64_states(cfg.seed, np.arange(trials))
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    # Each run of equal players draws its rows in one call, a lone player
+    # hers as a flat row (a (1, m) draw and slice cost about 1 us more).
+    runs = []  # (rows, shape, distribution)
+    first = 0
+    for d, group in groupby(cfg.distributions):
+        k = len(list(group))
+        runs.append((first, m, d) if k == 1 else (slice(first, first + k), (k, m), d))
+        first += k
     block = max(1, min(trials, _BLOCK_VALUES // (n * max(m, 1))))
     values = np.empty((block, n, m))
     owners = np.empty((block, m), dtype=np.int64)
@@ -201,9 +301,10 @@ def montecarlo_randomized(cfg: MCConfig) -> MCResult:
     for start in range(0, trials, block):
         size = min(block, trials - start)
         for j in range(size):
-            rng = np.random.default_rng((cfg.seed, start + j))
-            for i, d in enumerate(cfg.distributions):
-                values[j, i] = d.sample(rng, m)
+            pcg["state"], pcg["inc"] = next(seeds)
+            bit_generator.state = state
+            for rows, shape, d in runs:
+                values[j, rows] = d.sample(rng, shape)
             owners[j] = rng.integers(0, n, size=m)
         np.add.reduce(values[:size], axis=2, out=row_sums[start : start + size])
         masks = owners[:size, None] == players

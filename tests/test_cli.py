@@ -57,6 +57,12 @@ class TestMms:
         assert "mms.1=1/1" in out
         assert "mms.3=3/2" in out
 
+    def test_zero_items(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("1 0\n\n")
+        status, out, err = run_cli(capsys, "mms", "--instance", str(path), "--machine")
+        assert (status, out, err) == (0, "mms.1=0/1\n", "")
+
     def test_three_parts_of_24_wide_items(self, capsys, tmp_path):
         # bench/checks.milp_share gives the same share, in about two minutes
         rng = random.Random(7)
@@ -369,6 +375,13 @@ class TestMc:
             "--rho", "1/2", "--trials", "50",
         )
         assert status == 2
+
+    def test_negative_seed(self, capsys):
+        status, out, err = run_cli(
+            capsys, "mc", "--n", "2", "--m", "30", "--dist", "uniform",
+            "--rho", "1/2", "--trials", "50", "--seed", "-1",
+        )
+        assert (status, out, err) == (2, "", "error: expected non-negative integer\n")
 
 
 class TestSeq:

@@ -64,6 +64,18 @@ class TestParsing:
         with pytest.raises(InstanceError, match="line 3.*expected 3"):
             parse_instance("2 3\n1 1 1\n1 1")
 
+    def test_zero_items(self):
+        assert parse_instance("1 0\n\n") == Instance(((),))
+        assert parse_instance("# no items\n3 0\n").values == ((), (), ())
+        empty = Instance(((), ()))
+        assert parse_instance(format_instance(empty)) == empty
+
+    def test_zero_items_refuses_a_value(self):
+        with pytest.raises(InstanceError, match="line 2.*expected 0 values, found 1"):
+            parse_instance("1 0\n5\n")
+        with pytest.raises(InstanceError, match="line 2.*expected 2 value rows"):
+            parse_instance("2 0\n5\n")
+
     def test_round_trip(self):
         rng = random.Random(0)
         inst = random_instance(rng, 3, 6)

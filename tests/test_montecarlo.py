@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsfair import (
     Bernoulli,
@@ -14,7 +16,7 @@ from mmsfair import (
     montecarlo_randomized,
     parse_distribution,
 )
-from mmsfair.montecarlo import _BLOCK_VALUES
+from mmsfair.montecarlo import _BLOCK_VALUES, _pcg64_states
 
 
 class TestDistributions:
@@ -118,6 +120,14 @@ def reference_montecarlo(cfg: MCConfig) -> MCResult:
 
 
 MIXED = (ContinuousUniform01(), DiscreteUniform(7), Bernoulli(0.3))
+RUNS = (
+    ContinuousUniform01(),
+    ContinuousUniform01(),
+    DiscreteUniform(7),
+    DiscreteUniform(7),
+    DiscreteUniform(7),
+    Bernoulli(0.3),
+)
 EQUALITY_CASES = {
     "mixed-players": MCConfig(n=3, m=40, distributions=MIXED, rho=0.7, trials=90, seed=5),
     "discrete-odd-m": mc_config(3, 301, DiscreteUniform(7), rho=0.8, trials=120, seed=2),
@@ -126,6 +136,7 @@ EQUALITY_CASES = {
     "partial-last-block": mc_config(3, 300, ContinuousUniform01(), rho=0.8, trials=300, seed=0),
     "trial-above-block": mc_config(2, 40_000, ContinuousUniform01(), rho=0.8, trials=3, seed=4),
     "seed-above-2**64": mc_config(3, 30, Bernoulli(0.3), rho=0.5, trials=40, seed=2**64 + 7),
+    "runs-of-equal-players": MCConfig(n=6, m=301, distributions=RUNS, rho=0.7, trials=30, seed=9),
 }
 
 
@@ -153,3 +164,47 @@ class TestBlockLoop:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def numpy_state(seed: int, t: int) -> tuple[int, int]:
+    state = np.random.default_rng((seed, t)).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+# The README command (3 players, 300 items) holds this many trials a block.
+README_BLOCK = _BLOCK_VALUES // (3 * 300)
+# 24,999 is above every trial index the draw limit admits (see below).
+SEED_TRIALS = (0, 1, README_BLOCK - 1, README_BLOCK, 2 * README_BLOCK, 24_999)
+
+
+class TestBulkSeeding:
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**99 + 12345]
+    )
+    def test_matches_default_rng(self, seed):
+        states = _pcg64_states(seed, np.array(SEED_TRIALS))
+        assert list(states) == [numpy_state(seed, t) for t in SEED_TRIALS]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**130 - 1), st.integers(0, 24_999))
+    def test_matches_default_rng_on_any_seed(self, seed, t):
+        assert list(_pcg64_states(seed, np.array([t]))) == [numpy_state(seed, t)]
+
+    def test_seeds_a_whole_run_in_order(self):
+        # 1,030 trials cross the first 1,024-trial chunk of Python ints.
+        states = list(_pcg64_states(5, np.arange(1_030)))
+        assert states == [numpy_state(5, t) for t in range(1_030)]
+
+    def test_draw_limit_keeps_trial_indices_small(self):
+        # Each trial index is one entropy word only while it is below 2**32.
+        with pytest.raises(ValueError, match="over the limit"):
+            mc_config(1, 0, ContinuousUniform01(), rho=0.5, trials=25_000)
+
+    def test_refuses_a_negative_seed_as_numpy_does(self):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.default_rng((-1, 0))
+        cfg = mc_config(2, 10, ContinuousUniform01(), rho=0.5, trials=3, seed=-1)
+        with pytest.raises(ValueError) as error:
+            montecarlo_randomized(cfg)
+        assert str(error.value) == str(numpy_error.value)
+        assert str(error.value) == "expected non-negative integer"

@@ -152,7 +152,8 @@ def parse_instance(text: str) -> Instance:
     Lines starting with ``#`` are ignored, as are blank lines.  The first data
     line is ``n m``; the next ``n`` lines hold ``m`` whitespace-separated
     values, each an integer ``p`` or a fraction ``p/q`` with ``q > 0``.  With
-    ``m = 0`` the rows are blank, so no row line follows the header.
+    ``m = 0`` the rows are blank, so no row line follows the header; ``n``
+    is then at most :data:`BUDGET`, as the file no longer bounds it.
 
     >>> parse_instance("2 3\\n1 1/2 0\\n2/3 1 1").values[0]
     (1, Fraction(1, 2), 0)
@@ -175,6 +176,11 @@ def parse_instance(text: str) -> Instance:
 
     body = data[1:]
     if m == 0 and not body:
+        if n > BUDGET:
+            raise InstanceError(
+                f"player count {n} is over the limit of {BUDGET} without value rows",
+                header_line,
+            )
         return Instance(((),) * n)
     if len(body) != n:
         raise InstanceError(

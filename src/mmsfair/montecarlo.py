@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import groupby
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # numpy is imported by the one function that runs trials
     import numpy as np
@@ -93,9 +93,10 @@ def parse_distribution(spec: str):
 # call and its loop.  It is charged 2,000 draws.  A player whose distribution
 # differs from the previous player's makes a sample call of her own, 2.5 to
 # 10 us a trial whatever m is (uniform to discrete:7, fitted over 200 players
-# with one item each, where a value costs 13 to 15 ns from draw to total), so
-# a player is charged at least 600 draws, although a run of equal players
-# shares one call.  The limit keeps a run of three players within about 2 s
+# with one item each, where a value costs 13 to 15 ns from draw to total; its
+# (1, m) shape costs about 1.5 us more than a flat draw), so a player is
+# charged at least 600 draws, although a run of equal players shares one
+# call.  The limit keeps a run of three players within about 2 s
 # and one trial's value array within 400 MB.
 _TRIAL_DRAWS = 2000
 _PLAYER_DRAWS = 600
@@ -192,15 +193,14 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def _pcg64_states(seed: int, trials) -> Iterator[tuple[int, int]]:
+def _pcg64_states(seed: int, trials) -> list[tuple[int, int]]:
     """The PCG64 ``(state, inc)`` of ``np.random.default_rng((seed, t))``
     for each trial index ``t`` of the array ``trials``, each below 2**32.
 
     The ``SeedSequence`` pass runs on ``uint32`` arrays, one element a
     trial; the entropy is the 32-bit words of ``seed``, low first, then
     ``t``.  Its four 64-bit state words seed the 128-bit LCG as
-    ``pcg_setseq_128_srandom_r`` does, in Python ints, one trial at a time
-    as the iterator is read.
+    ``pcg_setseq_128_srandom_r`` does, in Python ints.
     """
     import numpy as np
 
@@ -243,16 +243,11 @@ def _pcg64_states(seed: int, trials) -> Iterator[tuple[int, int]]:
     # generate_state(4, uint64) reads the words as little-endian pairs.
     state_words = words.astype("<u4").view("<u8")
     mask = 2**128 - 1
-
-    def seeded():
-        # Python ints take about 230 bytes a trial, so they are made a
-        # chunk at a time.
-        for start in range(0, len(state_words), 1024):
-            for a, b, c, d in state_words[start : start + 1024].tolist():
-                inc = ((c << 64 | d) << 1 | 1) & mask
-                yield ((inc + (a << 64 | b)) * _PCG_MULT + inc) & mask, inc
-
-    return seeded()
+    states = []
+    for a, b, c, d in state_words.tolist():
+        inc = ((c << 64 | d) << 1 | 1) & mask
+        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & mask, inc))
+    return states
 
 
 def montecarlo_randomized(cfg: MCConfig) -> MCResult:
@@ -274,7 +269,7 @@ def montecarlo_randomized(cfg: MCConfig) -> MCResult:
     total by one reduction of the items the player received, compressed to a
     contiguous run in item order.  So every total is the same pairwise sum a
     trial-at-a-time loop takes, bit for bit, and memory stays at one block
-    whatever the number of trials.
+    of values and a few hundred bytes a trial for its seed and totals.
     """
     import numpy as np
 
@@ -284,13 +279,11 @@ def montecarlo_randomized(cfg: MCConfig) -> MCResult:
     rng = np.random.Generator(bit_generator)
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    # Each run of equal players draws its rows in one call, a lone player
-    # hers as a flat row (a (1, m) draw and slice cost about 1 us more).
-    runs = []  # (rows, shape, distribution)
+    runs = []  # (rows, shape, distribution) of each run of equal players
     first = 0
     for d, group in groupby(cfg.distributions):
         k = len(list(group))
-        runs.append((first, m, d) if k == 1 else (slice(first, first + k), (k, m), d))
+        runs.append((slice(first, first + k), (k, m), d))
         first += k
     block = max(1, min(trials, _BLOCK_VALUES // (n * max(m, 1))))
     values = np.empty((block, n, m))
@@ -301,7 +294,7 @@ def montecarlo_randomized(cfg: MCConfig) -> MCResult:
     for start in range(0, trials, block):
         size = min(block, trials - start)
         for j in range(size):
-            pcg["state"], pcg["inc"] = next(seeds)
+            pcg["state"], pcg["inc"] = seeds[start + j]
             bit_generator.state = state
             for rows, shape, d in runs:
                 values[j, rows] = d.sample(rng, shape)

@@ -63,6 +63,18 @@ class TestMms:
         status, out, err = run_cli(capsys, "mms", "--instance", str(path), "--machine")
         assert (status, out, err) == (0, "mms.1=0/1\n", "")
 
+    def test_zero_items_with_a_huge_header(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000 0\n")
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "mms", "--instance", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (status, out) == (2, "")
+        assert err == (
+            "error: line 1: player count 1000000000 is over the limit of"
+            " 1000000 without value rows\n"
+        )
+
     def test_three_parts_of_24_wide_items(self, capsys, tmp_path):
         # bench/checks.milp_share gives the same share, in about two minutes
         rng = random.Random(7)

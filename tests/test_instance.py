@@ -17,7 +17,7 @@ from mmsfair import (
     validate_allocation,
 )
 from mmsfair import instance
-from mmsfair.instance import ranking_order
+from mmsfair.instance import BUDGET, ranking_order
 
 
 class TestParsing:
@@ -69,6 +69,11 @@ class TestParsing:
         assert parse_instance("# no items\n3 0\n").values == ((), (), ())
         empty = Instance(((), ()))
         assert parse_instance(format_instance(empty)) == empty
+
+    def test_zero_items_caps_the_player_count(self):
+        assert len(parse_instance(f"{BUDGET} 0\n").values) == BUDGET
+        with pytest.raises(InstanceError, match="line 2: player count 1000001 is over"):
+            parse_instance(f"# header\n{BUDGET + 1} 0\n")
 
     def test_zero_items_refuses_a_value(self):
         with pytest.raises(InstanceError, match="line 2.*expected 0 values, found 1"):

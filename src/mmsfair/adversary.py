@@ -72,7 +72,8 @@ def ordinal_lower_bound_check(n: int, m: int, alpha: Fraction) -> CountingReport
     items, and only ``m`` items exist.  A sum above ``m`` certifies that no
     common-ranking algorithm reaches ``alpha``; otherwise nothing is decided.
     One term is built per slot, so ``n`` over
-    :data:`~mmsfair.instance.BUDGET` is refused with ``ValueError``.
+    :data:`~mmsfair.instance.BUDGET` is refused with ``ValueError``, and so
+    is a report whose ``n`` terms could hold more than ``BUDGET`` digits.
     """
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
@@ -82,6 +83,15 @@ def ordinal_lower_bound_check(n: int, m: int, alpha: Fraction) -> CountingReport
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     p, q = alpha.numerator, alpha.denominator
+    # The largest term, the last, is ceil(p * (m - n + 1) / q) < 2**bits;
+    # 0.30103 is just above log10(2), so ``digits`` is never too few.
+    bits = p.bit_length() + (m - n + 1).bit_length() - q.bit_length() + 1
+    digits = max(bits, 0) * 30103 // 100000 + 1 if p else 1
+    if n * digits > BUDGET:
+        raise ValueError(
+            f"{n} terms of up to {digits} digits are over the limit of "
+            f"{BUDGET} digits"
+        )
     # exact ceil of alpha * floor((m-i+1)/(n-i+1)), in integers
     terms = [-(-p * ((m - i + 1) // (n - i + 1)) // q) for i in range(1, n + 1)]
     total = sum(terms)

@@ -87,17 +87,19 @@ def parse_distribution(spec: str):
     raise ValueError(f"unknown distribution {spec!r}")
 
 
-# A trial costs about 9.5 us before its values, as long as 1,000 to 3,000
+# A trial costs about 5.5 us before its values, as long as 550 to 1,800
 # draws at 3 to 10 ns a draw (one player with no items, on a 2-core x86
-# host): under 1.5 us to seed and reset its generator, the rest its owners
-# call and its loop.  It is charged 2,000 draws.  A player whose distribution
-# differs from the previous player's makes a sample call of her own, 2.5 to
-# 10 us a trial whatever m is (uniform to discrete:7, fitted over 200 players
-# with one item each, where a value costs 13 to 15 ns from draw to total; its
-# (1, m) shape costs about 1.5 us more than a flat draw), so a player is
-# charged at least 600 draws, although a run of equal players shares one
-# call.  The limit keeps a run of three players within about 2 s
-# and one trial's value array within 400 MB.
+# host; 9 us while its owners came from an integers call): about 2.5 us to
+# seed and reset its generator, under 1 us to draw its owner words, the
+# rest decoding them and its loop.  It is still charged 2,000 draws.  A
+# player whose distribution differs from the previous player's makes a
+# sample call of her own, 2.5 to 10 us a trial whatever m is (uniform to
+# discrete:7, fitted over 200 players with one item each, where a value
+# costs 13 to 15 ns from draw to total; its (1, m) shape costs about 1.5 us
+# more than a flat draw), so a player is charged at least 600 draws,
+# although a run of equal players shares one call.  The limit keeps a run
+# of three players within about 2 s and one trial's value array within
+# 400 MB.
 _TRIAL_DRAWS = 2000
 _PLAYER_DRAWS = 600
 _DRAW_LIMIT = 5 * 10**7
@@ -250,6 +252,36 @@ def _pcg64_states(seed: int, trials) -> list[tuple[int, int]]:
     return states
 
 
+# Distributions whose draws read whole 64-bit words, so they never leave a
+# 32-bit half pending as an integer draw of 32 bits can.
+_WHOLE_WORDS = (ContinuousUniform01, Bernoulli)
+
+
+def _lemire_owners(words, spare, n: int, m: int):
+    """The ``m`` owners ``Generator.integers(0, n, size=m)`` draws from each
+    row of raw PCG64 ``words`` (``uint64``), with the rejections to check.
+
+    numpy draws a range below 2**32 by Lemire's bounded method (Lemire,
+    ACM TOMACS 2019) from 32-bit halves, the low half of a word first and
+    a pending half, ``spare`` (-1 when none), before both: a half ``u``
+    gives ``prod = u * n``, the owner is ``prod >> 32``, and the draw is
+    rejected when ``prod``'s low 32 bits are below ``(2**32 - n) % n``.
+    numpy then reads the next half instead, so from a row's first rejected
+    draw on its owners differ from numpy's.  Returns the owners (``int64``)
+    and the rejected draws (``bool``), both of shape ``(rows, m)``.
+    """
+    import numpy as np
+
+    draws = words.astype("<u8", copy=False).view("<u4")[:, :m].astype(np.uint64)
+    ahead = spare >= 0
+    first = spare[ahead, None].astype(np.uint64)
+    draws[ahead] = np.concatenate([first, draws[ahead]], axis=1)[:, :m]
+    prod = draws * np.uint64(n)
+    owners = (prod >> np.uint64(32)).view(np.int64)
+    rejected = (prod & np.uint64(0xFFFFFFFF)) < np.uint64((2**32 - n) % n)
+    return owners, rejected
+
+
 def montecarlo_randomized(cfg: MCConfig) -> MCResult:
     """Run the trials and aggregate totals, success rate, and thresholds.
 
@@ -262,6 +294,17 @@ def montecarlo_randomized(cfg: MCConfig) -> MCResult:
     generator is then reset to each state in turn.  Each run of consecutive
     players with equal distributions draws its values in one call, which
     reads the stream in the same order as one call a player.
+
+    The owners are not drawn by ``rng.integers(0, n, size=m)``: a trial
+    takes the ``(m + 1) // 2`` raw words that call would read at most (none
+    when ``n == 1``, as ``integers(0, 1)`` reads none), and
+    :func:`_lemire_owners` decodes a block of them at once by numpy's
+    bounded rule.  A distribution that draws 32-bit integers may leave
+    half a word pending, which numpy's owners read first, so unless every
+    distribution reads whole words (``uniform`` and ``bernoulli`` do) the
+    trial reads that half from the generator's state.  A trial with a
+    rejected owner draw (probability under ``n / 2**32`` a draw) is redone
+    the generator's way: reset, sample, then ``integers``.
 
     The draws of up to ``_BLOCK_VALUES`` values' worth of trials are written
     into one block, and the block is summed at once: the row sums by one
@@ -287,20 +330,36 @@ def montecarlo_randomized(cfg: MCConfig) -> MCResult:
         first += k
     block = max(1, min(trials, _BLOCK_VALUES // (n * max(m, 1))))
     values = np.empty((block, n, m))
-    owners = np.empty((block, m), dtype=np.int64)
+    # integers(0, 1) reads no words, and a zero word decodes to owner 0.
+    owner_words = (m + 1) // 2 if n > 1 else 0
+    words = np.zeros((block, (m + 1) // 2), dtype=np.uint64)
+    spare = np.full(block, -1, dtype=np.int64)
+    read_spare = not all(isinstance(d, _WHOLE_WORDS) for d in cfg.distributions)
     players = np.arange(n)[:, None]
     totals = np.empty((trials, n))
     row_sums = np.empty((trials, n))
+
+    def sample(j, t):
+        pcg["state"], pcg["inc"] = seeds[t]
+        bit_generator.state = state
+        for rows, shape, d in runs:
+            values[j, rows] = d.sample(rng, shape)
+
     for start in range(0, trials, block):
         size = min(block, trials - start)
         for j in range(size):
-            pcg["state"], pcg["inc"] = seeds[start + j]
-            bit_generator.state = state
-            for rows, shape, d in runs:
-                values[j, rows] = d.sample(rng, shape)
+            sample(j, start + j)
+            if read_spare:
+                half = bit_generator.state
+                spare[j] = half["uinteger"] if half["has_uint32"] else -1
+            words[j, :owner_words] = bit_generator.random_raw(owner_words)
+        owners, rejected = _lemire_owners(words[:size], spare[:size], n, m)
+        for j in np.flatnonzero(rejected.any(axis=1)).tolist():
+            # numpy draws again after a rejection: redo the trial its way.
+            sample(j, start + j)
             owners[j] = rng.integers(0, n, size=m)
         np.add.reduce(values[:size], axis=2, out=row_sums[start : start + size])
-        masks = owners[:size, None] == players
+        masks = owners[:, None] == players
         # np.extract takes the same elements as values[masks], faster.  Each
         # run is reduced alone: bincount or a zero-padded sum would round
         # differently.

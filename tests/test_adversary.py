@@ -101,6 +101,32 @@ class TestCountingBound:
         with pytest.raises(ValueError, match="^n = 1000001 is over the limit of 1000000 slots$"):
             ordinal_lower_bound_check(BUDGET + 1, BUDGET + 1, Fraction(1, 2))
 
+    def test_refuses_terms_over_the_digit_limit(self):
+        # one digit a term is the most BUDGET slots may hold
+        assert ordinal_lower_bound_check(BUDGET, BUDGET, Fraction(3)).terms[-1] == 3
+        with pytest.raises(ValueError, match="^1000000 terms of up to 2 digits"):
+            ordinal_lower_bound_check(BUDGET, BUDGET, Fraction(10))
+        with pytest.raises(ValueError, match="^1000 terms of up to 1001 digits"):
+            ordinal_lower_bound_check(1000, 1000, Fraction(int("7" * 1000), 3))
+
+    def test_digit_count_is_never_too_few(self):
+        # The refusal counts the largest term's digits from bit lengths.  More
+        # slots with the same m - n + 1 keep that term, so enough of them must
+        # be refused, counting at most one digit too many.
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(1, 50)
+            extra = rng.randint(0, 10 ** rng.randint(1, 30))
+            alpha = Fraction(
+                rng.randint(1, 10 ** rng.randint(0, 40)),
+                rng.randint(1, 10 ** rng.randint(0, 40)),
+            )
+            longest = len(str(ordinal_lower_bound_check(n, n + extra, alpha).terms[-1]))
+            slots = BUDGET // longest + 1
+            if slots <= BUDGET:
+                with pytest.raises(ValueError, match=f"up to ({longest}|{longest + 1}) digits"):
+                    ordinal_lower_bound_check(slots, slots + extra, alpha)
+
 
 class TestExhaustiveCheck:
     def test_three_six_is_exactly_half(self):

@@ -478,6 +478,20 @@ class TestErrors:
         assert (status, out) == (2, "")
         assert err == "error: n = 10000000 is over the limit of 1000000 slots\n"
 
+    def test_counting_bound_digits_over_limit(self, capsys):
+        # 1,000 terms of 1,000 digits each printed 1,003,051 bytes
+        start = time.perf_counter()
+        status, out, err = run_cli(
+            capsys, "adversary", "--n", "1000", "--m", "1000",
+            "--alpha", "7" * 1000 + "/3", "--machine",
+        )
+        assert time.perf_counter() - start < 0.5
+        assert (status, out) == (2, "")
+        assert err == (
+            "error: 1000 terms of up to 1001 digits are over the limit of "
+            "1000000 digits\n"
+        )
+
     def test_seq_without_items_prints_no_pick(self, capsys):
         # one player once got one pick of zero items
         status, out, err = run_cli(

@@ -16,7 +16,8 @@ from mmsfair import (
     montecarlo_randomized,
     parse_distribution,
 )
-from mmsfair.montecarlo import _BLOCK_VALUES, _pcg64_states
+from mmsfair import montecarlo
+from mmsfair.montecarlo import _BLOCK_VALUES, _lemire_owners, _pcg64_states
 
 
 class TestDistributions:
@@ -137,6 +138,13 @@ EQUALITY_CASES = {
     "trial-above-block": mc_config(2, 40_000, ContinuousUniform01(), rho=0.8, trials=3, seed=4),
     "seed-above-2**64": mc_config(3, 30, Bernoulli(0.3), rho=0.5, trials=40, seed=2**64 + 7),
     "runs-of-equal-players": MCConfig(n=6, m=301, distributions=RUNS, rho=0.7, trials=30, seed=9),
+    # integers(0, 1) reads no owner words
+    "one-player": mc_config(1, 50, ContinuousUniform01(), rho=0.9, trials=20, seed=6),
+    # a power of two rejects no draw: its threshold (2**32 - n) % n is 0
+    "power-of-two-players": mc_config(4, 90, DiscreteUniform(5), rho=0.6, trials=50, seed=8),
+    # three 32-bit value draws leave a half pending, the only owner draw
+    "discrete-one-item": mc_config(3, 1, DiscreteUniform(7), rho=0.5, trials=40, seed=10),
+    "many-players": mc_config(1000, 3, Bernoulli(0.5), rho=0.5, trials=20, seed=12),
 }
 
 
@@ -164,6 +172,61 @@ class TestBlockLoop:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def twin(state: dict) -> np.random.Generator:
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
+def halves_read(state: dict, draws: int, n: int) -> bool:
+    """Whether ``integers(0, n, size=draws)`` reads exactly one 32-bit half
+    a draw: a draw over the full 32-bit range reads one and rejects none."""
+    owners, plain = twin(state), twin(state)
+    owners.integers(0, n, size=draws)
+    plain.integers(0, 2**32, size=draws, dtype=np.uint64)
+    return owners.bit_generator.state == plain.bit_generator.state
+
+
+class TestOwnerDecode:
+    # 3,000,000,000 rejects about 30% of its draws, 3 about 2**-32 of them.
+    @pytest.mark.parametrize("n", [3, 3_000_000_000])
+    @pytest.mark.parametrize("pending", [False, True], ids=["whole-words", "spare-half"])
+    def test_matches_integers_up_to_the_first_rejection(self, n, pending):
+        m = 41
+        firsts = []
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            if pending:
+                rng.integers(0, 7, size=3)  # three 32-bit draws
+            state = rng.bit_generator.state
+            assert state["has_uint32"] == pending
+            spare = state["uinteger"] if pending else -1
+            words = twin(state).bit_generator.random_raw((m + 1) // 2)
+            owners, rejected = _lemire_owners(words[None], np.array([spare]), n, m)
+            first = int(np.argmax(rejected[0])) if rejected.any() else m
+            expected = twin(state).integers(0, n, size=m)
+            assert owners[0, :first].tolist() == expected[:first].tolist()
+            # numpy read one half a draw up to `first`, and more at `first`
+            assert halves_read(state, first, n)
+            if first < m:
+                assert not halves_read(state, first + 1, n)
+            firsts.append(first)
+        if n == 3:
+            assert firsts == [m] * 30
+        else:  # rejected at various draws, never past all 41
+            assert max(firsts) < m and len(set(firsts)) > 3
+
+    def test_every_trial_flagged_runs_the_generator_path(self, monkeypatch):
+        def reject_all(words, spare, n, m):
+            owners, rejected = _lemire_owners(words, spare, n, m)
+            return owners + 1, np.ones_like(rejected)
+
+        monkeypatch.setattr(montecarlo, "_lemire_owners", reject_all)
+        for name in ("mixed-players", "discrete-odd-m", "partial-last-block"):
+            cfg = EQUALITY_CASES[name]
+            assert repr(montecarlo_randomized(cfg)) == repr(reference_montecarlo(cfg))
 
 
 def numpy_state(seed: int, t: int) -> tuple[int, int]:

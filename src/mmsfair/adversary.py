@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .instance import BUDGET, _enumeration_size
+from .instance import BUDGET, EnumerationLimitError, _enumeration_size
 
 INFEASIBLE = "infeasible"
 FEASIBLE_UNKNOWN = "feasible-unknown"
@@ -115,6 +115,13 @@ def exhaustive_common_ranking_ratio(n: int, m: int) -> Fraction:
     _enumeration_size(
         n, m, BUDGET, "exhaustive search needs {} allocations, over the limit of {}"
     )
+    # One player has one allocation, but a row of m items is still built: m
+    # is held to what two players reach, as the count above holds more.
+    if m > (most := BUDGET.bit_length() - 1):
+        raise EnumerationLimitError(
+            f"exhaustive search over {m} items is over the limit of {most} items "
+            f"that two players reach within {BUDGET} allocations"
+        )
     # Scaled by the lcm of its denominators, a slot's row is integral, and so
     # is its share (a bundle sum); a bundle's ratio is the pair of the two.
     slots = []

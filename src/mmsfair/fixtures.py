@@ -14,7 +14,7 @@ default; any value inside the fixture's admissible range may be requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -44,7 +44,8 @@ Profile = tuple[Row, Row]
 class ChainFixture:
     """An impossibility chain: profiles, deviation edges, and the
     approximation threshold the argued-about mechanisms would have to meet
-    in ``model``."""
+    in ``model``.  A built-in chain's ``premise`` says from each profile's
+    bundle sizes whether its argument covers a mechanism; a file has none."""
 
     name: str
     epsilon: Fraction
@@ -52,6 +53,7 @@ class ChainFixture:
     model: str
     profiles: tuple[Profile, ...]
     deviation_edges: tuple[tuple[int, int, int], ...]  # (from, to, player), 0-based
+    premise: Callable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -231,13 +233,12 @@ def _fixture_ordinal_m4(e: Fraction):
 class _Builtin:
     """One built-in chain: ``build(epsilon)`` gives its (threshold, model,
     profiles, edges); epsilon must lie in (0, ``limit``), or (0, ``limit``]
-    when ``inclusive``; ``premise`` says from each profile's bundle sizes
-    whether the chain's argument covers a mechanism."""
+    when ``inclusive``; ``premise`` is its :attr:`ChainFixture.premise`."""
 
     build: Callable
     limit: Fraction
     inclusive: bool
-    premise: Callable = lambda sizes: True
+    premise: Callable | None = None
 
 
 # The lemma chains need epsilon strictly below 1/2, otherwise 2 - e and 1 + e
@@ -279,6 +280,7 @@ def builtin_fixture(name: str, epsilon: Fraction = Fraction(1, 10)) -> ChainFixt
         model=model,
         profiles=profiles,
         deviation_edges=edges,
+        premise=spec.premise,
     )
 
 
@@ -405,9 +407,9 @@ def run_chain(fix: ChainFixture, mech: Mechanism, model: str) -> ChainReport:
 def fixture_applies(fix: ChainFixture, mech: Mechanism) -> bool:
     """Whether the chain's impossibility argument covers this mechanism: the
     model must match, the mechanism must run at the fixture's dimensions, and
-    any structural premise must hold (the two-items-each chain only binds
-    mechanisms that split 2+2 on every profile; the one-item chain only binds
-    mechanisms that hand a single item to someone somewhere)."""
+    the fixture's premise, if it has one, must hold (the two-items-each chain
+    only binds mechanisms that split 2+2 on every profile; the one-item chain
+    only binds mechanisms that hand a single item to someone somewhere)."""
     if fix.model not in models_for(mech):
         return False
     try:
@@ -418,8 +420,7 @@ def fixture_applies(fix: ChainFixture, mech: Mechanism) -> bool:
     except (MechanismError, InfeasibleParams):
         return False
     sizes = [tuple(len(b) for b in alloc.bundles) for alloc in allocations]
-    spec = _BUILTINS.get(fix.name)
-    return spec is None or spec.premise(sizes)
+    return fix.premise is None or fix.premise(sizes)
 
 
 def parse_fixture(text: str, name: str = "custom") -> ChainFixture:

@@ -321,6 +321,13 @@ def verify_truthful_on_grid(
     total = _enumeration_size(
         len(grid), n * m, budget, "grid sweep needs {} instances, over the budget of {}"
     )
+    # One grid value makes one instance of n * m values, all still searched:
+    # they are held to what two values reach, as the count above holds more.
+    if n * m > (most := budget.bit_length() - 1):
+        raise EnumerationLimitError(
+            f"grid sweep over {n} x {m} values is over the limit of {most} "
+            f"values that a two-value grid reaches within the budget of {budget}"
+        )
     spec = _SPECS[mech.name]
     # A player is searched unless no report of hers moves her bundle: the
     # allocation ignores all reports, or she has only her row to report

@@ -370,6 +370,12 @@ class TestAdversary:
         assert status == 0
         assert "exhaustive.best=1/2" in out
 
+    def test_exhaustive_one_player(self, capsys):
+        status, out, err = run_cli(
+            capsys, "adversary", "--n", "1", "--m", "6", "--exhaustive", "--machine"
+        )
+        assert (status, out, err) == (0, "exhaustive.best=1/1\n", "")
+
 
 class TestMc:
     def test_runs(self, capsys):
@@ -675,6 +681,34 @@ class TestErrors:
         assert (status, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # one instance or allocation whatever the size: 46 s and 3.7 GB
+            # at n = 4,000, and more without bound as m grows
+            ("verify --mech pick-seq --model ordinal --n 4000 --m 2 --grid 0",
+             "grid sweep over 4000 x 2 values is over the limit of 19 values that "
+             "a two-value grid reaches within the budget of 1000000"),
+            ("verify --mech cut-and-choose --model public-rankings --n 2 --m 100000000 --grid 0",
+             "grid sweep over 2 x 100000000 values is over the limit of 19 values that "
+             "a two-value grid reaches within the budget of 1000000"),
+            ("adversary --n 1 --m 1000000000 --exhaustive",
+             "exhaustive search over 1000000000 items is over the limit of 19 items "
+             "that two players reach within 1000000 allocations"),
+        ],
+    )
+    def test_one_choice_enumeration_refused_at_once(self, capsys, argv, message):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, *argv.split())
+        assert time.perf_counter() - start < 0.5
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
+    def test_one_value_grid_answered_up_to_its_limit(self, capsys):
+        argv = "verify --mech pick-seq --model ordinal --n 19 --m 1 --grid 0 --machine"
+        status, out, err = run_cli(capsys, *argv.split())
+        assert (status, err) == (0, "")
+        assert "instances=1\n" in out and "violations=0\n" in out
+
+    @pytest.mark.parametrize(
         "argv",
         [
             "adversary --n 3 --m 6 --alpha 1e30000000",
@@ -821,15 +855,15 @@ README_MACHINE = (
         0,
         (
             "trials=10000\n"
-            "success_rate=0.9513\n"
-            "mean.1=50.02284418039978\n"
-            "variance.1=25.549755147883477\n"
+            "success_rate=0.9517\n"
+            "mean.1=49.97134213702841\n"
+            "variance.1=25.34641511558983\n"
             "threshold.1=59.222491313078045\n"
-            "mean.2=50.025122307580844\n"
-            "variance.2=24.933372465453605\n"
+            "mean.2=50.104373580934094\n"
+            "variance.2=25.049007916600445\n"
             "threshold.2=59.222491313078045\n"
-            "mean.3=49.93778393735195\n"
-            "variance.3=24.868378342144755\n"
+            "mean.3=50.007431557040775\n"
+            "variance.3=25.00399515801463\n"
             "threshold.3=59.222491313078045\n"
         ),
     ),
@@ -927,10 +961,10 @@ README_HUMAN = (
         0,
         (
             "n=3, m=300, dist=uniform, rho=0.8, trials=10000, seed=0\n"
-            "success rate: 0.9513\n"
-            "player 1: mean 50.022844, variance 25.549755, threshold a_i 59.222491\n"
-            "player 2: mean 50.025122, variance 24.933372, threshold a_i 59.222491\n"
-            "player 3: mean 49.937784, variance 24.868378, threshold a_i 59.222491\n"
+            "success rate: 0.9517\n"
+            "player 1: mean 49.971342, variance 25.346415, threshold a_i 59.222491\n"
+            "player 2: mean 50.104374, variance 25.049008, threshold a_i 59.222491\n"
+            "player 3: mean 50.007432, variance 25.003995, threshold a_i 59.222491\n"
         ),
     ),
     (

@@ -183,6 +183,14 @@ class TestApplicability:
         assert not fixture_applies(builtin_fixture("lemma-2+2"), mechanism("pr-exact-2-4"))
         assert not fixture_applies(builtin_fixture("ordinal-m4"), mechanism("cut-and-choose"))
 
+    def test_a_file_carries_no_premise_whatever_its_name(self):
+        text = "threshold 1/2\nprofile\n1 1 1 1\n1 1 1 1\n"
+        for mech in (mechanism("best-item"), mechanism("cut-and-choose")):
+            for name in ("custom", "lemma-2+2", "lemma-1+3"):
+                fix = parse_fixture(text, name=name)
+                assert fix.premise is None
+                assert fixture_applies(fix, mech)
+
     def test_infeasible_mechanism_not_applicable(self):
         sq = mechanism("sqrt-seq", Fraction(1, 4))
         assert not fixture_applies(builtin_fixture("pr-m6"), sq)

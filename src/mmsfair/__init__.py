@@ -35,7 +35,6 @@ from .instance import (
     Instance,
     InstanceError,
     Ranking,
-    bundle_value,
     derive_ranking,
     format_instance,
     parse_instance,
@@ -58,9 +57,7 @@ from .mechanisms import (
     MechanismError,
     PickingSequence,
     best_item_sequence,
-    cut_and_choose,
     mechanism,
-    mechanism_pr_exact_24,
     models_for,
     positions_bundle,
     pr_sequence,
@@ -102,9 +99,7 @@ from .strategy import (
     DeviationReport,
     GridVerification,
     GridWitness,
-    deviation_search_cardinal,
-    deviation_search_ordinal,
-    deviation_search_public,
+    deviation_search,
     grid_covers_decisions,
     verify_truthful_on_grid,
 )

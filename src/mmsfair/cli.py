@@ -41,7 +41,6 @@ from .mechanisms import (
     MODELS,
     Mechanism,
     MechanismError,
-    mechanism,
     run_mechanism,
     theoretical_ratio,
 )
@@ -132,11 +131,11 @@ def _load_instance(path: str) -> Instance:
 
 def _mech_from_args(args) -> Mechanism:
     if not _SPECS[args.mech].takes_epsilon:
-        return mechanism(args.mech)
+        return Mechanism(args.mech)
     eps = getattr(args, "epsilon", None)
     if eps is None:
         raise MechanismError(f"{args.mech} needs --epsilon P/Q")
-    return mechanism(args.mech, eps)
+    return Mechanism(args.mech, eps)
 
 
 def _cmd_mms(args) -> tuple[int, list[str]]:

@@ -104,8 +104,15 @@ class Instance:
         return len(self.values[0])
 
     def value(self, player: int, items: Iterable[int]) -> Value:
-        """Exact total value of ``items`` for ``player`` (empty set -> 0)."""
-        return bundle_value(self, player, items)
+        """Exact sum of ``player``'s values over ``items``; the empty set is 0."""
+        self._check_player(player)
+        row, m = self.values[player], self.m
+        total: Value = 0
+        for j in items:
+            if not 0 <= j < m:
+                raise IndexError(f"item index {j} out of range [0, {m})")
+            total += row[j]
+        return total
 
     def _check_player(self, player: int) -> None:
         if not 0 <= player < self.n:
@@ -251,19 +258,6 @@ def format_instance(inst: Instance) -> str:
 def _format_value(v: Value) -> str:
     f = Fraction(v)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def bundle_value(inst: Instance, player: int, items: Iterable[int]) -> Value:
-    """Exact sum of ``player``'s values over ``items``; the empty set is 0."""
-    inst._check_player(player)
-    row = inst.values[player]
-    m = inst.m
-    total: Value = 0
-    for j in items:
-        if not 0 <= j < m:
-            raise IndexError(f"item index {j} out of range [0, {m})")
-        total += row[j]
-    return total
 
 
 def derive_ranking(inst: Instance, player: int) -> Ranking:

@@ -7,8 +7,8 @@ and is truthful in, whether it reads values, rankings or no report, its
 epsilon and shape rules, how it allocates from raw orders and rows (a
 picking sequence or a bundles function), its proven ratio, and whether a
 value grid decides its choices.  :func:`run_mechanism`, the raw allocator
-``_allocate`` shared with the deviation searches, and every property query
-read that table instead of matching mechanism names.
+``_allocate`` shared with the deviation search and the grid sweep, and
+every property query read that table instead of matching mechanism names.
 
 Every mechanism is deterministic given its inputs (and seed, for the random
 one).  Ties inside picking steps resolve to the lowest item index; ties
@@ -78,8 +78,7 @@ class Mechanism:
         return self.name
 
 
-def mechanism(name: str, epsilon: Fraction | None = None) -> Mechanism:
-    return Mechanism(name, epsilon)
+mechanism = Mechanism  # the same class under a function-style name
 
 
 def models_for(mech: Mechanism) -> frozenset:
@@ -250,12 +249,6 @@ def _pr_exact_24_bundles(orders, rows, n, m, seed):
     return mine, rest
 
 
-def mechanism_pr_exact_24(inst: Instance) -> Allocation:
-    """Exact maximin-share mechanism for two players and four items, with the
-    players' rankings treated as public (derived from the instance)."""
-    return run_mechanism(Mechanism(PR_EXACT_24), PUBLIC_RANKINGS, inst)
-
-
 def best_two_partition(row: Sequence[Value]) -> tuple[frozenset[int], frozenset[int]]:
     """The 2-partition maximizing the minimum bundle value of ``row``.
 
@@ -313,12 +306,6 @@ def _cut_and_choose_bundles(orders, rows, n, m, seed):
     if va >= vb:
         return proposal_b, proposal_a
     return proposal_a, proposal_b
-
-
-def cut_and_choose(inst: Instance) -> Allocation:
-    """Two-player cut and choose: exact under truthful reports, but the
-    proposer can manipulate the cut."""
-    return run_mechanism(Mechanism(CUT_AND_CHOOSE), CARDINAL, inst)
 
 
 def random_uniform_allocation(n: int, m: int, seed: int = 0) -> Allocation:

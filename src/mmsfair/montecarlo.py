@@ -34,13 +34,15 @@ class ContinuousUniform01:
 
 @dataclass(frozen=True)
 class DiscreteUniform:
-    """Uniform over ``levels`` evenly spaced points covering [0, 1]; mean 1/2."""
+    """Uniform over ``levels`` evenly spaced points covering [0, 1]; mean 1/2.
+    numpy's ``integers`` draws below at most ``2**63``, the most levels."""
 
     levels: int
+    RULE = "K must be an integer from 2 to 2**63"
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError("discrete uniform needs at least 2 levels")
+        if not 2 <= self.levels <= 2**63:
+            raise ValueError(self.RULE)
 
     @property
     def mean(self) -> float:
@@ -58,10 +60,11 @@ class Bernoulli:
     """Value 1 with probability ``p``, else 0; mean ``p`` (must be positive)."""
 
     p: float
+    RULE = "P must be a number in (0, 1]"
 
     def __post_init__(self):
         if not 0 < self.p <= 1:
-            raise ValueError("bernoulli needs p in (0, 1]")
+            raise ValueError(self.RULE)
 
     @property
     def mean(self) -> float:
@@ -74,15 +77,23 @@ class Bernoulli:
         return f"bernoulli:{self.p}"
 
 
+_PARAMETERS = {"discrete": (DiscreteUniform, int), "bernoulli": (Bernoulli, float)}
+
+
 def parse_distribution(spec: str):
-    """Parse 'uniform', 'discrete:K', or 'bernoulli:P'."""
+    """Parse 'uniform', 'discrete:K', or 'bernoulli:P'.  A ``K`` or ``P``
+    that does not parse or is out of range is refused, before any draw, by
+    one message naming ``spec``."""
     if spec == "uniform":
         return ContinuousUniform01()
-    if spec.startswith("discrete:"):
-        return DiscreteUniform(int(spec.split(":", 1)[1]))
-    if spec.startswith("bernoulli:"):
-        return Bernoulli(float(spec.split(":", 1)[1]))
-    raise ValueError(f"unknown distribution {spec!r}")
+    kind, colon, arg = spec.partition(":")
+    if not colon or kind not in _PARAMETERS:
+        raise ValueError(f"unknown distribution {spec!r}")
+    dist, parse = _PARAMETERS[kind]
+    try:
+        return dist(parse(arg))
+    except ValueError:
+        raise ValueError(f"distribution {spec!r}: {dist.RULE}") from None
 
 
 # On a 2-core x86 host a chunk costs 20 to 40 us before its values (its

@@ -9,14 +9,14 @@ is ordinal, when the mechanism is value-oblivious (every row pool holds one
 row per ranking, and with public rankings her ranking is fixed), or, with
 public rankings, when the pool is every row over a grid that reaches every
 decision the mechanism takes (:func:`grid_covers_decisions`).
-``_search_complete`` is that rule, for the per-instance searches and the
-grid sweep alike.
+``_search_complete`` is that rule, for :func:`deviation_search`, which
+searches one player of one instance in any model, and the grid sweep alike.
 
 Both searches draw their reports from one rule, ``_pool``: every ranking in
 the ordinal model; in the cardinal model the candidate rows plus one strict
 row per ranking; with public rankings the candidate rows consistent with
-her ranking.  The grid sweep's candidate rows are the grid's rows; a
-per-instance search's are her true row and the supplied rows, plus every
+her ranking.  The grid sweep's candidate rows are the grid's rows;
+:func:`deviation_search`'s are her true row and the supplied rows, plus every
 permutation of her true row (cardinal) or her one strict row, valued m down
 to 1 along her ranking (public rankings): her true row is the only
 permutation of itself consistent with her ranking, and that row the only
@@ -70,6 +70,7 @@ from .mechanisms import (
     _allocate,
     _check_defined,
     _consistent_with_order,
+    _sequence,
     _submit,
     value_oblivious,
 )
@@ -186,24 +187,28 @@ def _search_complete(mech: Mechanism, model: str, grid: Sequence[Value] = ()) ->
     )
 
 
-def _deviation_search(
+def deviation_search(
     mech: Mechanism,
     model: str,
     inst: Instance,
     player: int,
-    misreports: Iterable[Sequence[Value]],
+    misreports: Iterable[Sequence[Value]] = (),
 ) -> DeviationReport:
-    """Best report for ``player``, the others truthful; the witness is the
-    first report reaching the best value.  The pool follows the module
-    docstring's rule: her true row, the supplied rows, and every permutation
-    of her true row (cardinal) or her strict row (public rankings), so with
-    public rankings it is what her ranking leaves of the cardinal pool.
-    Only the ranking pools (ordinal, cardinal) are held to m <= 8."""
+    """Best report for ``player`` in ``model``, the others truthful; the
+    witness is the first report reaching the best value.  The pool follows
+    the module docstring's rule: every ranking (ordinal, which takes no
+    ``misreports``), or her true row, the supplied rows, and every
+    permutation of her true row (cardinal) or her strict row (public
+    rankings), so with public rankings it is what her ranking leaves of the
+    cardinal pool.  Only the ranking pools (ordinal, cardinal) are held to
+    m <= 8."""
     _check_defined(mech, model, inst.n, inst.m)
     inst._check_player(player)
+    supplied = _validate_misreports(misreports, inst.m)
+    if model == ORDINAL and supplied:
+        raise ValueError("the ordinal search tries every ranking and takes no misreports")
     true_row = inst.values[player]
     own = ranking_order(true_row)
-    supplied = _validate_misreports(misreports, inst.m)
     extra = (
         permutations(true_row)
         if model == CARDINAL
@@ -218,35 +223,6 @@ def _deviation_search(
     return DeviationReport(
         player, model, t_val, best, witness, _search_complete(mech, model)
     )
-
-
-def deviation_search_ordinal(
-    mech: Mechanism, inst: Instance, player: int
-) -> DeviationReport:
-    """Try every ranking the player could submit, others truthful."""
-    return _deviation_search(mech, ORDINAL, inst, player, ())
-
-
-def deviation_search_cardinal(
-    mech: Mechanism,
-    inst: Instance,
-    player: int,
-    misreports: Iterable[Sequence[Value]] = (),
-) -> DeviationReport:
-    """Try the supplied rows plus the built-in pool (permutations of the true
-    row and one representative row per strict ranking)."""
-    return _deviation_search(mech, CARDINAL, inst, player, misreports)
-
-
-def deviation_search_public(
-    mech: Mechanism,
-    inst: Instance,
-    player: int,
-    misreports: Iterable[Sequence[Value]] = (),
-) -> DeviationReport:
-    """Like the cardinal search, but the player's ranking is public: a
-    misreport inconsistent with it is replaced by her true row."""
-    return _deviation_search(mech, PUBLIC_RANKINGS, inst, player, misreports)
 
 
 @dataclass(frozen=True)
@@ -329,6 +305,10 @@ def verify_truthful_on_grid(
             f"values that a two-value grid reaches within the budget of {budget}"
         )
     spec = _SPECS[mech.name]
+    # A sequence that cannot be built at this size is refused as run_mechanism
+    # refuses an n x m instance, although some sweeps never allocate.
+    if spec.sequence is not None:
+        _sequence(mech, n, m)
     # A player is searched unless no report of hers moves her bundle: the
     # allocation ignores all reports, or she has only her row to report
     # (public rankings) and it is never read.

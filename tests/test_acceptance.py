@@ -24,6 +24,7 @@ from mmsfair import (
     UNBOUNDED,
     ContinuousUniform01,
     Instance,
+    Mechanism,
     approximation_ratio,
     build_sqrt_sequence,
     builtin_fixture,
@@ -33,8 +34,6 @@ from mmsfair import (
     length_bound,
     maximin_share,
     mc_config,
-    mechanism,
-    mechanism_pr_exact_24,
     montecarlo_randomized,
     ordinal_lower_bound_check,
     run_chain,
@@ -75,7 +74,8 @@ def test_criterion_02_pr_exact_24_grid():
         for r1 in rows:
             for r2 in rows:
                 inst = Instance.from_rows([r1, r2])
-                ratio = approximation_ratio(inst, mechanism_pr_exact_24(inst))
+                alloc = run_mechanism(Mechanism("pr-exact-2-4"), PUBLIC_RANKINGS, inst)
+                ratio = approximation_ratio(inst, alloc)
                 if ratio is not UNBOUNDED and ratio < 1:
                     violations += 1
         assert violations == 0
@@ -84,7 +84,7 @@ def test_criterion_02_pr_exact_24_grid():
 def test_criterion_03_best_item_bound_and_tightness():
     with criterion(3, "best-item ratio >= 1/2 on both grids with minimum exactly 1/2; "
                       "pick-seq all-ones m=6 ratio exactly 1/3"):
-        best_item = mechanism("best-item")
+        best_item = Mechanism("best-item")
         observed_min = None
         for m, grid in ((4, (0, 1, 2, 3)), (5, (0, 1, 2))):
             rows = list(product(grid, repeat=m))
@@ -100,7 +100,7 @@ def test_criterion_03_best_item_bound_and_tightness():
                         observed_min = ratio
         assert observed_min == Fraction(1, 2)
         all_ones = Instance.from_rows([[1] * 6, [1] * 6])
-        alloc = run_mechanism(mechanism("pick-seq"), CARDINAL, all_ones)
+        alloc = run_mechanism(Mechanism("pick-seq"), CARDINAL, all_ones)
         assert approximation_ratio(all_ones, alloc) == Fraction(1, 3)
 
 
@@ -143,14 +143,14 @@ def test_criterion_04_truthfulness_suites():
         failures = []
 
         for name, model, grid in clean:
-            mech = mechanism(name)
+            mech = Mechanism(name)
             r = verify_truthful_on_grid(mech, model, 2, 4, grid)
             print(f"  ({name}, {model}, {set(grid)}): {r.violations} violations")
             if model not in truthful_models(mech) or r.violations != 0 or not r.complete:
                 failures.append(f"{name}/{model}")
 
         for name, model, grid in caught:
-            mech = mechanism(name)
+            mech = Mechanism(name)
             r = verify_truthful_on_grid(mech, model, 2, 4, grid)
             w = r.witness
             if w is not None:
@@ -189,7 +189,7 @@ def test_criterion_06_pr_guarantee():
     with criterion(6, "1000 random instances: every player's pr value >= 2/(n+1) "
                       "of her share"):
         rng = random.Random(4242)
-        pr = mechanism("pr")
+        pr = Mechanism("pr")
         for _ in range(1000):
             n = rng.choice([2, 3, 4])
             m = rng.randrange(1, 11)
@@ -236,12 +236,12 @@ def test_criterion_09_impossibility_chains():
                       "best-item fails the one-item chain at the all-ones profile "
                       "with ratio exactly 1/2"):
         mechs = [
-            mechanism("best-item"),
-            mechanism("pick-seq"),
-            mechanism("pr"),
-            mechanism("sqrt-seq", Fraction(1, 4)),
-            mechanism("pr-exact-2-4"),
-            mechanism("random-uniform"),
+            Mechanism("best-item"),
+            Mechanism("pick-seq"),
+            Mechanism("pr"),
+            Mechanism("sqrt-seq", Fraction(1, 4)),
+            Mechanism("pr-exact-2-4"),
+            Mechanism("random-uniform"),
         ]
         pairs = 0
         for name in FIXTURE_NAMES:
@@ -256,7 +256,7 @@ def test_criterion_09_impossibility_chains():
                 assert report.verdict != CONSISTENT, (name, str(mech))
         assert pairs >= 8
 
-        report = run_chain(builtin_fixture("lemma-1+3"), mechanism("best-item"), CARDINAL)
+        report = run_chain(builtin_fixture("lemma-1+3"), Mechanism("best-item"), CARDINAL)
         assert report.verdict == APPROX_FAILURE
         final = report.profiles[-1]
         assert not final.meets_threshold

@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,10 +14,10 @@ import pytest
 from conftest import EX23_TEXT
 from mmsfair import (
     Instance,
+    Mechanism,
     Ranking,
     cli,
     derive_ranking,
-    mechanism,
     mms,
     run_mechanism,
 )
@@ -168,7 +169,7 @@ class TestRun:
                 "--machine",
             )
             inst = cli._load_instance(str(path))
-            alloc = run_mechanism(mechanism(mech), "ordinal", inst)
+            alloc = run_mechanism(Mechanism(mech), "ordinal", inst)
             want = cli._frac(mms.approximation_ratio(inst, alloc))
             assert status == 0
             assert f"ratio.overall={want}\n" in out
@@ -239,6 +240,24 @@ class TestVerify:
         )
         assert err == run_err
 
+    @pytest.mark.parametrize("epsilon", ["1/4", "1000"])
+    def test_public_sweep_refuses_a_size_run_refuses(self, capsys, tmp_path, epsilon):
+        # no player of sqrt-seq is searched with public rankings, so the sweep
+        # never allocated and passed a sequence that cannot be built at 2 x 3
+        status, out, err = run_cli(
+            capsys, "verify", "--mech", "sqrt-seq", "--model", "public-rankings",
+            "--n", "2", "--m", "3", "--grid", "0,1", "--epsilon", epsilon, "--machine",
+        )
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        path = tmp_path / "two_by_three.txt"
+        path.write_text("2 3\n1 2 3\n3 2 1\n")
+        run = run_cli(
+            capsys, "run", "--instance", str(path), "--mech", "sqrt-seq",
+            "--model", "public-rankings", "--epsilon", epsilon,
+        )
+        assert run == (2, "", err)
+
     def test_budget_error(self, capsys):
         status, _, err = run_cli(
             capsys, "verify", "--mech", "pick-seq", "--model", "ordinal",
@@ -287,7 +306,7 @@ class TestVerify:
         player = int(record["witness.player"]) - 1
         reported = [derive_ranking(inst, i) for i in range(inst.n)]
         reported[player] = Ranking([int(j) - 1 for j in misreport[8:].split(">")])
-        mech = mechanism("pr")
+        mech = Mechanism("pr")
         truthful = run_mechanism(mech, "ordinal", inst).bundles[player]
         deviated = run_mechanism(mech, "ordinal", inst, reported).bundles[player]
         values = (inst.value(player, truthful), inst.value(player, deviated))
@@ -393,6 +412,36 @@ class TestMc:
             "--rho", "1/2", "--trials", "50",
         )
         assert status == 2
+
+    @pytest.mark.parametrize(
+        "spec, err",
+        [
+            (
+                "discrete:x",
+                "error: distribution 'discrete:x': K must be an integer from 2 to 2**63\n",
+            ),
+            ("bernoulli:x", "error: distribution 'bernoulli:x': P must be a number in (0, 1]\n"),
+            (
+                "discrete:18446744073709551617",
+                "error: distribution 'discrete:18446744073709551617': "
+                "K must be an integer from 2 to 2**63\n",
+            ),
+        ],
+    )
+    def test_bad_distribution_parameter(self, capsys, spec, err):
+        status, out, got = run_cli(
+            capsys, "mc", "--n", "2", "--m", "30", "--dist", spec,
+            "--rho", "1/2", "--trials", "50",
+        )
+        assert (status, out, got) == (2, "", err)
+
+    def test_most_discrete_levels_run(self, capsys):
+        status, out, err = run_cli(
+            capsys, "mc", "--n", "2", "--m", "30", "--dist", "discrete:9223372036854775808",
+            "--rho", "1/2", "--trials", "50", "--machine",
+        )
+        assert (status, err) == (0, "")
+        assert out.startswith("trials=50\nsuccess_rate=")
 
     def test_negative_seed(self, capsys):
         status, out, err = run_cli(
@@ -987,6 +1036,35 @@ README_HUMAN = (
 def test_readme_human_output_is_pinned(capsys, ex23_file, command, status, stdout):
     argv = [ex23_file if t == "EX23" else t for t in command.split()]
     assert run_cli(capsys, *argv) == (status, stdout, "")
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    return [body for kind, body in blocks if kind == lang]
+
+
+def test_readme_cli_block_is_the_pinned_commands():
+    # the README's `mmsfair ...` lines, ex23.txt standing for the example file
+    lines = [line for body in _readme_blocks("sh") for line in body.splitlines()]
+    readme = [
+        " ".join("EX23" if t == "ex23.txt" else t for t in line.split("#")[0].split()[1:])
+        for line in lines
+        if line.startswith("mmsfair ")
+    ]
+    assert len(readme) == 7
+    assert readme == [c for c, _, _ in README_MACHINE] == [c for c, _, _ in README_HUMAN]
+
+
+def test_readme_library_block_runs():
+    (block,) = _readme_blocks("python")
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    # player 1 takes item 2 (worth 1 against her share of 1/2), player 2
+    # the rest (worth 2 against 1)
+    assert names["share"] == Fraction(1, 2)
+    assert names["alloc"].bundles == (frozenset({1}), frozenset({0, 2}))
+    assert names["ratio"] == 2
 
 
 # Every built-in fixture x mechanism x model through `chain --machine` at the

@@ -12,12 +12,12 @@ from mmsfair import (
     ORDINAL,
     PUBLIC_RANKINGS,
     ChainFixture,
+    Mechanism,
     MechanismError,
     builtin_fixture,
     fixture_applies,
     format_fixture,
     maximin_share,
-    mechanism,
     parse_fixture,
     run_chain,
 )
@@ -129,7 +129,7 @@ class TestBuiltinFixtures:
 class TestRunChain:
     def test_best_item_fails_at_final_all_ones_profile(self):
         fix = builtin_fixture("lemma-1+3")
-        report = run_chain(fix, mechanism("best-item"), CARDINAL)
+        report = run_chain(fix, Mechanism("best-item"), CARDINAL)
         assert report.verdict == APPROX_FAILURE
         final = report.profiles[-1]
         assert final.index == len(fix.profiles) - 1
@@ -138,7 +138,7 @@ class TestRunChain:
         assert all(p.meets_threshold for p in report.profiles[:-1])
 
     def test_pr_caught_on_public_chain(self):
-        report = run_chain(builtin_fixture("pr-m6"), mechanism("pr"), PUBLIC_RANKINGS)
+        report = run_chain(builtin_fixture("pr-m6"), Mechanism("pr"), PUBLIC_RANKINGS)
         assert report.verdict != CONSISTENT
 
     def test_cut_and_choose_caught_on_every_value_fixture(self):
@@ -148,22 +148,22 @@ class TestRunChain:
             ("pr-m6", PUBLIC_RANKINGS),
             ("pr-m5", PUBLIC_RANKINGS),
         ):
-            report = run_chain(builtin_fixture(name), mechanism("cut-and-choose"), model)
+            report = run_chain(builtin_fixture(name), Mechanism("cut-and-choose"), model)
             assert report.verdict in (MANIPULABLE, APPROX_FAILURE), name
             # exact under truthful play, so the chain must catch a deviation
             assert report.verdict == MANIPULABLE, name
 
     def test_pr_run_ordinally_is_manipulated(self):
-        report = run_chain(builtin_fixture("ordinal-m4"), mechanism("pr"), ORDINAL)
+        report = run_chain(builtin_fixture("ordinal-m4"), Mechanism("pr"), ORDINAL)
         assert report.verdict == MANIPULABLE
 
     def test_model_mismatch(self):
         with pytest.raises(MechanismError):
-            run_chain(builtin_fixture("ordinal-m4"), mechanism("cut-and-choose"), ORDINAL)
+            run_chain(builtin_fixture("ordinal-m4"), Mechanism("cut-and-choose"), ORDINAL)
 
     def test_gain_values_recorded(self):
         report = run_chain(
-            builtin_fixture("lemma-2+2"), mechanism("cut-and-choose"), CARDINAL
+            builtin_fixture("lemma-2+2"), Mechanism("cut-and-choose"), CARDINAL
         )
         profitable = [e for e in report.edges if e.profitable]
         assert profitable
@@ -173,26 +173,26 @@ class TestRunChain:
 
 class TestApplicability:
     def test_structural_premises(self):
-        best = mechanism("best-item")
+        best = Mechanism("best-item")
         assert not fixture_applies(builtin_fixture("lemma-2+2"), best)
         assert fixture_applies(builtin_fixture("lemma-1+3"), best)
         assert fixture_applies(builtin_fixture("ordinal-m4"), best)
-        assert fixture_applies(builtin_fixture("pr-m6"), mechanism("pr"))
+        assert fixture_applies(builtin_fixture("pr-m6"), Mechanism("pr"))
 
     def test_model_gates(self):
-        assert not fixture_applies(builtin_fixture("lemma-2+2"), mechanism("pr-exact-2-4"))
-        assert not fixture_applies(builtin_fixture("ordinal-m4"), mechanism("cut-and-choose"))
+        assert not fixture_applies(builtin_fixture("lemma-2+2"), Mechanism("pr-exact-2-4"))
+        assert not fixture_applies(builtin_fixture("ordinal-m4"), Mechanism("cut-and-choose"))
 
     def test_a_file_carries_no_premise_whatever_its_name(self):
         text = "threshold 1/2\nprofile\n1 1 1 1\n1 1 1 1\n"
-        for mech in (mechanism("best-item"), mechanism("cut-and-choose")):
+        for mech in (Mechanism("best-item"), Mechanism("cut-and-choose")):
             for name in ("custom", "lemma-2+2", "lemma-1+3"):
                 fix = parse_fixture(text, name=name)
                 assert fix.premise is None
                 assert fixture_applies(fix, mech)
 
     def test_infeasible_mechanism_not_applicable(self):
-        sq = mechanism("sqrt-seq", Fraction(1, 4))
+        sq = Mechanism("sqrt-seq", Fraction(1, 4))
         assert not fixture_applies(builtin_fixture("pr-m6"), sq)
         assert not fixture_applies(builtin_fixture("pr-m5"), sq)
 

@@ -10,7 +10,6 @@ from mmsfair import (
     Instance,
     InstanceError,
     Ranking,
-    bundle_value,
     derive_ranking,
     format_instance,
     parse_instance,
@@ -91,15 +90,15 @@ class TestParsing:
 
 class TestBundleValue:
     def test_examples(self, ex23):
-        assert bundle_value(ex23, 2, {0, 1}) == 1
-        assert bundle_value(ex23, 0, set()) == 0
-        assert bundle_value(ex23, 1, range(5)) == Fraction(5, 4)
+        assert ex23.value(2, {0, 1}) == 1
+        assert ex23.value(0, set()) == 0
+        assert ex23.value(1, range(5)) == Fraction(5, 4)
 
     def test_out_of_range(self, ex23):
         with pytest.raises(IndexError):
-            bundle_value(ex23, 0, {5})
+            ex23.value(0, {5})
         with pytest.raises(IndexError):
-            bundle_value(ex23, 3, {0})
+            ex23.value(3, {0})
 
 
 class TestDeriveRanking:

@@ -14,16 +14,14 @@ from mmsfair import (
     PUBLIC_RANKINGS,
     Allocation,
     Instance,
+    Mechanism,
     MechanismError,
     PickingSequence,
     Ranking,
     approximation_ratio,
     best_item_sequence,
-    cut_and_choose,
     derive_ranking,
     maximin_share,
-    mechanism,
-    mechanism_pr_exact_24,
     models_for,
     positions_bundle,
     pr_sequence,
@@ -36,6 +34,9 @@ from mmsfair import (
 from mmsfair import instance, mechanisms, mms
 from mmsfair.mechanisms import best_two_partition
 from mmsfair.seqbuild import build_sqrt_sequence, sqrt_seq_params
+
+EXACT = Mechanism("pr-exact-2-4")
+CUT = Mechanism("cut-and-choose")
 
 
 class TestSequences:
@@ -108,17 +109,17 @@ class TestPositionsBundle:
 class TestPrExact24:
     def test_distinct_favorites_runs_sequence(self):
         inst = Instance.from_rows([[4, 3, 2, 1], [3, 4, 2, 1]])
-        alloc = mechanism_pr_exact_24(inst)
+        alloc = run_mechanism(EXACT, PUBLIC_RANKINGS, inst)
         assert alloc.bundles == (frozenset({0, 3}), frozenset({1, 2}))
 
     def test_shared_favorite_tie_keeps_top_item(self):
         inst = Instance.from_rows([[2, 1, 1, 0], [3, 1, 1, 1]])
-        alloc = mechanism_pr_exact_24(inst)
+        alloc = run_mechanism(EXACT, PUBLIC_RANKINGS, inst)
         assert alloc.bundles == (frozenset({0}), frozenset({1, 2, 3}))
 
     def test_shared_favorite_pair_better(self):
         inst = Instance.from_rows([[3, 2, 2, 0], [3, 1, 1, 1]])
-        alloc = mechanism_pr_exact_24(inst)
+        alloc = run_mechanism(EXACT, PUBLIC_RANKINGS, inst)
         assert alloc.bundles == (frozenset({1, 2}), frozenset({0, 3}))
 
     def test_distinct_favorites_is_pr(self, monkeypatch):
@@ -141,7 +142,7 @@ class TestPrExact24:
 
         mechanisms._outcome.cache_clear()
         monkeypatch.setattr(mechanisms, "_simulate_picks", spy)
-        exact, pr = mechanism("pr-exact-2-4"), mechanism("pr")
+        exact, pr = Mechanism("pr-exact-2-4"), Mechanism("pr")
         for _ in range(2):  # cold, then warm
             calls.clear()
             for o1, o2 in profiles:
@@ -158,9 +159,9 @@ class TestPrExact24:
 
     def test_wrong_dimensions(self):
         with pytest.raises(MechanismError):
-            mechanism_pr_exact_24(Instance.from_rows([[1, 1, 1]] * 2))
+            run_mechanism(EXACT, PUBLIC_RANKINGS, Instance.from_rows([[1, 1, 1]] * 2))
         with pytest.raises(MechanismError):
-            mechanism_pr_exact_24(Instance.from_rows([[1, 1, 1, 1]] * 3))
+            run_mechanism(EXACT, PUBLIC_RANKINGS, Instance.from_rows([[1, 1, 1, 1]] * 3))
 
     def test_always_exact_on_small_grid(self):
         from itertools import product
@@ -171,7 +172,7 @@ class TestPrExact24:
         for r1 in rows:
             for r2 in rows:
                 inst = Instance.from_rows([r1, r2])
-                ratio = approximation_ratio(inst, mechanism_pr_exact_24(inst))
+                ratio = approximation_ratio(inst, run_mechanism(EXACT, PUBLIC_RANKINGS, inst))
                 assert ratio is UNBOUNDED or ratio >= 1, (r1, r2)
 
     def test_feasible_bundles_all_clear_share(self):
@@ -196,23 +197,23 @@ class TestPrExact24:
 class TestCutAndChoose:
     def test_proposer_suffers_lexicographic_cut(self):
         inst = Instance.from_rows([[1, 1, 1, 1], [3, 1, 1, 1]])
-        alloc = cut_and_choose(inst)
+        alloc = run_mechanism(CUT, CARDINAL, inst)
         assert alloc.bundles == (frozenset({2, 3}), frozenset({0, 1}))
 
     def test_two_items(self):
         inst = Instance.from_rows([[1, 0], [1, 0]])
-        alloc = cut_and_choose(inst)
+        alloc = run_mechanism(CUT, CARDINAL, inst)
         assert alloc.bundles == (frozenset({1}), frozenset({0}))
 
     def test_requires_two_players(self):
         with pytest.raises(MechanismError):
-            cut_and_choose(Instance.from_rows([[1, 1]] * 3))
+            run_mechanism(CUT, CARDINAL, Instance.from_rows([[1, 1]] * 3))
 
     def test_exact_under_truthful_reports(self):
         rng = random.Random(13)
         for _ in range(40):
             inst = random_instance(rng, 2, rng.randrange(1, 8))
-            alloc = cut_and_choose(inst)
+            alloc = run_mechanism(CUT, CARDINAL, inst)
             for i in range(2):
                 assert inst.value(i, alloc.bundles[i]) >= maximin_share(inst, i, 2)
 
@@ -234,7 +235,7 @@ class TestCutAndChoose:
             for r2 in rows:
                 va, vb = sum(r2[j] for j in first), sum(r2[j] for j in second)
                 want = (second, first) if va >= vb else (first, second)
-                got = cut_and_choose(Instance.from_rows([r1, r2])).bundles
+                got = run_mechanism(CUT, CARDINAL, Instance.from_rows([r1, r2])).bundles
                 assert got == want, (r1, r2)
         # a halved row with no 1/2 in it equals an int row and shares its cut
         assert set(calls) == set(proposers)
@@ -325,13 +326,13 @@ class TestRandomUniform:
 
 class TestRunMechanism:
     def test_best_item_ordinal(self, ex23):
-        alloc = run_mechanism(mechanism("best-item"), ORDINAL, ex23)
+        alloc = run_mechanism(Mechanism("best-item"), ORDINAL, ex23)
         assert alloc.bundles[0] == {0}
         assert alloc.bundles == (frozenset({0}), frozenset({1}), frozenset({2, 3, 4}))
 
     def test_cardinal_equals_ordinal_on_derived_rankings(self):
         rng = random.Random(3)
-        pr = mechanism("pr")
+        pr = Mechanism("pr")
         for _ in range(30):
             inst = random_instance(rng, rng.choice([2, 3]), rng.randrange(1, 8))
             rankings = [derive_ranking(inst, i) for i in range(inst.n)]
@@ -344,39 +345,43 @@ class TestRunMechanism:
         # player 1 reports a row
         # inconsistent with her (public) ranking: it is replaced by the truth
         lying = Instance.from_rows([[0, 1, 2, 3], [3, 2, 1, 0]])
-        mech = mechanism("pr-exact-2-4")
+        mech = Mechanism("pr-exact-2-4")
         assert run_mechanism(mech, PUBLIC_RANKINGS, inst, lying) == run_mechanism(
             mech, PUBLIC_RANKINGS, inst
         )
 
     def test_model_mismatch_errors(self, ex23):
         with pytest.raises(MechanismError, match="not defined"):
-            run_mechanism(mechanism("pr-exact-2-4"), ORDINAL, ex23)
+            run_mechanism(Mechanism("pr-exact-2-4"), ORDINAL, ex23)
         with pytest.raises(MechanismError, match="not defined"):
-            run_mechanism(mechanism("cut-and-choose"), ORDINAL, ex23)
+            run_mechanism(Mechanism("cut-and-choose"), ORDINAL, ex23)
         with pytest.raises(MechanismError, match="not defined"):
             run_mechanism(
-                mechanism("pr-exact-2-4"),
+                Mechanism("pr-exact-2-4"),
                 CARDINAL,
                 Instance.from_rows([[1, 1, 1, 1]] * 2),
             )
 
     def test_unknown_mechanism_and_bad_epsilon(self):
         with pytest.raises(MechanismError):
-            mechanism("nope")
+            Mechanism("nope")
         with pytest.raises(MechanismError):
-            mechanism("sqrt-seq")
+            Mechanism("sqrt-seq")
         with pytest.raises(MechanismError):
-            mechanism("pr", epsilon=Fraction(1, 4))
+            Mechanism("pr", epsilon=Fraction(1, 4))
+
+    def test_lowercase_name_is_the_class(self):
+        # kept for callers that build mechanisms by mechanism(name)
+        assert mechanisms.mechanism is Mechanism
 
     def test_outputs_always_valid(self):
         rng = random.Random(11)
         mechs = [
-            (mechanism("best-item"), CARDINAL),
-            (mechanism("pick-seq"), ORDINAL),
-            (mechanism("pr"), PUBLIC_RANKINGS),
-            (mechanism("cut-and-choose"), CARDINAL),
-            (mechanism("random-uniform"), ORDINAL),
+            (Mechanism("best-item"), CARDINAL),
+            (Mechanism("pick-seq"), ORDINAL),
+            (Mechanism("pr"), PUBLIC_RANKINGS),
+            (Mechanism("cut-and-choose"), CARDINAL),
+            (Mechanism("random-uniform"), ORDINAL),
         ]
         for _ in range(30):
             inst = random_instance(rng, 2, rng.randrange(1, 8))
@@ -387,15 +392,15 @@ class TestRunMechanism:
     def test_reported_type_mismatch(self, ex23):
         rankings = [derive_ranking(ex23, i) for i in range(3)]
         with pytest.raises(MechanismError, match="value matrix"):
-            run_mechanism(mechanism("pr"), CARDINAL, ex23, rankings)
+            run_mechanism(Mechanism("pr"), CARDINAL, ex23, rankings)
         with pytest.raises(MechanismError, match="list of rankings"):
-            run_mechanism(mechanism("pr"), ORDINAL, ex23, ex23)
+            run_mechanism(Mechanism("pr"), ORDINAL, ex23, ex23)
 
     def test_column_permutation_equivariance(self):
         # permuting items permutes tie-free allocations the same way
         rng = random.Random(53)
         for mech_name in ("pick-seq", "pr"):
-            mech = mechanism(mech_name)
+            mech = Mechanism(mech_name)
             for _ in range(15):
                 m = rng.randrange(1, 8)
                 values = rng.sample(range(100), m)
@@ -414,7 +419,7 @@ class TestRunMechanism:
 
     def test_value_oblivious_scaling_invariance(self):
         rng = random.Random(19)
-        pr = mechanism("pr")
+        pr = Mechanism("pr")
         for _ in range(20):
             inst = random_instance(rng, 3, 6)
             factor = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
@@ -434,7 +439,7 @@ class TestRunMechanism:
         # omitting the reports must mean exactly the truthful reports
         cases = []
         for name in MECHANISM_NAMES:
-            mech = mechanism(name, Fraction(2) if name == "sqrt-seq" else None)
+            mech = Mechanism(name, Fraction(2) if name == "sqrt-seq" else None)
             if name == "pr-exact-2-4" and (n, m) != (2, 4):
                 continue
             if name == "cut-and-choose" and n != 2:
@@ -454,12 +459,12 @@ class TestRunMechanism:
 class TestGuarantees:
     def test_pick_seq_tightness_all_ones(self):
         inst = Instance.from_rows([[1] * 6, [1] * 6])
-        alloc = run_mechanism(mechanism("pick-seq"), CARDINAL, inst)
+        alloc = run_mechanism(Mechanism("pick-seq"), CARDINAL, inst)
         assert approximation_ratio(inst, alloc) == Fraction(1, 3)
 
     def test_pr_guarantee_random(self):
         rng = random.Random(29)
-        pr = mechanism("pr")
+        pr = Mechanism("pr")
         for _ in range(60):
             n = rng.choice([2, 3, 4])
             inst = random_instance(rng, n, rng.randrange(1, 9))
@@ -473,7 +478,7 @@ class TestGuarantees:
         rng = random.Random(61)
         eps = Fraction(3, 20)
         params = sqrt_seq_params(5, 26, eps)
-        mech = mechanism("sqrt-seq", eps)
+        mech = Mechanism("sqrt-seq", eps)
         for _ in range(10):
             inst = random_instance(rng, 5, 26, top=3)
             alloc = run_mechanism(mech, PUBLIC_RANKINGS, inst)
@@ -491,11 +496,11 @@ class TestGuarantees:
         for eps in (Fraction(1, 2), Fraction(1), Fraction(1, 2)):
             seq = build_sqrt_sequence(sqrt_seq_params(2, 8, eps))
             want = run_picking_sequence(rankings, 8, seq)
-            assert run_mechanism(mechanism("sqrt-seq", eps), ORDINAL, inst) == want
+            assert run_mechanism(Mechanism("sqrt-seq", eps), ORDINAL, inst) == want
 
     def test_pick_seq_guarantee_random(self):
         rng = random.Random(59)
-        mech = mechanism("pick-seq")
+        mech = Mechanism("pick-seq")
         for _ in range(60):
             n = rng.choice([2, 3])
             m = rng.randrange(1, 9)
@@ -523,12 +528,12 @@ class TestOutcomeMemo:
     # The same ranking profiles under every value-oblivious mechanism, two
     # sqrt-seq epsilons and two random-uniform seeds, at (2, 8) and (3, 9)
     MECHS = (
-        mechanism("best-item"),
-        mechanism("pick-seq"),
-        mechanism("pr"),
-        mechanism("sqrt-seq", Fraction(1, 2)),
-        mechanism("sqrt-seq", Fraction(1)),
-        mechanism("random-uniform"),
+        Mechanism("best-item"),
+        Mechanism("pick-seq"),
+        Mechanism("pr"),
+        Mechanism("sqrt-seq", Fraction(1, 2)),
+        Mechanism("sqrt-seq", Fraction(1)),
+        Mechanism("random-uniform"),
     )
 
     def _cases(self):
@@ -555,7 +560,7 @@ class TestOutcomeMemo:
         assert (info.misses, info.hits) == (len(cases), len(cases))
 
     def test_stays_within_its_bound(self):
-        mech = mechanism("best-item")
+        mech = Mechanism("best-item")
         bound = mechanisms._outcome.cache_info().maxsize
         others = tuple(range(7))
         profiles = [(perm, others) for perm in permutations(range(7))]
@@ -567,13 +572,13 @@ class TestOutcomeMemo:
 
     def test_sweeps_equal_cold_and_warm(self):
         cases = (
-            (mechanism("pick-seq"), ORDINAL, 2, 4, (0, 1, 2)),
-            (mechanism("pr"), ORDINAL, 2, 4, (0, 1, 2)),
-            (mechanism("pr"), PUBLIC_RANKINGS, 2, 4, (0, 1)),
-            (mechanism("sqrt-seq", Fraction(2)), CARDINAL, 2, 4, (0, 1)),
-            (mechanism("best-item"), CARDINAL, 3, 3, (0, 1)),
-            (mechanism("pr-exact-2-4"), PUBLIC_RANKINGS, 2, 4, (0, 1, 2)),
-            (mechanism("cut-and-choose"), CARDINAL, 2, 4, (1, 3)),
+            (Mechanism("pick-seq"), ORDINAL, 2, 4, (0, 1, 2)),
+            (Mechanism("pr"), ORDINAL, 2, 4, (0, 1, 2)),
+            (Mechanism("pr"), PUBLIC_RANKINGS, 2, 4, (0, 1)),
+            (Mechanism("sqrt-seq", Fraction(2)), CARDINAL, 2, 4, (0, 1)),
+            (Mechanism("best-item"), CARDINAL, 3, 3, (0, 1)),
+            (Mechanism("pr-exact-2-4"), PUBLIC_RANKINGS, 2, 4, (0, 1, 2)),
+            (Mechanism("cut-and-choose"), CARDINAL, 2, 4, (1, 3)),
         )
         cold = []
         for case in cases:
@@ -588,7 +593,7 @@ class TestOutcomeMemo:
 class TestRowsRead:
     # Every mechanism at each (n, m) it takes; sqrt-seq with epsilon 1/2
     MECHS = [
-        mechanism(name, Fraction(1, 2) if name == "sqrt-seq" else None)
+        Mechanism(name, Fraction(1, 2) if name == "sqrt-seq" else None)
         for name in MECHANISM_NAMES
     ]
     SIZES = ((1, 3), (2, 3), (2, 4), (2, 6), (3, 5), (4, 7))

@@ -32,6 +32,32 @@ class TestDistributions:
         with pytest.raises(ValueError):
             Bernoulli(0.0)
 
+    @pytest.mark.parametrize(
+        "spec, rule",
+        [
+            ("discrete:x", "K must be an integer"),
+            ("discrete:", "K must be an integer"),
+            ("discrete:1", "K must be an integer"),
+            ("discrete:9223372036854775809", "K must be an integer"),
+            ("discrete:18446744073709551617", "K must be an integer"),
+            ("bernoulli:x", "P must be a number"),
+            ("bernoulli:0", "P must be a number"),
+            ("bernoulli:nan", "P must be a number"),
+        ],
+    )
+    def test_bad_parameter_names_the_spec(self, spec, rule):
+        with pytest.raises(ValueError, match=f"^distribution '{spec}': {rule}"):
+            parse_distribution(spec)
+
+    def test_most_levels_numpy_draws(self):
+        # integers(0, 2**63) is numpy's widest int64 draw; one more is refused
+        dist = parse_distribution("discrete:9223372036854775808")
+        assert dist == DiscreteUniform(2**63)
+        values = dist.sample(np.random.default_rng(0), (2, 3))
+        assert values.shape == (2, 3) and ((0 <= values) & (values <= 1)).all()
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            DiscreteUniform(2**63 + 1)
+
     def test_means(self):
         assert ContinuousUniform01().mean == 0.5
         assert DiscreteUniform(3).mean == 0.5

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_instance
 from mmsfair import (
     InfeasibleParams,
+    Mechanism,
     MechanismError,
     PickingSequence,
     build_sqrt_sequence,
@@ -14,7 +15,6 @@ from mmsfair import (
     harmonic_number,
     length_bound,
     maximin_share,
-    mechanism,
     pair_schedule,
     power_lower_rational,
     run_picking_sequence,
@@ -239,22 +239,22 @@ class TestVerifyPickPositions:
 
 class TestTheoreticalRatio:
     def test_known_values(self):
-        assert theoretical_ratio(mechanism("pick-seq"), 2, 6) == Fraction(1, 3)
-        assert theoretical_ratio(mechanism("best-item"), 2, 6) == Fraction(1, 3)
-        assert theoretical_ratio(mechanism("pr"), 2, 9) == Fraction(2, 3)
-        assert theoretical_ratio(mechanism("pr"), 3, 5) == Fraction(1, 2)
-        assert theoretical_ratio(mechanism("pick-seq"), 3, 4) == 1
-        assert theoretical_ratio(mechanism("best-item"), 2, 3) == 1
+        assert theoretical_ratio(Mechanism("pick-seq"), 2, 6) == Fraction(1, 3)
+        assert theoretical_ratio(Mechanism("best-item"), 2, 6) == Fraction(1, 3)
+        assert theoretical_ratio(Mechanism("pr"), 2, 9) == Fraction(2, 3)
+        assert theoretical_ratio(Mechanism("pr"), 3, 5) == Fraction(1, 2)
+        assert theoretical_ratio(Mechanism("pick-seq"), 3, 4) == 1
+        assert theoretical_ratio(Mechanism("best-item"), 2, 3) == 1
 
     def test_sqrt_seq_uses_alpha(self):
-        mech = mechanism("sqrt-seq", Fraction(1, 4))
+        mech = Mechanism("sqrt-seq", Fraction(1, 4))
         assert theoretical_ratio(mech, 17, 29) == power_lower_rational(
             17, Fraction(3, 4)
         )
 
     def test_undefined_for_other_mechanisms(self):
         with pytest.raises(MechanismError):
-            theoretical_ratio(mechanism("cut-and-choose"), 2, 4)
+            theoretical_ratio(Mechanism("cut-and-choose"), 2, 4)
         for name in ("pr-exact-2-4", "random-uniform"):
             with pytest.raises(MechanismError, match=f"^no guarantee ratio is defined for {name}$"):
-                theoretical_ratio(mechanism(name), 2, 4)
+                theoretical_ratio(Mechanism(name), 2, 4)

@@ -14,14 +14,12 @@ from mmsfair import (
     EnumerationLimitError,
     GridWitness,
     Instance,
+    Mechanism,
     MechanismError,
     Ranking,
     derive_ranking,
-    deviation_search_cardinal,
-    deviation_search_ordinal,
-    deviation_search_public,
+    deviation_search,
     grid_covers_decisions,
-    mechanism,
     models_for,
     run_mechanism,
     value_oblivious,
@@ -33,29 +31,29 @@ from mmsfair import strategy
 class TestOrdinalSearch:
     def test_pick_seq_has_no_profitable_deviation(self):
         rng = random.Random(71)
-        mech = mechanism("pick-seq")
+        mech = Mechanism("pick-seq")
         for _ in range(15):
             inst = random_instance(rng, 2, 4)
             for player in range(2):
-                rep = deviation_search_ordinal(mech, inst, player)
+                rep = deviation_search(mech, ORDINAL, inst, player)
                 assert rep.best_deviation_value == rep.truthful_value
                 assert rep.witness is None
                 assert rep.search_complete
 
     def test_single_item_instance(self):
         inst = Instance.from_rows([[3], [2]])
-        rep = deviation_search_ordinal(mechanism("pr"), inst, 0)
+        rep = deviation_search(Mechanism("pr"), ORDINAL, inst, 0)
         assert rep.best_deviation_value == rep.truthful_value == 3
 
     def test_pr_example_player_two(self, ex23):
-        rep = deviation_search_ordinal(mechanism("pr"), ex23, 1)
+        rep = deviation_search(Mechanism("pr"), ORDINAL, ex23, 1)
         assert rep.best_deviation_value == rep.truthful_value == Fraction(1, 4)
 
     def test_pr_manipulable_with_reported_rankings(self):
         # the cyclic sequence is not a sequential dictatorship: reporting
         # b>a>c>d here turns {a,d} worth 2 into {a,b} worth 3
         inst = Instance.from_rows([(2, 1, 1, 0), (0, 2, 2, 1)])
-        rep = deviation_search_ordinal(mechanism("pr"), inst, 0)
+        rep = deviation_search(Mechanism("pr"), ORDINAL, inst, 0)
         assert rep.truthful_value == 2
         assert rep.best_deviation_value == 3
         assert rep.witness is not None
@@ -63,26 +61,35 @@ class TestOrdinalSearch:
     def test_enumeration_limit(self):
         inst = Instance.from_rows([[1] * 9, [1] * 9])
         with pytest.raises(EnumerationLimitError):
-            deviation_search_ordinal(mechanism("pick-seq"), inst, 0)
+            deviation_search(Mechanism("pick-seq"), ORDINAL, inst, 0)
+
+    def test_misreports_refused(self):
+        # the ordinal pool is every ranking, so a supplied row would be ignored
+        inst = Instance.from_rows([[2, 1, 1, 0], [0, 2, 2, 1]])
+        with pytest.raises(ValueError, match="^the ordinal search .* no misreports$"):
+            deviation_search(Mechanism("pr"), ORDINAL, inst, 0, [[0, 1, 2, 3]])
+        with pytest.raises(ValueError, match="no misreports"):
+            deviation_search(Mechanism("pick-seq"), ORDINAL, inst, 1, iter([[1, 1, 1, 1]]))
+        assert deviation_search(Mechanism("pr"), ORDINAL, inst, 0, iter(())).witness
 
     def test_model_mismatch(self):
         inst = Instance.from_rows([[1, 1, 1, 1]] * 2)
         with pytest.raises(MechanismError):
-            deviation_search_ordinal(mechanism("cut-and-choose"), inst, 0)
+            deviation_search(Mechanism("cut-and-choose"), ORDINAL, inst, 0)
 
     def test_unsupported_shape(self):
         inst = Instance.from_rows([[1, 1, 1]] * 3)
         with pytest.raises(MechanismError, match="exactly 2 players$"):
-            deviation_search_cardinal(mechanism("cut-and-choose"), inst, 2)
+            deviation_search(Mechanism("cut-and-choose"), CARDINAL, inst, 2)
         with pytest.raises(MechanismError, match="exactly 2 players and 4 items"):
-            deviation_search_public(mechanism("pr-exact-2-4"), inst, 0)
+            deviation_search(Mechanism("pr-exact-2-4"), PUBLIC_RANKINGS, inst, 0)
 
 
 class TestCardinalSearch:
     def test_cut_and_choose_witness(self):
         inst = Instance.from_rows([[1, 1, 1, 1], [3, 1, 1, 1]])
-        rep = deviation_search_cardinal(
-            mechanism("cut-and-choose"), inst, 0, misreports=[[3, 1, 1, 1]]
+        rep = deviation_search(
+            Mechanism("cut-and-choose"), CARDINAL, inst, 0, misreports=[[3, 1, 1, 1]]
         )
         assert rep.truthful_value == 2
         assert rep.best_deviation_value == 3
@@ -91,14 +98,14 @@ class TestCardinalSearch:
 
     def test_best_item_never_gains(self):
         rng = random.Random(73)
-        mech = mechanism("best-item")
+        mech = Mechanism("best-item")
         for _ in range(15):
             inst = random_instance(rng, 2, rng.randrange(1, 6))
             extra = [
                 [rng.randrange(10) for _ in range(inst.m)] for _ in range(3)
             ]
             for player in range(2):
-                rep = deviation_search_cardinal(mech, inst, player, extra)
+                rep = deviation_search(mech, CARDINAL, inst, player, extra)
                 assert rep.best_deviation_value == rep.truthful_value
                 assert rep.search_complete
 
@@ -107,19 +114,19 @@ class TestCardinalSearch:
         for _ in range(10):
             inst = random_instance(rng, 2, 4)
             for mech_name in ("pick-seq", "pr"):
-                mech = mechanism(mech_name)
-                ordinal = deviation_search_ordinal(mech, inst, 0)
-                cardinal = deviation_search_cardinal(mech, inst, 0)
+                mech = Mechanism(mech_name)
+                ordinal = deviation_search(mech, ORDINAL, inst, 0)
+                cardinal = deviation_search(mech, CARDINAL, inst, 0)
                 assert cardinal.truthful_value == ordinal.truthful_value
                 assert cardinal.best_deviation_value == ordinal.best_deviation_value
 
     def test_self_report_included(self):
         rng = random.Random(83)
         for mech_name in ("best-item", "pr", "cut-and-choose"):
-            mech = mechanism(mech_name)
+            mech = Mechanism(mech_name)
             for _ in range(8):
                 inst = random_instance(rng, 2, 4)
-                rep = deviation_search_cardinal(mech, inst, 1)
+                rep = deviation_search(mech, CARDINAL, inst, 1)
                 assert rep.best_deviation_value >= rep.truthful_value
                 assert (rep.witness is not None) == (
                     rep.best_deviation_value > rep.truthful_value
@@ -128,19 +135,19 @@ class TestCardinalSearch:
     def test_malformed_misreports(self):
         inst = Instance.from_rows([[1, 1], [1, 1]])
         with pytest.raises(ValueError):
-            deviation_search_cardinal(mechanism("pr"), inst, 0, misreports=[[1]])
+            deviation_search(Mechanism("pr"), CARDINAL, inst, 0, misreports=[[1]])
         with pytest.raises(ValueError):
-            deviation_search_cardinal(mechanism("pr"), inst, 0, misreports=[[1, -1]])
+            deviation_search(Mechanism("pr"), CARDINAL, inst, 0, misreports=[[1, -1]])
 
     @pytest.mark.parametrize("name", ["cut-and-choose", "pick-seq"])
     def test_non_rational_misreports_refused(self, name):
         # the rule Instance applies to true values
         inst = Instance.from_rows([[1, 2, 3, 0], [3, 1, 1, 1]])
-        for search in (deviation_search_cardinal, deviation_search_public):
+        for model in (CARDINAL, PUBLIC_RANKINGS):
             with pytest.raises(ValueError, match="not rational"):
-                search(mechanism(name), inst, 0, [(0.5, 1.5, 0.25, 0.0)])
+                deviation_search(Mechanism(name), model, inst, 0, [(0.5, 1.5, 0.25, 0.0)])
             with pytest.raises(ValueError, match="not rational"):
-                search(mechanism(name), inst, 1, [(3, 1, 1, "1")])
+                deviation_search(Mechanism(name), model, inst, 1, [(3, 1, 1, "1")])
 
     def test_value_obliviousness_certificate(self):
         # any cardinal misreport that keeps the truthful ranking leaves a
@@ -149,7 +156,7 @@ class TestCardinalSearch:
 
         rng = random.Random(107)
         for mech_name in ("best-item", "pick-seq", "pr"):
-            mech = mechanism(mech_name)
+            mech = Mechanism(mech_name)
             for _ in range(8):
                 inst = random_instance(rng, 2, 5)
                 truthful = run_mechanism(mech, CARDINAL, inst)
@@ -166,8 +173,8 @@ class TestCardinalSearch:
 class TestPublicSearch:
     def test_inconsistent_misreport_is_ignored(self):
         inst = Instance.from_rows([[3, 2, 1, 0], [3, 2, 1, 0]])
-        rep = deviation_search_public(
-            mechanism("pr-exact-2-4"), inst, 0, misreports=[[0, 1, 2, 3]]
+        rep = deviation_search(
+            Mechanism("pr-exact-2-4"), PUBLIC_RANKINGS, inst, 0, misreports=[[0, 1, 2, 3]]
         )
         assert rep.best_deviation_value == rep.truthful_value
         assert rep.witness is None
@@ -176,27 +183,27 @@ class TestPublicSearch:
         rng = random.Random(89)
         for _ in range(10):
             inst = random_instance(rng, 3, 5)
-            rep = deviation_search_public(mechanism("pr"), inst, 2)
+            rep = deviation_search(Mechanism("pr"), PUBLIC_RANKINGS, inst, 2)
             assert rep.best_deviation_value == rep.truthful_value
             assert rep.search_complete
 
     def test_pr_exact_immune_on_consistent_rows(self):
         rng = random.Random(97)
-        mech = mechanism("pr-exact-2-4")
+        mech = Mechanism("pr-exact-2-4")
         for _ in range(10):
             inst = random_instance(rng, 2, 4, top=3)
             for player in range(2):
                 rows = [
                     [rng.randrange(4) for _ in range(4)] for _ in range(10)
                 ]
-                rep = deviation_search_public(mech, inst, player, rows)
+                rep = deviation_search(mech, PUBLIC_RANKINGS, inst, player, rows)
                 assert rep.best_deviation_value == rep.truthful_value
 
     def test_row_pool_past_enumeration_limit(self):
         # her pool is her true row, her consistent supplied rows and her
         # strict row, never the 10! rankings
         rng = random.Random(11)
-        mech = mechanism("cut-and-choose")
+        mech = Mechanism("cut-and-choose")
         inst = random_instance(rng, 2, 10)
         for player in range(2):
             order = derive_ranking(inst, player).order
@@ -207,7 +214,7 @@ class TestPublicSearch:
             for rank, item in enumerate(order):
                 strict[item] = 10 - rank
             rows = [consistent, [rng.randrange(7) for _ in range(10)]]
-            rep = deviation_search_public(mech, inst, player, rows)
+            rep = deviation_search(mech, PUBLIC_RANKINGS, inst, player, rows)
             values = []
             for report in (inst.values[player], consistent, strict):
                 reported = list(inst.values)
@@ -220,18 +227,18 @@ class TestPublicSearch:
             assert (rep.witness is None) == (max(values) == values[0])
 
     def test_grid_coverage_rule(self):
-        assert grid_covers_decisions(mechanism("pr"), (1, 2))
-        assert grid_covers_decisions(mechanism("pr-exact-2-4"), (0, 1, 2))
-        assert not grid_covers_decisions(mechanism("pr-exact-2-4"), (1, 2))
-        assert not grid_covers_decisions(mechanism("cut-and-choose"), (0, 1))
-        assert grid_covers_decisions(mechanism("sqrt-seq", Fraction(1, 10)), (1, 2))
-        assert grid_covers_decisions(mechanism("random-uniform"), (1, 2))
+        assert grid_covers_decisions(Mechanism("pr"), (1, 2))
+        assert grid_covers_decisions(Mechanism("pr-exact-2-4"), (0, 1, 2))
+        assert not grid_covers_decisions(Mechanism("pr-exact-2-4"), (1, 2))
+        assert not grid_covers_decisions(Mechanism("cut-and-choose"), (0, 1))
+        assert grid_covers_decisions(Mechanism("sqrt-seq", Fraction(1, 10)), (1, 2))
+        assert grid_covers_decisions(Mechanism("random-uniform"), (1, 2))
 
 
 class TestGridVerifier:
     def test_pick_seq_ordinal_clean(self):
         result = verify_truthful_on_grid(
-            mechanism("pick-seq"), ORDINAL, 2, 3, (0, 1, 2)
+            Mechanism("pick-seq"), ORDINAL, 2, 3, (0, 1, 2)
         )
         assert result.violations == 0
         assert result.instances == 3**6
@@ -240,7 +247,7 @@ class TestGridVerifier:
 
     def test_cut_and_choose_caught(self):
         result = verify_truthful_on_grid(
-            mechanism("cut-and-choose"), CARDINAL, 2, 4, (1, 3)
+            Mechanism("cut-and-choose"), CARDINAL, 2, 4, (1, 3)
         )
         assert result.violations >= 1
         w = result.witness
@@ -249,14 +256,14 @@ class TestGridVerifier:
         assert not result.complete
 
     def test_first_witness_is_deterministic(self):
-        a = verify_truthful_on_grid(mechanism("cut-and-choose"), CARDINAL, 2, 4, (1, 3))
-        b = verify_truthful_on_grid(mechanism("cut-and-choose"), CARDINAL, 2, 4, (1, 3))
+        a = verify_truthful_on_grid(Mechanism("cut-and-choose"), CARDINAL, 2, 4, (1, 3))
+        b = verify_truthful_on_grid(Mechanism("cut-and-choose"), CARDINAL, 2, 4, (1, 3))
         assert a.witness == b.witness
         assert a.witness.instance_rows == ((1, 1, 1, 1), (3, 1, 1, 1))
 
     def test_random_uniform_certificate(self):
         result = verify_truthful_on_grid(
-            mechanism("random-uniform"), CARDINAL, 3, 5, (0, 1)
+            Mechanism("random-uniform"), CARDINAL, 3, 5, (0, 1)
         )
         assert result.violations == 0
         assert result.complete
@@ -265,19 +272,19 @@ class TestGridVerifier:
     def test_budget(self):
         with pytest.raises(EnumerationLimitError, match="6561"):
             verify_truthful_on_grid(
-                mechanism("pick-seq"), ORDINAL, 2, 4, (0, 1, 2), budget=100
+                Mechanism("pick-seq"), ORDINAL, 2, 4, (0, 1, 2), budget=100
             )
 
     def test_pr_exact_public_small_grid(self):
         result = verify_truthful_on_grid(
-            mechanism("pr-exact-2-4"), PUBLIC_RANKINGS, 2, 4, (0, 1)
+            Mechanism("pr-exact-2-4"), PUBLIC_RANKINGS, 2, 4, (0, 1)
         )
         assert result.violations == 0
         assert result.complete
 
     def test_best_item_cardinal_grid_clean(self):
         result = verify_truthful_on_grid(
-            mechanism("best-item"), CARDINAL, 2, 3, (0, 1, 2)
+            Mechanism("best-item"), CARDINAL, 2, 3, (0, 1, 2)
         )
         assert result.violations == 0
         assert result.complete
@@ -292,7 +299,7 @@ class TestGridVerifier:
     )
     def test_float_grid_refused(self, mech, model, m, grid):
         with pytest.raises(ValueError, match=r"^grid value 0\.\d is not rational$"):
-            verify_truthful_on_grid(mechanism(mech), model, 2, m, grid)
+            verify_truthful_on_grid(Mechanism(mech), model, 2, m, grid)
 
 
 # Acceptance criterion 4's five sweeps at n = 2, m = 4 over the benchmark's
@@ -318,7 +325,7 @@ CRITERION_4 = (
     ids=[f"{c[0]}-{c[1]}" for c in CRITERION_4],
 )
 def test_criterion_4_sweeps_are_pinned(name, model, grid, violations, complete, witness):
-    result = verify_truthful_on_grid(mechanism(name), model, 2, 4, grid)
+    result = verify_truthful_on_grid(Mechanism(name), model, 2, 4, grid)
     assert result.instances == len(grid) ** 8
     assert (result.violations, result.complete, result.witness) == (
         violations, complete, witness
@@ -393,7 +400,7 @@ def _differential_cases():
         for name in MECHANISM_NAMES:
             if name == RANDOM_UNIFORM:
                 continue
-            mech = mechanism(name, Fraction(2) if name == "sqrt-seq" else None)
+            mech = Mechanism(name, Fraction(2) if name == "sqrt-seq" else None)
             for model in sorted(models_for(mech)):
                 try:
                     run_mechanism(mech, model, Instance.from_rows([[0] * m] * n))
@@ -445,20 +452,13 @@ def _reference_search(mech, model, inst, player, misreports):
 def _search_cases():
     for n, m in ((2, 3), (2, 4), (3, 3)):
         for name in MECHANISM_NAMES:
-            mech = mechanism(name, Fraction(2) if name == "sqrt-seq" else None)
+            mech = Mechanism(name, Fraction(2) if name == "sqrt-seq" else None)
             for model in sorted(models_for(mech)):
                 try:
                     run_mechanism(mech, model, Instance.from_rows([[0] * m] * n))
                 except ValueError:  # not defined at this (n, m)
                     continue
                 yield pytest.param(mech, model, n, m, id=f"{name}-{model}-{n}x{m}")
-
-
-SEARCHES = {
-    ORDINAL: lambda mech, inst, player, rows: deviation_search_ordinal(mech, inst, player),
-    CARDINAL: deviation_search_cardinal,
-    PUBLIC_RANKINGS: deviation_search_public,
-}
 
 
 @pytest.mark.parametrize("mech, model, n, m", list(_search_cases()))
@@ -476,10 +476,31 @@ def test_searches_match_plain_reference(mech, model, n, m):
             for rank, item in enumerate(order):
                 inconsistent[item] = rank  # rises along her ranking
             rows = [consistent, inconsistent, [rng.randrange(7) for _ in range(m)]]
-            rep = SEARCHES[model](mech, inst, player, rows)
+            supplied = () if model == ORDINAL else rows
+            rep = deviation_search(mech, model, inst, player, supplied)
             assert (rep.best_deviation_value, rep.witness, rep.search_complete) == (
                 _reference_search(mech, model, inst, player, rows)
             )
+
+
+@pytest.mark.parametrize("name", MECHANISM_NAMES)
+def test_sweep_refuses_what_run_refuses(name):
+    # the same (n, m) refused with the same message, whether or not the sweep
+    # searches a player
+    epsilons = (Fraction(1, 4), Fraction(2), Fraction(1000)) if name == "sqrt-seq" else (None,)
+    for mech in (Mechanism(name, eps) for eps in epsilons):
+        for model in (CARDINAL, ORDINAL, PUBLIC_RANKINGS):
+            for n, m in ((1, 0), (3, 0), (1, 3), (2, 2), (2, 3), (3, 2), (2, 4)):
+                want = got = None
+                try:
+                    run_mechanism(mech, model, Instance.from_rows([[0] * m] * n))
+                except ValueError as exc:
+                    want = str(exc)
+                try:
+                    verify_truthful_on_grid(mech, model, n, m, (0, 1))
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == want, (str(mech), model, n, m)
 
 
 class TestUnreadRows:
@@ -488,30 +509,30 @@ class TestUnreadRows:
     def test_public_search_past_enumeration_limit(self):
         rng = random.Random(5)
         inst = random_instance(rng, 3, 10)
-        rep = deviation_search_public(mechanism("pr"), inst, 2, [[9] * 10])
+        rep = deviation_search(Mechanism("pr"), PUBLIC_RANKINGS, inst, 2, [[9] * 10])
         assert rep.best_deviation_value == rep.truthful_value
-        truthful = run_mechanism(mechanism("pr"), PUBLIC_RANKINGS, inst).bundles[2]
+        truthful = run_mechanism(Mechanism("pr"), PUBLIC_RANKINGS, inst).bundles[2]
         assert rep.truthful_value == inst.value(2, truthful)
         assert (rep.witness, rep.search_complete) == (None, True)
         with pytest.raises(EnumerationLimitError):
-            deviation_search_cardinal(mechanism("pr"), inst, 2)
+            deviation_search(Mechanism("pr"), CARDINAL, inst, 2)
 
     def test_unread_player_still_validates_misreports(self):
         inst = Instance.from_rows([[3, 2, 1, 0], [0, 1, 2, 3]])
         with pytest.raises(ValueError, match="4 values"):
-            deviation_search_public(mechanism("pr-exact-2-4"), inst, 1, [[1, 2]])
+            deviation_search(Mechanism("pr-exact-2-4"), PUBLIC_RANKINGS, inst, 1, [[1, 2]])
         with pytest.raises(ValueError, match="nonnegative"):
-            deviation_search_public(mechanism("pr"), inst, 0, [[1, 2, 3, -1]])
-        rep = deviation_search_public(mechanism("pr-exact-2-4"), inst, 1, [[3, 3, 3, 3]])
+            deviation_search(Mechanism("pr"), PUBLIC_RANKINGS, inst, 0, [[1, 2, 3, -1]])
+        rep = deviation_search(Mechanism("pr-exact-2-4"), PUBLIC_RANKINGS, inst, 1, [[3, 3, 3, 3]])
         assert rep.best_deviation_value == rep.truthful_value
         assert (rep.witness, rep.search_complete) == (None, False)
 
     def test_only_row_pools_pass_enumeration_limit(self):
-        result = verify_truthful_on_grid(mechanism("pr"), PUBLIC_RANKINGS, 2, 9, (0, 1))
+        result = verify_truthful_on_grid(Mechanism("pr"), PUBLIC_RANKINGS, 2, 9, (0, 1))
         assert (result.instances, result.violations, result.complete) == (2**18, 0, True)
         for model in (ORDINAL, CARDINAL):
             with pytest.raises(EnumerationLimitError, match="m <= 8"):
-                verify_truthful_on_grid(mechanism("pr"), model, 2, 9, (0, 1))
+                verify_truthful_on_grid(Mechanism("pr"), model, 2, 9, (0, 1))
 
     @pytest.mark.parametrize("name, most", [("pr", 0), ("pr-exact-2-4", 10_000)])
     def test_criterion_4_public_sweeps_allocate_little(self, monkeypatch, name, most):
@@ -524,6 +545,6 @@ class TestUnreadRows:
             return real(*args)
 
         monkeypatch.setattr(strategy, "_allocate", spy)
-        result = verify_truthful_on_grid(mechanism(name), PUBLIC_RANKINGS, 2, 4, (0, 1, 2))
+        result = verify_truthful_on_grid(Mechanism(name), PUBLIC_RANKINGS, 2, 4, (0, 1, 2))
         assert (result.violations, result.complete) == (0, True)
         assert len(calls) <= most

@@ -59,11 +59,8 @@ from .mechanisms import (
     best_item_sequence,
     mechanism,
     models_for,
-    positions_bundle,
     pr_sequence,
-    random_uniform_allocation,
     run_mechanism,
-    run_picking_sequence,
     theoretical_ratio,
     truthful_models,
     value_oblivious,
@@ -72,7 +69,6 @@ from .mms import (
     UNBOUNDED,
     approximation_ratio,
     maximin_share,
-    maximin_share_bruteforce,
 )
 from .montecarlo import (
     Bernoulli,
@@ -89,7 +85,6 @@ from .seqbuild import (
     SqrtSeqParams,
     build_sqrt_sequence,
     length_bound,
-    pair_schedule,
     power_lower_rational,
     sqrt_seq_params,
     verify_pick_positions,

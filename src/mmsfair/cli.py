@@ -312,7 +312,7 @@ def _cmd_adversary(args) -> tuple[int, list[str]]:
 
 def _cmd_mc(args) -> tuple[int, list[str]]:
     dist = parse_distribution(args.dist)
-    cfg = mc_config(args.n, args.m, dist, float(args.rho), args.trials, args.seed)
+    cfg = mc_config(args.n, args.m, dist, args.rho, args.trials, args.seed)
     result = montecarlo_randomized(cfg)
     if args.machine:
         out = [f"trials={result.trials}", f"success_rate={result.success_rate!r}"]
@@ -322,7 +322,7 @@ def _cmd_mc(args) -> tuple[int, list[str]]:
             out.append(f"threshold.{i + 1}={result.thresholds[i]!r}")
     else:
         out = [
-            f"n={args.n}, m={args.m}, dist={dist}, rho={float(args.rho)}, "
+            f"n={args.n}, m={args.m}, dist={dist}, rho={cfg.rho}, "
             f"trials={result.trials}, seed={args.seed}",
             f"success rate: {result.success_rate}",
         ]

@@ -21,7 +21,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .instance import (
     Allocation,
@@ -150,24 +150,6 @@ def pr_sequence(n: int) -> PickingSequence:
     return PickingSequence(tuple(range(n)) + (n - 1,), cyclic=True)
 
 
-def positions_bundle(ranking: Ranking, positions: Iterable[int]) -> frozenset[int]:
-    """Items occupying the given 1-based ranks of ``ranking``.
-
-    >>> sorted(positions_bundle(Ranking((0, 1, 2, 3)), (2, 3)))
-    [1, 2]
-    """
-    out = []
-    seen = set()
-    for p in positions:
-        if not 1 <= p <= ranking.m:
-            raise IndexError(f"position {p} out of range [1, {ranking.m}]")
-        if p in seen:
-            raise ValueError(f"duplicate position {p}")
-        seen.add(p)
-        out.append(ranking.order[p - 1])
-    return frozenset(out)
-
-
 def _simulate_picks(
     orders: Sequence[tuple[int, ...]],
     m: int,
@@ -201,29 +183,6 @@ def _simulate_picks(
         bundles[p].append(item)
         remaining -= 1
     return bundles
-
-
-def run_picking_sequence(
-    rankings: Sequence[Ranking], m: int, seq: PickingSequence
-) -> Allocation:
-    """Run ``seq`` over ``m`` items given one ranking per player.
-
-    >>> r = Ranking((0, 1, 2, 3))
-    >>> alloc = run_picking_sequence([r, r], 4, PickingSequence((0, 1, 1), cyclic=True))
-    >>> sorted(alloc.bundles[0]), sorted(alloc.bundles[1])
-    ([0, 3], [1, 2])
-    """
-    n = len(rankings)
-    if n < 1:
-        raise MechanismError("need at least one ranking")
-    for r in rankings:
-        if r.m != m:
-            raise MechanismError("all rankings must cover the same m items")
-    for p in seq.picks:
-        if not 0 <= p < n:
-            raise MechanismError(f"pick of player {p} out of range [0, {n})")
-    bundles = _simulate_picks([r.order for r in rankings], m, seq.picks, seq.cyclic)
-    return Allocation.from_bundles(bundles)
 
 
 def _pr_exact_24_bundles(orders, rows, n, m, seed):
@@ -308,16 +267,14 @@ def _cut_and_choose_bundles(orders, rows, n, m, seed):
     return proposal_a, proposal_b
 
 
-def random_uniform_allocation(n: int, m: int, seed: int = 0) -> Allocation:
-    """Assign each item independently and uniformly at random; all randomness
-    comes from ``seed``, so the output is reproducible."""
-    if n < 1:
-        raise MechanismError("need at least one player")
+def _random_uniform_bundles(orders, rows, n, m, seed):
+    """Each item to a player drawn uniformly at random; all randomness comes
+    from ``seed``, so the output is reproducible."""
     rng = random.Random(seed)
     bundles: list[list[int]] = [[] for _ in range(n)]
     for j in range(m):
         bundles[rng.randrange(n)].append(j)
-    return Allocation.from_bundles(bundles)
+    return tuple(map(frozenset, bundles))
 
 
 @dataclass(frozen=True)
@@ -380,7 +337,7 @@ _SPECS = {
     ),
     RANDOM_UNIFORM: _Spec(
         _ALL, _ALL, ignores_reports=True,
-        bundles=lambda orders, rows, n, m, seed: random_uniform_allocation(n, m, seed).bundles,
+        bundles=_random_uniform_bundles,
     ),
 }
 MECHANISM_NAMES = tuple(_SPECS)

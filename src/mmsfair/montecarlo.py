@@ -11,6 +11,7 @@ numpy's public ``Generator`` API, so results are bit-for-bit reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # numpy is imported by the one function that runs trials
@@ -98,12 +99,13 @@ def parse_distribution(spec: str):
 
 # On a 2-core x86 host a chunk costs 20 to 40 us before its values (its
 # seeding and owners call), shared by its trials, and a value 9 to 14 ns
-# from draw to total; a trial is charged 2,000 draws.  A player's sample
-# call costs 1 to 2 us a chunk (uniform, bernoulli), 7 to 16 us for
-# discrete:7, so a player is charged at least 600 draws, although 83,330
-# discrete:7 players of one item, the most one trial admits, take 0.6 to
-# 1.3 s.  The limit keeps a run within about 2 s and one trial's value
-# array within 400 MB.
+# from draw to total; a trial is charged 2,000 draws.  Each run of equal
+# players makes one sample call a chunk, 1 to 2 us (uniform, bernoulli) or
+# 7 to 16 us (discrete:7), so a player is charged at least 600 draws, as if
+# no two neighbours were equal: 83,330 players of one item, the most one
+# trial admits, take 0.8 to 1.3 s alternating discrete:7 and discrete:5,
+# and 0.04 to 0.24 s all discrete:7.  The limit keeps a run within about
+# 2 s and one trial's value array within 400 MB.
 _TRIAL_DRAWS = 2000
 _PLAYER_DRAWS = 600
 _DRAW_LIMIT = 5 * 10**7
@@ -131,6 +133,9 @@ def _check_draws(n: int, m: int, trials: int) -> None:
         )
 
 
+_RHO_RULE = "rho must be in [0, 1)"
+
+
 @dataclass(frozen=True)
 class MCConfig:
     n: int
@@ -146,7 +151,7 @@ class MCConfig:
         if len(self.distributions) != self.n:
             raise ValueError("need one distribution per player")
         if not 0 <= self.rho < 1:
-            raise ValueError("rho must be in [0, 1)")
+            raise ValueError(_RHO_RULE)
         if self.trials < 1:
             raise ValueError("need at least one trial")
         _check_draws(self.n, self.m, self.trials)
@@ -163,8 +168,11 @@ def mc_config(
     trials: int,
     seed: int = 0,
 ) -> MCConfig:
-    """Config with the same distribution for every player."""
+    """Config with the same distribution for every player.  ``rho`` may be
+    exact; it is checked before ``float``, which overflows past 1e308."""
     _check_draws(n, m, trials)
+    if not 0 <= rho < 1:
+        raise ValueError(_RHO_RULE)
     return MCConfig(
         n=n,
         m=m,
@@ -199,11 +207,14 @@ def _totals(cfg: MCConfig):
     players = np.arange(n)[:, None, None]
     totals = np.empty((n, trials))
     row_sums = np.empty((n, trials))
+    runs = [(d, len(list(run))) for d, run in groupby(cfg.distributions)]
     for c, start in enumerate(range(0, trials, chunk)):
         size = min(chunk, trials - start)
         rng = np.random.default_rng((cfg.seed, c))
-        for i, d in enumerate(cfg.distributions):
-            values[i] = d.sample(rng, (chunk, m))
+        i = 0
+        for d, k in runs:  # one sample call per run of equal players
+            values[i : i + k] = d.sample(rng, (k, chunk, m))
+            i += k
         owners = rng.integers(0, n, size=(chunk, m))
         received = values * (owners == players)
         totals[:, start : start + size] = np.add.reduce(received, axis=2)[:, :size]
@@ -218,7 +229,10 @@ def montecarlo_randomized(cfg: MCConfig) -> MCResult:
     ``max(1, _BLOCK_VALUES // (n * max(m, 1)))``, and draws from
     ``np.random.default_rng((seed, c))``: each player's ``(C, m)`` values by
     that player's distribution's ``sample``, players in order, then the
-    ``(C, m)`` owners by ``integers(0, n)``.  Every chunk is drawn whole, so
+    ``(C, m)`` owners by ``integers(0, n)``.  A run of ``k`` consecutive
+    players with equal distributions draws its values by one ``(k, C, m)``
+    call, which reads the same stream as ``k`` calls (numpy keeps the spare
+    half of a 64-bit word for 32-bit draws in the bit generator).  Every chunk is drawn whole, so
     a trial's draws do not depend on how many trials run.  A player's total
     is the row summed with the other players' items zeroed, by one reduction
     a chunk, and a player's totals lie contiguous, so their mean and

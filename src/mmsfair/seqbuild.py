@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .adversary import harmonic_number
 from .instance import MechanismError
@@ -175,7 +175,7 @@ def _pair_count(params: SqrtSeqParams, i: int) -> int:
     return max(0, math.floor(alpha * (m - i) / (n - i + 1)) + 1)
 
 
-def pair_schedule(params: SqrtSeqParams) -> list[PickPair]:
+def _pair_schedule(params: SqrtSeqParams) -> list[PickPair]:
     """All (player, deadline) pairs, sorted by deadline, ties by player."""
     n, alpha = params.n, params.alpha
     pairs = []
@@ -204,7 +204,7 @@ def build_sqrt_sequence(params: SqrtSeqParams) -> PickingSequence:
     required = length_bound(params)
     if required > m:
         raise InfeasibleParams(required, m)
-    pairs = pair_schedule(params)
+    pairs = _pair_schedule(params)
     for k, pair in enumerate(pairs, start=1):  # deadlines are <= m: at most m pairs
         if pair.deadline < k:
             raise InfeasibleParams(k, m, pair.deadline)

@@ -299,9 +299,11 @@ def verify_truthful_on_grid(
     )
     # One grid value makes one instance of n * m values, all still searched:
     # they are held to what two values reach, as the count above holds more.
-    if n * m > (most := budget.bit_length() - 1):
+    # With no items each player is still searched, so counts as one value.
+    if n * max(m, 1) > (most := budget.bit_length() - 1):
+        size = f"{n} x {m} values" if m else f"{n} players of no items"
         raise EnumerationLimitError(
-            f"grid sweep over {n} x {m} values is over the limit of {most} "
+            f"grid sweep over {size} is over the limit of {most} "
             f"values that a two-value grid reaches within the budget of {budget}"
         )
     spec = _SPECS[mech.name]

@@ -38,7 +38,6 @@ from mmsfair import (
     ordinal_lower_bound_check,
     run_chain,
     run_mechanism,
-    run_picking_sequence,
     sqrt_seq_params,
     truthful_models,
     verify_pick_positions,
@@ -221,11 +220,11 @@ def test_criterion_08_sqrt_sequence_construction():
         seq = build_sqrt_sequence(params)
         assert len(seq.picks) == m
         assert verify_pick_positions(seq, 17, params.alpha) == []
+        mech = Mechanism("sqrt-seq", eps)
         rng = random.Random(7)
         for _ in range(200):
             inst = random_instance(rng, 17, m, top=3)
-            rankings = [derive_ranking(inst, i) for i in range(17)]
-            alloc = run_picking_sequence(rankings, m, seq)
+            alloc = run_mechanism(mech, ORDINAL, inst)
             for i in range(17):
                 share = maximin_share(inst, i, 17)
                 assert inst.value(i, alloc.bundles[i]) >= params.alpha * share

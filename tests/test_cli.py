@@ -757,6 +757,66 @@ class TestErrors:
         assert (status, err) == (0, "")
         assert "instances=1\n" in out and "violations=0\n" in out
 
+    def test_players_without_items_answered_up_to_the_limit(self, capsys):
+        argv = "verify --mech pick-seq --model ordinal --n 19 --m 0 --grid 0 --machine"
+        status, out, err = run_cli(capsys, *argv.split())
+        assert (status, err) == (0, "")
+        assert "instances=1\n" in out and "violations=0\n" in out
+
+    def test_players_without_items_refused_at_once(self, capsys):
+        # each player was still searched: 5.3 s at n = 4,000, growing as n**2
+        argv = "verify --mech pick-seq --model ordinal --n 4000 --m 0 --grid 0"
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, *argv.split())
+        assert time.perf_counter() - start < 0.5
+        assert (status, out) == (2, "")
+        assert err == (
+            "error: grid sweep over 4000 players of no items is over the limit of "
+            "19 values that a two-value grid reaches within the budget of 1000000\n"
+        )
+
+    @pytest.mark.parametrize("rho", ["1e1000", "-1e1000", "1"])
+    def test_rho_out_of_range_refused_before_float(self, capsys, rho):
+        # 1e1000 raised OverflowError in float() and exited 3
+        status, out, err = run_cli(
+            capsys, "mc", "--n", "3", "--m", "3", f"--rho={rho}", "--trials", "1"
+        )
+        assert (status, out, err) == (2, "", "error: rho must be in [0, 1)\n")
+
+    def test_adversary_with_nothing_to_do(self, capsys):
+        status, out, err = run_cli(capsys, "adversary", "--n", "3", "--m", "6")
+        assert (status, out) == (2, "")
+        assert err == "error: nothing to do: pass --alpha and/or --exhaustive\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("verify --mech pr --model ordinal --n 2 --m 2 --grid ,",
+             "argument --grid: empty grid"),
+            ("adversary --n 3 --m 6 --alpha x", "argument --alpha: not a rational: 'x'"),
+        ],
+    )
+    def test_unparsed_flag_refused(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f" error: {message}\n")
+
+    def test_cut_and_choose_without_items(self, capsys, tmp_path):
+        # best_two_partition([]) cuts two empty bundles
+        path = tmp_path / "empty.txt"
+        path.write_text("2 0\n")
+        argv = ("run", "--instance", str(path), "--mech", "cut-and-choose",
+                "--model", "cardinal", "--machine")
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, err) == (0, "")
+        assert out == (
+            "mechanism=cut-and-choose\nmodel=cardinal\nn=2\nm=0\nseed=0\n"
+            "bundle.1=-\nvalue.1=0/1\nmms.1=0/1\nratio.1=unbounded\n"
+            "bundle.2=-\nvalue.2=0/1\nmms.2=0/1\nratio.2=unbounded\n"
+            "ratio.overall=unbounded\nbound=none\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -16,18 +16,13 @@ from mmsfair import (
     Instance,
     Mechanism,
     MechanismError,
-    PickingSequence,
-    Ranking,
     approximation_ratio,
     best_item_sequence,
     derive_ranking,
     maximin_share,
     models_for,
-    positions_bundle,
     pr_sequence,
-    random_uniform_allocation,
     run_mechanism,
-    run_picking_sequence,
     validate_allocation,
     verify_truthful_on_grid,
 )
@@ -58,22 +53,21 @@ class TestSequences:
 
 class TestRunPickingSequence:
     def test_cyclic_two_players(self):
-        r = Ranking((0, 1, 2, 3))
-        alloc = run_picking_sequence(
-            [r, r], 4, PickingSequence((0, 1, 1), cyclic=True)
-        )
+        # pr at n = 2 runs (0, 1, 1) cyclically
+        inst = Instance.from_rows([[4, 3, 2, 1]] * 2)
+        alloc = run_mechanism(Mechanism("pr"), ORDINAL, inst)
         assert alloc.bundles == (frozenset({0, 3}), frozenset({1, 2}))
 
     def test_single_player_takes_all(self):
-        alloc = run_picking_sequence(
-            [Ranking((2, 0, 1))], 3, PickingSequence((0,), cyclic=True)
-        )
+        # pick-seq at n = 1: the one player picks every item
+        inst = Instance.from_rows([[2, 3, 4]])
+        alloc = run_mechanism(Mechanism("pick-seq"), ORDINAL, inst)
         assert alloc.bundles == (frozenset({0, 1, 2}),)
 
     def test_hand_simulation(self, ex23):
-        # picks: p1 takes a, p2 takes b, p3 takes c then d then e
-        rankings = [derive_ranking(ex23, i) for i in range(3)]
-        alloc = run_picking_sequence(rankings, 5, PickingSequence((0, 1, 2, 2, 2)))
+        # best-item at 3x5 runs (0, 1, 2, 2, 2): p1 takes a, p2 takes b, p3
+        # takes c then d then e
+        alloc = run_mechanism(Mechanism("best-item"), ORDINAL, ex23)
         assert alloc.bundles == (
             frozenset({0}),
             frozenset({1}),
@@ -81,29 +75,9 @@ class TestRunPickingSequence:
         )
 
     def test_exhausted_sequence(self):
-        r = Ranking((0, 1, 2))
+        order = (0, 1, 2)
         with pytest.raises(MechanismError, match="exhausted"):
-            run_picking_sequence([r, r], 3, PickingSequence((0, 1)))
-
-    def test_pick_out_of_range(self):
-        r = Ranking((0, 1))
-        with pytest.raises(MechanismError, match="out of range"):
-            run_picking_sequence([r], 2, PickingSequence((0, 1)))
-
-
-class TestPositionsBundle:
-    def test_examples(self):
-        r = Ranking((0, 1, 2, 3))
-        assert positions_bundle(r, (2, 3)) == {1, 2}
-        assert positions_bundle(r, (1,)) == {0}
-        assert positions_bundle(Ranking((3, 2, 1, 0)), (1, 4)) == {3, 0}
-
-    def test_errors(self):
-        r = Ranking((0, 1, 2))
-        with pytest.raises(IndexError):
-            positions_bundle(r, (4,))
-        with pytest.raises(ValueError):
-            positions_bundle(r, (1, 1))
+            mechanisms._simulate_picks([order, order], 3, (0, 1), cyclic=False)
 
 
 class TestPrExact24:
@@ -185,12 +159,12 @@ class TestPrExact24:
             share = maximin_share(inst, 0, 2)
             ranking = derive_ranking(inst, 0)
             for positions in ((1, 2), (1, 3), (1, 4)):
-                bundle = positions_bundle(ranking, positions)
+                bundle = [ranking.order[p - 1] for p in positions]
                 assert inst.value(0, bundle) >= share
             for triple in combinations(range(4), 3):
                 assert inst.value(0, triple) >= share
-            top = inst.value(0, positions_bundle(ranking, (1,)))
-            pair = inst.value(0, positions_bundle(ranking, (2, 3)))
+            top = inst.value(0, [ranking.order[0]])
+            pair = inst.value(0, ranking.order[1:3])
             assert max(top, pair) >= share
 
 
@@ -305,21 +279,28 @@ def _enumerated_cut(row):
     return frozenset(best[1]), frozenset(range(m)) - set(best[1])
 
 
+def _random_uniform(n, m, seed):
+    """``random-uniform``'s allocation of ``m`` items to ``n`` players."""
+    inst = Instance.from_rows([[0] * m] * n)
+    return run_mechanism(Mechanism("random-uniform"), CARDINAL, inst, seed=seed)
+
+
 class TestRandomUniform:
     def test_single_player(self):
         for seed in (0, 1, 99):
-            alloc = random_uniform_allocation(1, 5, seed)
+            alloc = _random_uniform(1, 5, seed)
             assert alloc.bundles == (frozenset(range(5)),)
 
     def test_deterministic_given_seed(self):
-        assert random_uniform_allocation(3, 5, 7) == random_uniform_allocation(3, 5, 7)
-        assert random_uniform_allocation(3, 5, 7) != random_uniform_allocation(3, 5, 8)
+        assert _random_uniform(3, 5, 7) == _random_uniform(3, 5, 7)
+        assert _random_uniform(3, 5, 7) != _random_uniform(3, 5, 8)
 
     def test_empirical_frequency(self):
+        mech, inst = Mechanism("random-uniform"), Instance.from_rows([[0] * 5] * 3)
         hits = 0
         trials = 100_000
         for seed in range(trials):
-            if 0 in random_uniform_allocation(3, 5, seed).bundles[0]:
+            if 0 in run_mechanism(mech, CARDINAL, inst, seed=seed).bundles[0]:
                 hits += 1
         assert abs(hits / trials - 1 / 3) < 0.01
 
@@ -492,11 +473,12 @@ class TestGuarantees:
 
         # At (2, 8) epsilon 1/2 and 1 build different sequences.
         inst = Instance.from_rows([[8, 7, 6, 5, 4, 3, 2, 1]] * 2)
-        rankings = [derive_ranking(inst, i) for i in range(2)]
+        orders = [derive_ranking(inst, i).order for i in range(2)]
         for eps in (Fraction(1, 2), Fraction(1), Fraction(1, 2)):
             seq = build_sqrt_sequence(sqrt_seq_params(2, 8, eps))
-            want = run_picking_sequence(rankings, 8, seq)
-            assert run_mechanism(Mechanism("sqrt-seq", eps), ORDINAL, inst) == want
+            want = mechanisms._simulate_picks(orders, 8, seq.picks, seq.cyclic)
+            alloc = run_mechanism(Mechanism("sqrt-seq", eps), ORDINAL, inst)
+            assert alloc == Allocation.from_bundles(want)
 
     def test_pick_seq_guarantee_random(self):
         rng = random.Random(59)
@@ -514,7 +496,11 @@ class TestGuarantees:
 def _fresh_outcome(mech, orders, n, m, seed):
     """A value-oblivious mechanism's bundles from a freshly built sequence."""
     if mech.name == "random-uniform":
-        return random_uniform_allocation(n, m, seed).bundles
+        rng = random.Random(seed)
+        bundles = [set() for _ in range(n)]
+        for j in range(m):
+            bundles[rng.randrange(n)].add(j)
+        return tuple(map(frozenset, bundles))
     if mech.name == "pr":
         seq = pr_sequence(n)
     elif mech.name == "sqrt-seq":

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import maximin_share_bruteforce, random_instance
 from mmsfair import (
     UNBOUNDED,
     Allocation,
@@ -18,7 +18,6 @@ from mmsfair import (
     Instance,
     approximation_ratio,
     maximin_share,
-    maximin_share_bruteforce,
     mms,
 )
 from mmsfair.instance import validate_allocation

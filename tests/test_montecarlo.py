@@ -172,6 +172,11 @@ EQUALITY_CASES = {
     # one item a trial: a chunk of 5,461 trials, most of them never used
     "discrete-one-item": mc_config(3, 1, DiscreteUniform(7), rho=0.5, trials=40, seed=10),
     "many-players": mc_config(1000, 3, Bernoulli(0.5), rho=0.5, trials=20, seed=12),
+    # 8,193 values a trial, so a chunk of one trial; each player's three
+    # 32-bit draws leave a spare half that the next player's draws take
+    "many-players-above-block": mc_config(
+        2731, 3, DiscreteUniform(7), rho=0.5, trials=3, seed=13
+    ),
 }
 
 

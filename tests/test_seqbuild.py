@@ -9,15 +9,14 @@ from mmsfair import (
     InfeasibleParams,
     Mechanism,
     MechanismError,
+    ORDINAL,
     PickingSequence,
     build_sqrt_sequence,
-    derive_ranking,
     harmonic_number,
     length_bound,
     maximin_share,
-    pair_schedule,
     power_lower_rational,
-    run_picking_sequence,
+    run_mechanism,
     sqrt_seq_params,
     theoretical_ratio,
     verify_pick_positions,
@@ -167,7 +166,7 @@ class TestBuild:
 
     def test_pair_deadlines_shape(self):
         params = sqrt_seq_params(17, 29, Fraction(1, 4))
-        pairs = pair_schedule(params)
+        pairs = seqbuild._pair_schedule(params)
         assert [p.deadline for p in pairs] == sorted(p.deadline for p in pairs)
         for player, deadline in pairs:
             i = player + 1
@@ -176,12 +175,11 @@ class TestBuild:
 
     def test_allocation_guarantee_random(self):
         params = sqrt_seq_params(17, 29, Fraction(1, 4))
-        seq = build_sqrt_sequence(params)
+        mech = Mechanism("sqrt-seq", Fraction(1, 4))
         rng = random.Random(2)
         for _ in range(25):
             inst = random_instance(rng, 17, 29, top=3)
-            rankings = [derive_ranking(inst, i) for i in range(17)]
-            alloc = run_picking_sequence(rankings, 29, seq)
+            alloc = run_mechanism(mech, ORDINAL, inst)
             for i in range(17):
                 assert inst.value(i, alloc.bundles[i]) >= params.alpha * maximin_share(
                     inst, i, 17
@@ -204,7 +202,7 @@ class TestScheduleDemand:
                         params = sqrt_seq_params(n, m, eps)
                     except ValueError:
                         continue
-                    pairs = pair_schedule(params)
+                    pairs = seqbuild._pair_schedule(params)
                     want, seen = [], [0] * n
                     for pair in sorted(pairs):  # by player, then deadline
                         due = sum(1 for q in pairs if q.deadline <= pair.deadline)

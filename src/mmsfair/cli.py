@@ -11,7 +11,10 @@ the command has it.  Values, shares and ratios come from :mod:`mmsfair.mms`.
 
 Every command is reproducible: seeds default to 0 and rational quantities
 are printed exactly, never as decimals.  With ``--machine`` the output is
-one ``key=value`` record per line.  Exit status: 0 on success / no
+one ``key=value`` record per line.  With ``--stats`` the command also
+writes, to stderr after its output, the hits, misses and size of each memo
+(counted since the process started) and its wall time, as ``stats.*=``
+lines; stdout is unchanged.  Exit status: 0 on success / no
 violation, 1 when violations or failures were found, 2 on usage or input
 errors, 3 on an unexpected error (its traceback goes to stderr).  A reader
 that closes stdout early (``| head -1``) changes none of these: the command
@@ -25,9 +28,11 @@ import argparse
 import os
 import re
 import sys
+import time
 import traceback
 from fractions import Fraction
 
+from . import instance, mechanisms, mms
 from .adversary import (
     INFEASIBLE,
     exhaustive_common_ranking_ratio,
@@ -54,6 +59,15 @@ from .seqbuild import (
 )
 from .strategy import verify_truthful_on_grid
 
+
+# The memos --stats reports, by module and name.
+_MEMOS = (
+    ("instance._order", instance._order),
+    ("mechanisms._outcome", mechanisms._outcome),
+    ("mechanisms._proposal", mechanisms._proposal),
+    ("mechanisms._sequence", mechanisms._sequence),
+    ("mms._rated_share", mms._rated_share),
+)
 
 # The largest decimal exponent a rational flag takes: Fraction writes the
 # power of ten out in full, and 1e30000000 took minutes.
@@ -392,15 +406,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_machine(p):
+    def add_output(p):
         p.add_argument(
             "--machine", action="store_true", help="key=value output, one per line"
+        )
+        p.add_argument(
+            "--stats", action="store_true",
+            help="also write memo counters and wall time to stderr as stats.*= lines",
         )
 
     p = sub.add_parser("mms", help="exact maximin shares of an instance")
     p.add_argument("--instance", required=True, help="instance file")
     p.add_argument("--parts", type=int, default=None, help="bundle count (default n)")
-    add_machine(p)
+    add_output(p)
     p.set_defaults(func=_cmd_mms)
 
     p = sub.add_parser("run", help="run a mechanism on an instance")
@@ -410,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_rational, default=None, help="sqrt-seq exponent offset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None, help="also write the report to this file")
-    add_machine(p)
+    add_output(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("verify", help="exhaustive truthfulness sweep over a value grid")
@@ -421,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid, required=True, help="comma-separated values")
     p.add_argument("--budget", type=int, default=BUDGET)
     p.add_argument("--epsilon", type=_rational, default=None)
-    add_machine(p)
+    add_output(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("chain", help="run a mechanism through an impossibility chain")
@@ -430,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mech", required=True, choices=MECHANISM_NAMES)
     p.add_argument("--model", default=None, choices=MODELS, help="default: the fixture's model")
     p.add_argument("--epsilon", type=_rational, default=Fraction(1, 10))
-    add_machine(p)
+    add_output(p)
     p.set_defaults(func=_cmd_chain)
 
     p = sub.add_parser("adversary", help="ordinal-model counting bound and exhaustive check")
@@ -438,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=_rational, default=None)
     p.add_argument("--exhaustive", action="store_true")
-    add_machine(p)
+    add_output(p)
     p.set_defaults(func=_cmd_adversary)
 
     p = sub.add_parser("mc", help="Monte-Carlo harness for the random mechanism")
@@ -448,14 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_rational, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    add_machine(p)
+    add_output(p)
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("seq", help="build and verify a deadline picking sequence")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--epsilon", type=_rational, required=True)
-    add_machine(p)
+    add_output(p)
     p.set_defaults(func=_cmd_seq)
 
     return parser
@@ -466,6 +484,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "chain" and not args.fixture and not args.fixture_file:
         parser.error("chain needs --fixture or --fixture-file")
+    start = time.perf_counter()
     try:
         status, lines = args.func(args)
         _print(lines, getattr(args, "report", None))
@@ -480,6 +499,24 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return 3
+    finally:
+        if args.stats:
+            _print_stats(time.perf_counter() - start)
+
+
+def _print_stats(wall_s: float) -> None:
+    """The ``--stats`` lines: each memo's hits, misses and size, then the
+    command's wall time in seconds."""
+    lines = []
+    for name, memo in _MEMOS:
+        info = memo.cache_info()
+        lines += [
+            f"stats.{name}.hits={info.hits}",
+            f"stats.{name}.misses={info.misses}",
+            f"stats.{name}.currsize={info.currsize}",
+        ]
+    lines.append(f"stats.wall_s={wall_s:.6f}")
+    print("\n".join(lines), file=sys.stderr)
 
 
 if __name__ == "__main__":

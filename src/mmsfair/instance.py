@@ -10,13 +10,15 @@ Items are indexed ``0..m-1`` internally (the command line prints them
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NoReturn, Sequence, Union
 
 Value = Union[int, Fraction]
+_RATIONAL = (int, Fraction)  # the types of a Value, for isinstance
 
 _TOKEN_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -73,27 +75,20 @@ class Instance:
     values: tuple[tuple[Value, ...], ...]
 
     def __post_init__(self):
-        if len(self.values) < 1:
+        values = self.values
+        if not values:
             raise InstanceError("an instance needs at least one player")
-        m = len(self.values[0])
-        for i, row in enumerate(self.values):
+        m = len(values[0])
+        for row in values:
             if len(row) != m:
-                raise InstanceError(
-                    f"player {i + 1} has {len(row)} values, expected {m}"
-                )
-            for j, v in enumerate(row):
-                if not isinstance(v, (int, Fraction)):
-                    raise InstanceError(
-                        f"value for player {i + 1}, item {j + 1} is not rational"
-                    )
-                if v < 0:
-                    raise InstanceError(
-                        f"negative value for player {i + 1}, item {j + 1}"
-                    )
+                _refuse_rows(values)
+            for v in row:
+                if not isinstance(v, _RATIONAL) or v < 0:
+                    _refuse_rows(values)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Value]]) -> "Instance":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @property
     def n(self) -> int:
@@ -117,6 +112,23 @@ class Instance:
     def _check_player(self, player: int) -> None:
         if not 0 <= player < self.n:
             raise IndexError(f"player index {player} out of range [0, {self.n})")
+
+
+def _refuse_rows(values) -> NoReturn:
+    """Raise the :class:`InstanceError` for the first fault of ``values`` in
+    row-major order: a row of the wrong length, then each value that is not
+    rational or is negative, in that order at one index."""
+    m = len(values[0])
+    for i, row in enumerate(values):
+        if len(row) != m:
+            raise InstanceError(f"player {i + 1} has {len(row)} values, expected {m}")
+        for j, v in enumerate(row):
+            if not isinstance(v, _RATIONAL):
+                raise InstanceError(
+                    f"value for player {i + 1}, item {j + 1} is not rational"
+                )
+            if v < 0:
+                raise InstanceError(f"negative value for player {i + 1}, item {j + 1}")
 
 
 @dataclass(frozen=True)
@@ -293,12 +305,17 @@ def _order(row: tuple[Value, ...]) -> tuple[int, ...]:
 def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
     """Return a list of violations; an empty list means the allocation is valid.
 
-    Checks bundle count, item-index range, duplicates, and full coverage.
+    Checks bundle count, that every item index is an integer, item-index
+    range, duplicates, and full coverage.
     """
     # The common valid case in one step: n bundles whose items, sorted, are
     # exactly 0..m-1.  Anything else gets the full check below.
     values, bundles = inst.values, alloc.bundles
-    if len(bundles) == len(values) and sorted(chain(*bundles)) == list(range(len(values[0]))):
+    try:
+        items = sorted(map(operator.index, chain(*bundles)))
+    except TypeError:  # an index that is not an integer
+        items = None
+    if len(bundles) == len(values) and items == list(range(len(values[0]))):
         return []
     violations = []
     n, m = inst.n, inst.m
@@ -306,7 +323,12 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
         violations.append(f"expected {n} bundles, found {alloc.n}")
     seen: dict[int, int] = {}
     for b, bundle in enumerate(alloc.bundles):
-        for j in bundle:
+        for item in bundle:
+            try:
+                j = operator.index(item)
+            except TypeError:
+                violations.append(f"item index {item!r} in bundle {b + 1} is not an integer")
+                continue
             if not 0 <= j < m:
                 violations.append(f"item index {j} out of range in bundle {b + 1}")
             elif j in seen:

@@ -455,7 +455,8 @@ def run_mechanism(
     the cardinal and public-rankings models, a list of rankings in the
     ordinal model, or ``None`` for truthful reports.
     """
-    n, m = inst.n, inst.m
+    values = inst.values
+    n, m = len(values), len(values[0])
     _check_defined(mech, model, n, m)
     orders, rows = _resolve_reports(model, inst, reported)
     return Allocation(_allocate(mech, orders, rows, n, m, seed))

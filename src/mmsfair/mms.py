@@ -25,6 +25,9 @@ with :class:`~mmsfair.instance.EnumerationLimitError`.  None of this recurses.
 
 Approximation ratios are compared as integer pairs (numerator, denominator)
 by cross-multiplication; only the worst ratio is returned, as a ``Fraction``.
+The shares they divide by come from a bounded memo keyed by the row as given
+and the bundle count, so rating every instance of a value grid asks the
+oracle once per distinct row; :func:`maximin_share` itself remembers nothing.
 """
 
 from __future__ import annotations
@@ -341,7 +344,7 @@ def approximation_ratio(inst: Instance, alloc: Allocation):
     parts = inst.n
     worst = None
     for row, bundle in zip(inst.values, alloc.bundles):
-        p, q = _rated_share(tuple(sorted(row, reverse=True)), parts)
+        p, q = _rated_share(tuple(row), parts)
         if not p:
             continue
         # value / (p/q) as num/den; ints carry .numerator and .denominator too
@@ -363,17 +366,19 @@ def _player_ratios(inst: Instance, alloc: Allocation) -> tuple[tuple, tuple, tup
     values, shares = [], []
     for row, bundle in zip(inst.values, alloc.bundles):
         values.append(Fraction(sum(map(row.__getitem__, bundle))))
-        shares.append(Fraction(*_rated_share(tuple(sorted(row, reverse=True)), inst.n)))
+        shares.append(Fraction(*_rated_share(tuple(row), inst.n)))
     ratios = tuple(v / s if s else UNBOUNDED for v, s in zip(values, shares))
     return tuple(values), tuple(shares), ratios
 
 
 @functools.lru_cache(maxsize=4096)
 def _rated_share(values: tuple[Value, ...], parts: int) -> tuple[int, int]:
-    """Maximin share ``p/q`` of a row whose values, in descending order, are
-    ``values``, as the integer pair ``(p, q)``.  A share depends only on that
-    multiset and ``parts``, so :func:`approximation_ratio` rates a grid of
-    instances from a few hundred oracle calls; :func:`maximin_share` itself
-    remembers nothing."""
+    """Maximin share ``p/q`` of the row ``values`` for ``parts`` bundles, as
+    the integer pair ``(p, q)``.  The key is the row as given, so
+    :func:`approximation_ratio` and :func:`_player_ratios` share each entry,
+    and the permutations of one row are separate entries of equal share: a
+    grid pays one oracle call per distinct row, and looks a row up without
+    sorting it.  Rows that compare equal, such as an int row and its
+    ``Fraction`` twin, share one entry."""
     share = maximin_share(Instance((values,)), 0, parts)
     return share.numerator, share.denominator

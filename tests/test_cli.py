@@ -1098,6 +1098,69 @@ def test_readme_human_output_is_pinned(capsys, ex23_file, command, status, stdou
     assert run_cli(capsys, *argv) == (status, stdout, "")
 
 
+_STATS_KEYS = [
+    f"stats.{memo}.{count}"
+    for memo in (
+        "instance._order",
+        "mechanisms._outcome",
+        "mechanisms._proposal",
+        "mechanisms._sequence",
+        "mms._rated_share",
+    )
+    for count in ("hits", "misses", "currsize")
+] + ["stats.wall_s"]
+
+
+def _stats(err: str) -> dict:
+    """The ``--stats`` lines of ``err``, which must hold nothing else, as a
+    dict in their order."""
+    pairs = [line.split("=", 1) for line in err.splitlines()]
+    assert all(key.startswith("stats.") for key, _ in pairs), err
+    return dict(pairs)
+
+
+@pytest.mark.parametrize("machine", [False, True], ids=["human", "machine"])
+@pytest.mark.parametrize(
+    "command, status, stdout", README_HUMAN, ids=[c.split()[0] for c, _, _ in README_HUMAN]
+)
+def test_readme_stats_leave_stdout_unchanged(capsys, ex23_file, command, status, stdout, machine):
+    argv = [ex23_file if t == "EX23" else t for t in command.split()]
+    argv += ["--machine"] if machine else []
+    plain = run_cli(capsys, *argv)
+    got_status, got_out, err = run_cli(capsys, *argv, "--stats")
+    assert plain[2] == ""
+    assert (got_status, got_out) == plain[:2]
+    if not machine:
+        assert (got_status, got_out) == (status, stdout)
+    stats = _stats(err)
+    assert list(stats) == _STATS_KEYS
+    assert all(int(v) >= 0 for k, v in stats.items() if k != "stats.wall_s")
+    assert float(stats["stats.wall_s"]) >= 0
+
+
+def test_stats_count_each_share_once(capsys, ex23_file):
+    for _, memo in cli._MEMOS:
+        memo.cache_clear()
+    _, _, err = run_cli(
+        capsys, "run", "--instance", ex23_file, "--mech", "pr", "--model", "ordinal", "--stats"
+    )
+    stats = _stats(err)
+    # three distinct rows: run's per-player lines miss, the overall ratio hits
+    assert stats["stats.mms._rated_share.misses"] == "3"
+    assert stats["stats.mms._rated_share.hits"] == "3"
+    assert stats["stats.mms._rated_share.currsize"] == "3"
+    assert stats["stats.instance._order.misses"] == "3"
+
+
+def test_stats_follow_a_refusal(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("1 2\n1 -1\n")
+    status, out, err = run_cli(capsys, "mms", "--instance", str(path), "--stats")
+    first, *rest = err.splitlines()
+    assert (status, out, first) == (2, "", "error: line 2: negative value '-1'")
+    assert list(_stats("\n".join(rest))) == _STATS_KEYS
+
+
 def _readme_blocks(lang: str) -> list[str]:
     text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```(\w*)\n(.*?)^```", text, re.MULTILINE | re.DOTALL)

@@ -178,6 +178,59 @@ def test_instance_rejects_bad_rows():
         Instance.from_rows([[0.5, 1]])
 
 
+def _row_error_reference(values):
+    """The message of the first fault, by the loop that once checked every
+    value in turn: per row its length, then per value its type, then its
+    sign; None when there is no fault."""
+    if len(values) < 1:
+        return "an instance needs at least one player"
+    m = len(values[0])
+    for i, row in enumerate(values):
+        if len(row) != m:
+            return f"player {i + 1} has {len(row)} values, expected {m}"
+        for j, v in enumerate(row):
+            if not isinstance(v, (int, Fraction)):
+                return f"value for player {i + 1}, item {j + 1} is not rational"
+            if v < 0:
+                return f"negative value for player {i + 1}, item {j + 1}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 0.5]],  # a float
+        [[1, 2], [3, -1]],  # a negative
+        [[1, "2"]],  # a str, which does not compare with 0
+        [[1, -1, 0.5]],  # a negative before a float
+        [[1, 0.5, -1]],  # a float before a negative
+        [[1, -0.5]],  # a negative float: the type check comes first
+        [[1, 2], [1]],  # a ragged row
+        [],  # no players
+        [[1, 2], [1, 2, 3], [0.5, 1]],  # a ragged row before a float
+        [[1, -2], [1]],  # a negative before a ragged row
+        [[None, 1], [1, 2]],  # None
+        [[Fraction(-1, 2), 1]],  # a negative Fraction
+        [[1.0, -1]],  # a float equal to an int
+        [[True, 1], [0, 2]],  # bool is an int: no fault
+        [[Fraction(1, 2), 0], [3, 4]],  # no fault
+    ],
+)
+def test_row_errors_match_the_per_value_loop(rows):
+    want = _row_error_reference(rows)
+    builds = (
+        lambda: Instance.from_rows(rows),
+        lambda: Instance(tuple(rows)),  # list rows, as given
+    )
+    for build in builds:
+        if want is None:
+            build()
+            continue
+        with pytest.raises(InstanceError) as err:
+            build()
+        assert str(err.value) == want
+
+
 class TestEnumerationSize:
     @pytest.mark.parametrize("limit", [0, 1, 7, 8, 9, 1023, 1024, 10**6, -5])
     def test_matches_the_plain_power(self, limit):

@@ -4,7 +4,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -525,6 +525,44 @@ class TestShareMemo:
                 assert got == want, profile
                 assert got is UNBOUNDED or type(got) is Fraction
 
+    def test_one_oracle_call_per_distinct_row(self, monkeypatch):
+        # the memo is keyed by the row as given: each permutation of a row is
+        # one oracle call per bundle count, with tuple rows, list rows built
+        # by Instance(...) and Fraction twins alike; no row is sorted, so a
+        # lookup by a sorted copy would ask for a row not rated here
+        calls = []
+        real = mms.maximin_share
+
+        def spy(inst, player, parts):
+            calls.append((inst.values[player], parts))
+            return real(inst, player, parts)
+
+        monkeypatch.setattr(mms, "maximin_share", spy)
+        mms._rated_share.cache_clear()
+        bases = [(3, 1, 2, 0), (2, 2, 1, 1), (0, 0, 5, 0)]
+        rows = sorted(
+            p
+            for p in {p for base in bases for p in permutations(base)}
+            if sorted(p) != list(p) != sorted(p, reverse=True)
+        )
+        halves = Allocation.from_bundles([[0], [1, 2, 3]]), Allocation.from_bundles([[1, 2], [0, 3]])
+        thirds = Allocation.from_bundles([[0, 1], [2], [3]])
+        wanted = set()
+        for index, (r1, r2) in enumerate(product(rows, repeat=2)):
+            rated = [
+                (Instance.from_rows([r1, r2]), halves[index % 2]),
+                (Instance((list(r2), list(r1))), halves[index % 2]),
+                (Instance((list(r1), [Fraction(v) for v in r2])), halves[0]),
+            ]
+            if index % 5 == 0:
+                rated.append((Instance((r1, list(r2), r1)), thirds))
+            for inst, alloc in rated:
+                assert approximation_ratio(inst, alloc) == _direct_ratio(inst, alloc)
+                shares = mms._player_ratios(inst, alloc)[1]
+                assert shares == tuple(maximin_share(inst, i, inst.n) for i in range(inst.n))
+                wanted.update((tuple(row), inst.n) for row in inst.values)
+        assert sorted(calls) == sorted(wanted)
+
     def test_oracle_is_not_memoized(self, monkeypatch):
         inst = Instance.from_rows([[3, 2, 2, 1], [1, 2, 2, 3]])
         assert approximation_ratio(inst, Allocation.from_bundles([[0, 3], [1, 2]])) == 1
@@ -610,7 +648,8 @@ class TestIntegerRating:
 
 
 def _validate_reference(inst, alloc):
-    """The full violation scan, as validate_allocation did it for every input."""
+    """The full violation scan, run on every input: an item index that is not
+    an integer is a violation, as is one out of range."""
     violations = []
     n, m = inst.n, inst.m
     if alloc.n != n:
@@ -618,7 +657,9 @@ def _validate_reference(inst, alloc):
     seen = {}
     for b, bundle in enumerate(alloc.bundles):
         for j in bundle:
-            if not 0 <= j < m:
+            if not isinstance(j, int):
+                violations.append(f"item index {j!r} in bundle {b + 1} is not an integer")
+            elif not 0 <= j < m:
                 violations.append(f"item index {j} out of range in bundle {b + 1}")
             elif j in seen:
                 violations.append(
@@ -648,12 +689,26 @@ class TestValidateAllocation:
             [[0], [1, 2], [3]],  # too many bundles
             [[0], [1], []],  # too many bundles, items missing
             [[0, 0.5], [1, 2, 3]],  # a non-index item
+            [[0, 1.0], [2, 3]],  # a float equal to an index
+            [["a", 0, 1], [2, 3]],  # an index that does not compare with ints
+            [[None, 0, 1], [2, 3], [5]],  # and other faults beside it
             [[0, 4], [0, 1, 2]],  # several faults at once
         ],
     )
     def test_matches_full_scan(self, bundles):
         alloc = Allocation.from_bundles(bundles)
         assert validate_allocation(self.INST, alloc) == _validate_reference(self.INST, alloc)
+
+    @pytest.mark.parametrize("item", [1.0, 0.5, "a", None, Fraction(1)])
+    def test_rating_refuses_a_non_integer_index(self, item):
+        # a float index once passed and then failed on row[1.0]; "a" and None
+        # raised TypeError from the comparison with ints
+        alloc = Allocation.from_bundles([[0, item], [1, 2, 3]])
+        assert validate_allocation(self.INST, alloc) == [
+            f"item index {item!r} in bundle 1 is not an integer"
+        ]
+        with pytest.raises(ValueError, match="is not an integer"):
+            approximation_ratio(self.INST, alloc)
 
     @DERANDOMIZED
     @given(

@@ -63,7 +63,6 @@ from .mechanisms import (
     run_mechanism,
     theoretical_ratio,
     truthful_models,
-    value_oblivious,
 )
 from .mms import (
     UNBOUNDED,
@@ -95,7 +94,6 @@ from .strategy import (
     GridVerification,
     GridWitness,
     deviation_search,
-    grid_covers_decisions,
     verify_truthful_on_grid,
 )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .instance import BUDGET, EnumerationLimitError, _enumeration_size
+from .instance import BUDGET, _check_rational, _enumeration_size
 
 INFEASIBLE = "infeasible"
 FEASIBLE_UNKNOWN = "feasible-unknown"
@@ -79,9 +79,7 @@ def ordinal_lower_bound_check(n: int, m: int, alpha: Fraction) -> CountingReport
         raise ValueError("need 1 <= n <= m")
     if n > BUDGET:
         raise ValueError(f"n = {n} is over the limit of {BUDGET} slots")
-    alpha = Fraction(alpha)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    alpha = Fraction(_check_rational(alpha, "alpha", "alpha must be nonnegative"))
     p, q = alpha.numerator, alpha.denominator
     # The largest term, the last, is ceil(p * (m - n + 1) / q) < 2**bits;
     # 0.30103 is just above log10(2), so ``digits`` is never too few.
@@ -108,20 +106,16 @@ def exhaustive_common_ranking_ratio(n: int, m: int) -> Fraction:
 
     Enumerates all ``n**m`` allocations, for desk sizes such as ``n=3, m=6``
     (729 allocations); above :data:`~mmsfair.instance.BUDGET` it raises
-    :class:`~mmsfair.instance.EnumerationLimitError`.
+    :class:`~mmsfair.instance.EnumerationLimitError`.  One player receives
+    every item, worth her whole share, so ``n = 1`` answers 1 at any ``m``.
     """
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
+    if n == 1:
+        return Fraction(1)
     _enumeration_size(
         n, m, BUDGET, "exhaustive search needs {} allocations, over the limit of {}"
     )
-    # One player has one allocation, but a row of m items is still built: m
-    # is held to what two players reach, as the count above holds more.
-    if m > (most := BUDGET.bit_length() - 1):
-        raise EnumerationLimitError(
-            f"exhaustive search over {m} items is over the limit of {most} items "
-            f"that two players reach within {BUDGET} allocations"
-        )
     # Scaled by the lcm of its denominators, a slot's row is integral, and so
     # is its share (a bundle sum); a bundle's ratio is the pair of the two.
     slots = []

@@ -249,7 +249,7 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
 
 
 def _cmd_chain(args) -> tuple[int, list[str]]:
-    if args.fixture_file:
+    if args.fixture_file is not None:
         fix = parse_fixture(_read_text(args.fixture_file), name=args.fixture_file)
     else:
         fix = builtin_fixture(args.fixture, epsilon=args.epsilon)
@@ -443,8 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("chain", help="run a mechanism through an impossibility chain")
-    p.add_argument("--fixture", default=None, help="built-in fixture name")
-    p.add_argument("--fixture-file", default=None, help="fixture file to load instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fixture", help="built-in fixture name")
+    source.add_argument("--fixture-file", help="fixture file to load")
     p.add_argument("--mech", required=True, choices=MECHANISM_NAMES)
     p.add_argument("--model", default=None, choices=MODELS, help="default: the fixture's model")
     p.add_argument("--epsilon", type=_rational, default=Fraction(1, 10))
@@ -480,10 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "chain" and not args.fixture and not args.fixture_file:
-        parser.error("chain needs --fixture or --fixture-file")
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         status, lines = args.func(args)

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .instance import Instance, _data_lines, _value_row, derive_ranking, parse_value
+from .instance import (
+    Instance, InstanceError, _check_rational, _data_lines, _value_row, derive_ranking, parse_value
+)
 from .mechanisms import (
     CARDINAL,
     MODELS,
@@ -64,6 +66,11 @@ class ChainFixture:
         for p, profile in enumerate(self.profiles):
             if len(profile) != 2 or any(len(row) != m for row in profile):
                 raise ValueError(f"profile {p + 1} is not a 2 x {m} matrix")
+            try:
+                Instance.from_rows(profile)
+            except InstanceError as exc:
+                raise ValueError(f"profile {p + 1}: {exc}") from None
+        _check_rational(self.threshold, "threshold")
         for src, dst, player in self.deviation_edges:
             if not (
                 0 <= src < len(self.profiles)
@@ -266,7 +273,7 @@ def builtin_fixture(name: str, epsilon: Fraction = Fraction(1, 10)) -> ChainFixt
     if name not in _BUILTINS:
         raise KeyError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
     spec = _BUILTINS[name]
-    e = Fraction(epsilon)
+    e = Fraction(_check_rational(epsilon, "epsilon"))
     if not (0 < e and (e <= spec.limit if spec.inclusive else e < spec.limit)):
         bracket = "]" if spec.inclusive else ")"
         raise ValueError(

@@ -54,6 +54,16 @@ def _enumeration_size(base: int, exp: int, limit: int, message: str) -> int:
     raise EnumerationLimitError(message.format(written, limit))
 
 
+def _check_rational(v, what: str, negative: str | None = None) -> Value:
+    """``v`` if an int or a Fraction, not below 0 when ``negative`` is given,
+    else a one-line ValueError; a float is refused, as 0.55 is not 11/20."""
+    if not isinstance(v, _RATIONAL):
+        raise ValueError(f"{what} {v!r} is not rational")
+    if negative is not None and v < 0:
+        raise ValueError(negative)
+    return v
+
+
 class MechanismError(ValueError):
     """Mechanism/model mismatch or invalid mechanism input."""
 

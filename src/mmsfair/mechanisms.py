@@ -29,6 +29,7 @@ from .instance import (
     MechanismError,
     Ranking,
     Value,
+    _check_rational,
     ranking_order,
 )
 from .mms import _integer_row, _largest_sum, _max_min_two_parts
@@ -67,7 +68,7 @@ class Mechanism:
         if self.name not in MECHANISM_NAMES:
             raise MechanismError(f"unknown mechanism {self.name!r}")
         if _SPECS[self.name].takes_epsilon:
-            if self.epsilon is None or self.epsilon <= 0:
+            if self.epsilon is None or _check_rational(self.epsilon, "epsilon") <= 0:
                 raise MechanismError(f"{self.name} needs a positive epsilon")
         elif self.epsilon is not None:
             raise MechanismError(f"{self.name} does not take an epsilon")
@@ -87,11 +88,6 @@ def models_for(mech: Mechanism) -> frozenset:
 
 def truthful_models(mech: Mechanism) -> frozenset:
     return _SPECS[mech.name].truthful
-
-
-def value_oblivious(mech: Mechanism) -> bool:
-    """True when the allocation depends on reports only through rankings."""
-    return not _SPECS[mech.name].rows_read
 
 
 def theoretical_ratio(mech: Mechanism, n: int, m: int) -> Fraction:
@@ -284,7 +280,8 @@ class _Spec:
     of items per player.  ``shape`` is the (players, items) it requires, items
     ``None`` for any; ``bound(mech, n, m)`` is the proven fraction of the
     maximin share; ``grid_decides(grid)`` says whether rows drawn from
-    ``grid`` reach every decision of a mechanism that reads values.
+    ``grid`` reach every decision of a mechanism that reads values (by
+    default no grid does).
     ``rows_read`` is the players whose reported value rows the allocation
     reads: replacing any other player's row, her order kept, leaves every
     bundle unchanged.  It is empty for a value-oblivious mechanism."""
@@ -298,7 +295,7 @@ class _Spec:
     sequence: Callable | None = None
     bundles: Callable | None = None
     bound: Callable | None = None
-    grid_decides: Callable | None = None
+    grid_decides: Callable = lambda grid: False
 
 
 _ALL = frozenset(MODELS)

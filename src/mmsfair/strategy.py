@@ -5,11 +5,11 @@ true value of her bundle by deviating alone.  The ordinal model's report
 space is the ``m!`` rankings; the cardinal and public-rankings models take
 value rows, an infinite space searched through a finite pool.  A search is
 complete (``search_complete``, ``GridVerification.complete``) when the model
-is ordinal, when the mechanism is value-oblivious (every row pool holds one
-row per ranking, and with public rankings her ranking is fixed), or, with
-public rankings, when the pool is every row over a grid that reaches every
-decision the mechanism takes (:func:`grid_covers_decisions`).
-``_search_complete`` is that rule, for :func:`deviation_search`, which
+is ordinal, when the mechanism reads no player's row (every row pool holds
+one row per ranking, and with public rankings her ranking is fixed), or,
+with public rankings, when the pool is every row over a grid that reaches
+every decision the mechanism takes (its ``grid_decides``).
+``_search_complete`` states that rule, for :func:`deviation_search`, which
 searches one player of one instance in any model, and the grid sweep alike.
 
 Both searches draw their reports from one rule, ``_pool``: every ranking in
@@ -35,18 +35,17 @@ profitable one reaches a bundle worth no more than the truthful one.
 A player's verdict (whether she gains, with which first report, and both
 values) depends on her own true row and, for each other player, only on
 that player's class: her ranking, plus her row itself when the mechanism
-reads it (``rows_read``; none for a value-oblivious mechanism, and every
-ordinal-model mechanism is one).  The grid sweep decides each verdict once,
-on the first row of each class, and counts it for every instance the
-classes hold.  With public rankings a report replaces only the player's
-row, so a player whose row the mechanism never reads reaches only her
-truthful bundle and the sweep does not search her.
+reads it (``rows_read``; no ordinal-model mechanism reads a row).  The
+grid sweep decides each verdict once, on the first row of each class, and
+counts it for every instance the classes hold.  With public rankings a
+report replaces only the player's row, so a player whose row the
+mechanism never reads reaches only her truthful bundle and the sweep does
+not search her.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, permutations, product
 from math import prod
 from operator import itemgetter
@@ -58,6 +57,7 @@ from .instance import (
     Instance,
     Ranking,
     Value,
+    _check_rational,
     _enumeration_size,
     ranking_order,
 )
@@ -72,7 +72,6 @@ from .mechanisms import (
     _consistent_with_order,
     _sequence,
     _submit,
-    value_oblivious,
 )
 
 # m! rankings are enumerated per search; 8! = 40320 keeps this a desk job.
@@ -119,10 +118,7 @@ def _validate_misreports(misreports, m: int) -> list[tuple[Value, ...]]:
         if len(row) != m:
             raise ValueError(f"misreport row must have {m} values, got {len(row)}")
         for v in row:
-            if not isinstance(v, (int, Fraction)):
-                raise ValueError(f"misreport value {v!r} is not rational")
-            if v < 0:
-                raise ValueError("misreport values must be nonnegative")
+            _check_rational(v, "misreport value", "misreport values must be nonnegative")
         rows.append(row)
     return rows
 
@@ -168,22 +164,12 @@ def _gains(true_row: Sequence[Value], truthful: frozenset[int], reached: list):
             yield val, report
 
 
-def grid_covers_decisions(mech: Mechanism, grid: Sequence[Value]) -> bool:
-    """Whether rows drawn from ``grid`` reach every decision the mechanism
-    can take, making a row search over the grid exhaustive."""
-    spec = _SPECS[mech.name]
-    if not spec.rows_read:
-        return True
-    return spec.grid_decides is not None and spec.grid_decides(grid)
-
-
 def _search_complete(mech: Mechanism, model: str, grid: Sequence[Value] = ()) -> bool:
     """The module docstring's completeness rule; ``grid`` is given when the
     pool is every row over it (the empty grid reaches no decision)."""
-    return (
-        model == ORDINAL
-        or value_oblivious(mech)
-        or (model == PUBLIC_RANKINGS and grid_covers_decisions(mech, grid))
+    spec = _SPECS[mech.name]
+    return model == ORDINAL or not spec.rows_read or (
+        model == PUBLIC_RANKINGS and spec.grid_decides(grid)
     )
 
 
@@ -276,11 +262,12 @@ def verify_truthful_on_grid(
     of the class sizes.  That product of row sets has the representatives
     as its least instance in ``product`` order, which is lexicographic in
     the rows, so the least (instance, player) among violating
-    representatives is the first witness a full scan finds.  The reach
-    step, which also gives her truthful bundle, runs once per combination
-    and, with public rankings, per ranking of hers; each pool is built
-    once.  Only the ranking pools (ordinal, cardinal) are refused past
-    ``ENUM_LIMIT`` items.
+    representatives is the first witness a full scan finds.  Her true rows
+    share one pool, or with public rankings one per ranking of hers; each
+    pool is built once, and the reach step, which also gives her truthful
+    bundle, runs once per combination and pool, with the pool's first true
+    row in her slot.  Only the ranking pools (ordinal, cardinal) are
+    refused past ``ENUM_LIMIT`` items.
     """
     _check_defined(mech, model, n, m)
     if n < 1 or m < 0:
@@ -289,10 +276,7 @@ def verify_truthful_on_grid(
     if not grid:
         raise ValueError("grid must be nonempty")
     for v in grid:
-        if not isinstance(v, (int, Fraction)):
-            raise ValueError(f"grid value {v!r} is not rational")
-        if v < 0:
-            raise ValueError("grid values must be nonnegative")
+        _check_rational(v, "grid value", "grid values must be nonnegative")
 
     total = _enumeration_size(
         len(grid), n * m, budget, "grid sweep needs {} instances, over the budget of {}"
@@ -327,31 +311,30 @@ def verify_truthful_on_grid(
     singles = [(row, 1) for row in rows_space]
     classes = [singles if i in spec.rows_read else ranked for i in range(n)]
 
-    pools: dict = {}
+    # Her true rows grouped by the pool they share: with public rankings the
+    # rows of one ranking of hers, otherwise all of them.  With nobody
+    # searched there are no rows and no pool, so the sweep passes ENUM_LIMIT.
+    groups = by_order.items() if model == PUBLIC_RANKINGS else [(None, rows_space)]
+    pools = [(_pool(model, m, rows_space, own), rows) for own, rows in groups if rows]
+
     violations, first = 0, None
     for player in searched:
         for others in product(*classes[:player], *classes[player + 1 :]):
             count = prod(size for _, size in others)
             reps = tuple(row for row, _ in others)
-            reach: dict = {}
-            for true_row in rows_space:
-                own = ranking_order(true_row)
-                inst_rows = reps[:player] + (true_row,) + reps[player:]
-                fixed = own if model == PUBLIC_RANKINGS else None
-                if fixed not in reach:
-                    if fixed not in pools:
-                        pools[fixed] = _pool(model, m, rows_space, fixed)
-                    reach[fixed] = _reachable(
-                        mech, model, inst_rows, player, pools[fixed]
-                    )
-                by_class, reached = reach[fixed]
-                truthful = by_class[_report_class(mech, player, own, true_row)]
-                gains = _gains(true_row, truthful, reached)
-                t_val, gain = next(gains), next(gains, None)
-                if gain is not None:
-                    violations += count
-                    found = (inst_rows, player, gain[1], t_val, gain[0])
-                    first = min(first or found, found, key=itemgetter(0, 1))
+            for pool, true_rows in pools:
+                group_rows = reps[:player] + (true_rows[0],) + reps[player:]
+                by_class, reached = _reachable(mech, model, group_rows, player, pool)
+                for true_row in true_rows:
+                    own = ranking_order(true_row)
+                    truthful = by_class[_report_class(mech, player, own, true_row)]
+                    gains = _gains(true_row, truthful, reached)
+                    t_val, gain = next(gains), next(gains, None)
+                    if gain is not None:
+                        violations += count
+                        inst_rows = reps[:player] + (true_row,) + reps[player:]
+                        found = (inst_rows, player, gain[1], t_val, gain[0])
+                        first = min(first or found, found, key=itemgetter(0, 1))
     certificate = "input-oblivious: the allocation ignores all reports"
     return GridVerification(
         str(mech), model, n, m, grid, total, violations,

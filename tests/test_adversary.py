@@ -96,6 +96,17 @@ class TestCountingBound:
             )
             assert ordinal_lower_bound_check(n, m, alpha).terms == terms
 
+    @pytest.mark.parametrize("n, m, alpha", [(3, 41, 0.55), (6, 25, 0.45)])
+    def test_inexact_alpha_refused(self, n, m, alpha):
+        # Fraction(0.55) is slightly above 11/20, which tipped the verdict
+        exact = Fraction(str(alpha))
+        assert ordinal_lower_bound_check(n, m, exact).verdict == FEASIBLE_UNKNOWN
+        assert ordinal_lower_bound_check(n, m, exact).total == m
+        with pytest.raises(ValueError, match=rf"^alpha {alpha} is not rational$"):
+            ordinal_lower_bound_check(n, m, alpha)
+        with pytest.raises(ValueError, match="^alpha '1/2' is not rational$"):
+            ordinal_lower_bound_check(n, m, "1/2")
+
     def test_refuses_slots_above_the_limit(self):
         assert len(ordinal_lower_bound_check(BUDGET, BUDGET, Fraction(1, 2)).terms) == BUDGET
         with pytest.raises(ValueError, match="^n = 1000001 is over the limit of 1000000 slots$"):
@@ -135,11 +146,15 @@ class TestExhaustiveCheck:
     def test_trivial_two_two(self):
         assert exhaustive_common_ranking_ratio(2, 2) == 1
 
-    @pytest.mark.parametrize("n, m", [(2, 4), (3, 6), (3, 7)])
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (2, 4), (3, 6), (3, 7)])
     def test_matches_plain_fraction_reference(self, n, m):
         got = exhaustive_common_ranking_ratio(n, m)
         assert got == _exhaustive_reference(n, m)
         assert type(got) is Fraction
+
+    def test_one_player_answered_at_any_size(self):
+        # her one allocation is every item, her whole share
+        assert exhaustive_common_ranking_ratio(1, 10**9) == 1
 
     @pytest.mark.parametrize("n, m", [(2, 20), (4, 16), (7, 8)])
     def test_refuses_above_the_limit(self, n, m):

@@ -366,6 +366,21 @@ class TestChain:
         with pytest.raises(SystemExit) as err:
             main(["chain", "--mech", "pr"])
         assert err.value.code == 2
+        assert "one of the arguments --fixture --fixture-file is required" in (
+            capsys.readouterr().err
+        )
+
+    def test_both_fixture_flags_refused(self, capsys, tmp_path):
+        # the file was run silently, the built-in name ignored
+        path = tmp_path / "chain.txt"
+        path.write_text("threshold 1/2\nprofile\n1 0 0 0\n1 1 1 1\n")
+        argv = ["chain", "--fixture", "lemma-1+3", "--fixture-file", str(path)]
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--mech", "best-item"])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == ""
+        assert "argument --fixture-file: not allowed with argument --fixture" in err_text
 
     def test_unknown_fixture(self, capsys):
         status, _, err = run_cli(capsys, "chain", "--fixture", "nope", "--mech", "pr")
@@ -740,9 +755,6 @@ class TestErrors:
             ("verify --mech cut-and-choose --model public-rankings --n 2 --m 100000000 --grid 0",
              "grid sweep over 2 x 100000000 values is over the limit of 19 values that "
              "a two-value grid reaches within the budget of 1000000"),
-            ("adversary --n 1 --m 1000000000 --exhaustive",
-             "exhaustive search over 1000000000 items is over the limit of 19 items "
-             "that two players reach within 1000000 allocations"),
         ],
     )
     def test_one_choice_enumeration_refused_at_once(self, capsys, argv, message):
@@ -750,6 +762,14 @@ class TestErrors:
         status, out, err = run_cli(capsys, *argv.split())
         assert time.perf_counter() - start < 0.5
         assert (status, out, err) == (2, "", f"error: {message}\n")
+
+    def test_one_player_exhaustive_answered_at_once(self, capsys):
+        # one player receives every item, worth her whole share
+        argv = "adversary --n 1 --m 1000000000 --exhaustive --machine"
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, *argv.split())
+        assert time.perf_counter() - start < 0.5
+        assert (status, out, err) == (0, "exhaustive.best=1/1\n", "")
 
     def test_one_value_grid_answered_up_to_its_limit(self, capsys):
         argv = "verify --mech pick-seq --model ordinal --n 19 --m 1 --grid 0 --machine"

@@ -48,6 +48,11 @@ class TestBuiltinFixtures:
         with pytest.raises(ValueError):
             builtin_fixture("lemma-1+3", Fraction(0))
 
+    @pytest.mark.parametrize("epsilon", [0.1, "1/10"])
+    def test_inexact_epsilon_refused(self, epsilon):
+        with pytest.raises(ValueError, match=f"^epsilon {epsilon!r} is not rational$"):
+            builtin_fixture("lemma-2+2", epsilon)
+
     def test_thresholds(self):
         assert builtin_fixture("lemma-2+2").threshold == Fraction(3, 5)
         assert builtin_fixture("lemma-1+3").threshold == Fraction(3, 5)
@@ -112,6 +117,29 @@ class TestBuiltinFixtures:
                 profiles=fix.profiles,
                 deviation_edges=((0, 2, 0),),
             )
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (1.5, "value for player 2, item 3 is not rational"),
+            (-1, "negative value for player 2, item 3"),
+            ("1", "value for player 2, item 3 is not rational"),
+        ],
+    )
+    def test_constructor_refuses_values_instance_refuses(self, value, message):
+        # such a profile was written by format_fixture and refused by
+        # parse_fixture, and run_chain failed without naming it
+        profiles = list(builtin_fixture("pr-m6").profiles)
+        row = list(profiles[1][1])
+        row[2] = value
+        profiles[1] = (profiles[1][0], tuple(row))
+        with pytest.raises(ValueError, match=f"^profile 2: {message}$"):
+            ChainFixture("bad", E, Fraction(1, 2), PUBLIC_RANKINGS, tuple(profiles), ())
+
+    def test_constructor_refuses_inexact_threshold(self):
+        profiles = builtin_fixture("pr-m6").profiles
+        with pytest.raises(ValueError, match="^threshold 0.8 is not rational$"):
+            ChainFixture("bad", E, 0.8, PUBLIC_RANKINGS, profiles, ())
 
     def test_constructor_names_out_of_range_edge_one_based(self):
         fix = builtin_fixture("pr-m6")

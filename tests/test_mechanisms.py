@@ -351,6 +351,12 @@ class TestRunMechanism:
         with pytest.raises(MechanismError):
             Mechanism("pr", epsilon=Fraction(1, 4))
 
+    @pytest.mark.parametrize("epsilon", [0.1, 0.25, "1/4"])
+    def test_inexact_epsilon_refused_at_once(self, epsilon):
+        # 0.1 failed only when the sequence was built, on its binary value
+        with pytest.raises(ValueError, match=f"^epsilon {epsilon!r} is not rational$"):
+            Mechanism("sqrt-seq", epsilon)
+
     def test_lowercase_name_is_the_class(self):
         # kept for callers that build mechanisms by mechanism(name)
         assert mechanisms.mechanism is Mechanism

@@ -19,10 +19,8 @@ from mmsfair import (
     Ranking,
     derive_ranking,
     deviation_search,
-    grid_covers_decisions,
     models_for,
     run_mechanism,
-    value_oblivious,
     verify_truthful_on_grid,
 )
 from mmsfair import strategy
@@ -227,12 +225,15 @@ class TestPublicSearch:
             assert (rep.witness is None) == (max(values) == values[0])
 
     def test_grid_coverage_rule(self):
-        assert grid_covers_decisions(Mechanism("pr"), (1, 2))
-        assert grid_covers_decisions(Mechanism("pr-exact-2-4"), (0, 1, 2))
-        assert not grid_covers_decisions(Mechanism("pr-exact-2-4"), (1, 2))
-        assert not grid_covers_decisions(Mechanism("cut-and-choose"), (0, 1))
-        assert grid_covers_decisions(Mechanism("sqrt-seq", Fraction(1, 10)), (1, 2))
-        assert grid_covers_decisions(Mechanism("random-uniform"), (1, 2))
+        def complete(mech, grid):
+            return strategy._search_complete(mech, PUBLIC_RANKINGS, grid)
+
+        assert complete(Mechanism("pr"), (1, 2))
+        assert complete(Mechanism("pr-exact-2-4"), (0, 1, 2))
+        assert not complete(Mechanism("pr-exact-2-4"), (1, 2))
+        assert not complete(Mechanism("cut-and-choose"), (0, 1))
+        assert complete(Mechanism("sqrt-seq", Fraction(1, 10)), (1, 2))
+        assert complete(Mechanism("random-uniform"), (1, 2))
 
 
 class TestGridVerifier:
@@ -382,12 +383,21 @@ def _reference_sweep(mech, model, n, m, grid):
                     if witness is None:
                         witness = GridWitness(profile, player, report, t_val, val)
                     break
-    complete = (
-        model == ORDINAL
-        or value_oblivious(mech)
-        or (model == PUBLIC_RANKINGS and grid_covers_decisions(mech, grid))
+    return violations, _reference_complete(mech, model, grid), witness
+
+
+def _reference_complete(mech, model, grid=()):
+    """Whether a search over every ranking (ordinal) or every row over
+    ``grid`` is exhaustive, from the mechanisms' definitions: only
+    pr-exact-2-4 and cut-and-choose read a value row, and only
+    pr-exact-2-4's one decision (her top item against her ranks 2-3) is
+    reached both ways by a grid, one holding zero and a positive value."""
+    if model == ORDINAL or mech.name not in ("pr-exact-2-4", "cut-and-choose"):
+        return True
+    return (
+        model == PUBLIC_RANKINGS and mech.name == "pr-exact-2-4"
+        and 0 in grid and max(grid) > 0
     )
-    return violations, complete, witness
 
 
 def _differential_cases():
@@ -446,7 +456,7 @@ def _reference_search(mech, model, inst, player, misreports):
         val = sum(true_row[j] for j in alloc.bundles[player])
         if val > best:
             best, witness = val, report
-    return best, witness, model == ORDINAL or value_oblivious(mech)
+    return best, witness, _reference_complete(mech, model)
 
 
 def _search_cases():
@@ -533,6 +543,16 @@ class TestUnreadRows:
         for model in (ORDINAL, CARDINAL):
             with pytest.raises(EnumerationLimitError, match="m <= 8"):
                 verify_truthful_on_grid(Mechanism("pr"), model, 2, 9, (0, 1))
+
+    def test_unsearched_sweeps_answer_past_enumeration_limit(self):
+        # a sweep that searches nobody builds no pool
+        for name, model in (("random-uniform", ORDINAL), ("pr", PUBLIC_RANKINGS)):
+            result = verify_truthful_on_grid(Mechanism(name), model, 2, 9, (0, 1))
+            assert (result.instances, result.violations, result.complete) == (2**18, 0, True)
+        message = "^exhaustive ranking enumeration needs m <= 8, got m = 9$"
+        for model in (ORDINAL, CARDINAL):
+            with pytest.raises(EnumerationLimitError, match=message):
+                verify_truthful_on_grid(Mechanism("pick-seq"), model, 2, 9, (0,))
 
     @pytest.mark.parametrize("name, most", [("pr", 0), ("pr-exact-2-4", 10_000)])
     def test_criterion_4_public_sweeps_allocate_little(self, monkeypatch, name, most):

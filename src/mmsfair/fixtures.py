@@ -70,6 +70,7 @@ class ChainFixture:
                 Instance.from_rows(profile)
             except InstanceError as exc:
                 raise ValueError(f"profile {p + 1}: {exc}") from None
+        _check_rational(self.epsilon, "epsilon")
         _check_rational(self.threshold, "threshold")
         for src, dst, player in self.deviation_edges:
             if not (

@@ -28,16 +28,21 @@ Only ``_reachable`` allocates: it submits each report of a pool in turn
 others' reports fixed, and keeps her bundle per report class and the
 distinct bundles in order of first appearance, each with its first report.
 Every pool holds her true report, so her truthful bundle comes from that
-step too.  Scanning the distinct bundles (``_gains``) stops at the same
-report as scanning the pool, because every report before the first
-profitable one reaches a bundle worth no more than the truthful one.
+step too.  Scanning the distinct bundles (``_gains``, the one scorer of
+both searches) stops at the same report as scanning the pool, because
+every report before the first profitable one reaches a bundle worth no
+more than the truthful one.  It reads her true row's table of bundle
+values (``_Values``), which sums each value on first use.
 
 A player's verdict (whether she gains, with which first report, and both
 values) depends on her own true row and, for each other player, only on
 that player's class: her ranking, plus her row itself when the mechanism
 reads it (``rows_read``; no ordinal-model mechanism reads a row).  The
 grid sweep decides each verdict once, on the first row of each class, and
-counts it for every instance the classes hold.  With public rankings a
+counts it for every instance the classes hold.  It fixes each of her true
+rows' report class once per pool, before the others' classes vary, and
+keeps one table per true row for the whole sweep, so each (row, bundle)
+value is summed once per sweep.  With public rankings a
 report replaces only the player's row, so a player whose row the
 mechanism never reads reaches only her truthful bundle and the sweep does
 not search her.
@@ -139,27 +144,45 @@ def _reachable(
     a ranking cost one lookup."""
     n, m = len(rows), len(rows[0])
     orders, rows = [ranking_order(row) for row in rows], list(rows)
+    report_class = _report_class(mech, player)
     by_class: dict = {}
     reached: dict[frozenset[int], object] = {}
     for report in pool:
         _submit(model, orders, rows, player, report)
         bundle = _allocate(mech, orders, rows, n, m)[player]
-        by_class[_report_class(mech, player, orders[player], rows[player])] = bundle
+        by_class[report_class(orders[player], rows[player])] = bundle
         reached.setdefault(bundle, report)
     return by_class, list(reached.items())
 
 
-def _report_class(mech: Mechanism, player: int, order, row):
-    """What the allocation reads of her report: her order, and her row if read."""
-    return (order, row) if player in _SPECS[mech.name].rows_read else order
+def _report_class(mech: Mechanism, player: int):
+    """What the allocation reads of her report, as a function of her order
+    and row: her order, and her row if read."""
+    if player in _SPECS[mech.name].rows_read:
+        return lambda order, row: (order, row)
+    return lambda order, row: order
 
 
-def _gains(true_row: Sequence[Value], truthful: frozenset[int], reached: list):
-    """Her truthful value, then lazily each reached ``(value, report)`` worth more."""
-    t_val = sum(map(true_row.__getitem__, truthful))
+class _Values(dict):
+    """A true row's value of each bundle, summed on first use."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: Sequence[Value]):
+        self.row = row
+
+    def __missing__(self, bundle: frozenset[int]) -> Value:
+        value = self[bundle] = sum(map(self.row.__getitem__, bundle))
+        return value
+
+
+def _gains(values: _Values, truthful: frozenset[int], reached: list):
+    """Her truthful value, then lazily each reached ``(value, report)`` worth
+    more, read from her table of bundle values."""
+    t_val = values[truthful]
     yield t_val
     for bundle, report in reached:
-        val = sum(map(true_row.__getitem__, bundle))
+        val = values[bundle]
         if val > t_val:
             yield val, report
 
@@ -202,8 +225,8 @@ def deviation_search(
     )
     pool = _pool(model, inst.m, chain([true_row], supplied, extra), own)
     by_class, reached = _reachable(mech, model, inst.values, player, pool)
-    truthful = by_class[_report_class(mech, player, own, true_row)]
-    gains = _gains(true_row, truthful, reached)
+    truthful = by_class[_report_class(mech, player)(own, true_row)]
+    gains = _gains(_Values(true_row), truthful, reached)
     t_val = next(gains)
     best, witness = max(gains, key=itemgetter(0), default=(t_val, None))
     return DeviationReport(
@@ -266,17 +289,20 @@ def verify_truthful_on_grid(
     share one pool, or with public rankings one per ranking of hers; each
     pool is built once, and the reach step, which also gives her truthful
     bundle, runs once per combination and pool, with the pool's first true
-    row in her slot.  Only the ranking pools (ordinal, cardinal) are
-    refused past ``ENUM_LIMIT`` items.
+    row in her slot.  Her true rows' report classes are fixed once per
+    pool, and each (row, bundle) value is summed once per sweep.  Only the
+    ranking pools (ordinal, cardinal) are refused past ``ENUM_LIMIT`` items.
     """
     _check_defined(mech, model, n, m)
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    grid = tuple(sorted(set(grid)))
+    # Each value is checked before any is compared, so a mixed grid is refused.
+    grid = tuple(sorted({
+        _check_rational(v, "grid value", "grid values must be nonnegative")
+        for v in grid
+    }))
     if not grid:
         raise ValueError("grid must be nonempty")
-    for v in grid:
-        _check_rational(v, "grid value", "grid values must be nonnegative")
 
     total = _enumeration_size(
         len(grid), n * m, budget, "grid sweep needs {} instances, over the budget of {}"
@@ -311,24 +337,35 @@ def verify_truthful_on_grid(
     singles = [(row, 1) for row in rows_space]
     classes = [singles if i in spec.rows_read else ranked for i in range(n)]
 
-    # Her true rows grouped by the pool they share: with public rankings the
-    # rows of one ranking of hers, otherwise all of them.  With nobody
-    # searched there are no rows and no pool, so the sweep passes ENUM_LIMIT.
-    groups = by_order.items() if model == PUBLIC_RANKINGS else [(None, rows_space)]
-    pools = [(_pool(model, m, rows_space, own), rows) for own, rows in groups if rows]
+    # Her true rows grouped by the pool they share, as (ranking, rows) pairs:
+    # with public rankings the rows of one ranking of hers, otherwise all of
+    # them.  With nobody searched there are no rows and no pool, so the sweep
+    # passes ENUM_LIMIT.
+    by_ranking = list(by_order.items())
+    groups = [[p] for p in by_ranking] if model == PUBLIC_RANKINGS else [by_ranking]
+    pools = [(_pool(model, m, rows_space, g[0][0]), g) for g in groups if g]
+    # Each true row's bundle values, summed once for the whole sweep.
+    tables = {row: _Values(row) for row in rows_space}
 
     violations, first = 0, None
     for player in searched:
+        # Her true rows' report classes, fixed before the others vary.
+        report_class = _report_class(mech, player)
+        facts = [
+            (pool, [
+                (row, report_class(own, row), tables[row])
+                for own, rows in group for row in rows
+            ])
+            for pool, group in pools
+        ]
         for others in product(*classes[:player], *classes[player + 1 :]):
             count = prod(size for _, size in others)
             reps = tuple(row for row, _ in others)
-            for pool, true_rows in pools:
-                group_rows = reps[:player] + (true_rows[0],) + reps[player:]
+            for pool, true_rows in facts:
+                group_rows = reps[:player] + (true_rows[0][0],) + reps[player:]
                 by_class, reached = _reachable(mech, model, group_rows, player, pool)
-                for true_row in true_rows:
-                    own = ranking_order(true_row)
-                    truthful = by_class[_report_class(mech, player, own, true_row)]
-                    gains = _gains(true_row, truthful, reached)
+                for true_row, key, values in true_rows:
+                    gains = _gains(values, by_class[key], reached)
                     t_val, gain = next(gains), next(gains, None)
                     if gain is not None:
                         violations += count

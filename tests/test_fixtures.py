@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -141,6 +142,11 @@ class TestBuiltinFixtures:
         with pytest.raises(ValueError, match="^threshold 0.8 is not rational$"):
             ChainFixture("bad", E, 0.8, PUBLIC_RANKINGS, profiles, ())
 
+    def test_constructor_refuses_inexact_epsilon(self):
+        # format_fixture wrote "epsilon 0.1", which parse_fixture refused
+        with pytest.raises(ValueError, match="^epsilon 0.1 is not rational$"):
+            dataclasses.replace(builtin_fixture("pr-m6"), epsilon=0.1)
+
     def test_constructor_names_out_of_range_edge_one_based(self):
         fix = builtin_fixture("pr-m6")
         with pytest.raises(ValueError, match=r"^edge \(1, 6, player 1\) out of range$"):
@@ -227,13 +233,14 @@ class TestApplicability:
 
 class TestFixtureFiles:
     def test_round_trip(self):
+        # every field, epsilon included, and the text itself
         for name in FIXTURE_NAMES:
-            fix = builtin_fixture(name)
-            parsed = parse_fixture(format_fixture(fix), name=name)
-            assert parsed.profiles == fix.profiles
-            assert parsed.deviation_edges == fix.deviation_edges
-            assert parsed.threshold == fix.threshold
-            assert parsed.model == fix.model
+            for epsilon in (Fraction(1, 10), Fraction(1, 7), Fraction(1, 1000)):
+                fix = builtin_fixture(name, epsilon)
+                text = format_fixture(fix)
+                parsed = parse_fixture(text, name=name)
+                assert parsed == fix
+                assert format_fixture(parsed) == text
 
     def test_parse_minimal(self):
         text = """

@@ -302,6 +302,11 @@ class TestGridVerifier:
         with pytest.raises(ValueError, match=r"^grid value 0\.\d is not rational$"):
             verify_truthful_on_grid(Mechanism(mech), model, 2, m, grid)
 
+    def test_mixed_grid_refused_before_sorting(self):
+        # sorted first, it raised TypeError: '<' not supported ...
+        with pytest.raises(ValueError, match=r"^grid value '1' is not rational$"):
+            verify_truthful_on_grid(Mechanism("pr"), ORDINAL, 2, 2, (0, "1"))
+
 
 # Acceptance criterion 4's five sweeps at n = 2, m = 4 over the benchmark's
 # grids: (mechanism, model, grid, violations, complete, witness).
@@ -331,6 +336,42 @@ def test_criterion_4_sweeps_are_pinned(name, model, grid, violations, complete, 
     assert (result.violations, result.complete, result.witness) == (
         violations, complete, witness
     )
+
+
+# Wider sweeps, each past the default budget: (mechanism, model, m, grid,
+# instances, violations, witness), all at n = 2 and complete.
+WIDER = (
+    ("pick-seq", ORDINAL, 5, range(4), 4**10, 0, None),
+    ("pr-exact-2-4", PUBLIC_RANKINGS, 4, range(6), 6**8, 0, None),
+    (
+        "pr", ORDINAL, 5, range(4), 4**10, 256_296,
+        GridWitness(((0, 0, 0, 0, 0), (0, 1, 0, 2, 2)), 1, Ranking((0, 1, 3, 2, 4)), 4, 5),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "name, model, m, grid, instances, violations, witness",
+    WIDER,
+    ids=[f"{c[0]}-{c[1]}-2x{c[2]}" for c in WIDER],
+)
+def test_wider_sweeps_are_pinned(name, model, m, grid, instances, violations, witness):
+    result = verify_truthful_on_grid(
+        Mechanism(name), model, 2, m, tuple(grid), budget=2_000_000
+    )
+    assert (result.instances, result.violations, result.complete, result.witness) == (
+        instances, violations, True, witness
+    )
+    if witness is not None:
+        # the witness replays through run_mechanism
+        mech, player = Mechanism(name), witness.player
+        inst = Instance.from_rows(witness.instance_rows)
+        reported = [derive_ranking(inst, i) for i in range(2)]
+        reported[player] = witness.misreport
+        truthful = run_mechanism(mech, model, inst).bundles[player]
+        deviated = run_mechanism(mech, model, inst, reported).bundles[player]
+        assert inst.value(player, truthful) == witness.truthful_value
+        assert inst.value(player, deviated) == witness.deviation_value
 
 
 def _reference_sweep(mech, model, n, m, grid):
@@ -568,3 +609,25 @@ class TestUnreadRows:
         result = verify_truthful_on_grid(Mechanism(name), PUBLIC_RANKINGS, 2, 4, (0, 1, 2))
         assert (result.violations, result.complete) == (0, True)
         assert len(calls) <= most
+
+
+def test_criterion_4_sweep_sums_each_row_bundle_once(monkeypatch):
+    # each (true row, bundle) value is summed once per sweep: at most
+    # 81 rows x 16 bundles, where every combination of the other
+    # player's classes summed them again (13,041 sums)
+    sums, summed = [], []
+    real_sum, real_missing = sum, strategy._Values.__missing__
+
+    def count_sum(*args):
+        sums.append(None)
+        return real_sum(*args)
+
+    def record(table, bundle):
+        summed.append((table.row, bundle))
+        return real_missing(table, bundle)
+
+    monkeypatch.setattr(strategy, "sum", count_sum, raising=False)
+    monkeypatch.setattr(strategy._Values, "__missing__", record)
+    result = verify_truthful_on_grid(Mechanism("pick-seq"), ORDINAL, 2, 4, (0, 1, 2))
+    assert (result.violations, result.complete) == (0, True)
+    assert len(set(summed)) == len(summed) == len(sums) <= 81 * 16

@@ -67,6 +67,7 @@ _MEMOS = (
     ("mechanisms._proposal", mechanisms._proposal),
     ("mechanisms._sequence", mechanisms._sequence),
     ("mms._rated_share", mms._rated_share),
+    ("mms._multiset_share", mms._multiset_share),
 )
 
 # The largest decimal exponent a rational flag takes: Fraction writes the

@@ -27,7 +27,9 @@ Approximation ratios are compared as integer pairs (numerator, denominator)
 by cross-multiplication; only the worst ratio is returned, as a ``Fraction``.
 The shares they divide by come from a bounded memo keyed by the row as given
 and the bundle count, so rating every instance of a value grid asks the
-oracle once per distinct row; :func:`maximin_share` itself remembers nothing.
+oracle once per distinct row; a grid of more rows than that memo holds falls
+back on a second one keyed by the sorted row, one call per multiset of
+values.  :func:`maximin_share` itself remembers nothing.
 """
 
 from __future__ import annotations
@@ -379,6 +381,21 @@ def _rated_share(values: tuple[Value, ...], parts: int) -> tuple[int, int]:
     and the permutations of one row are separate entries of equal share: a
     grid pays one oracle call per distinct row, and looks a row up without
     sorting it.  Rows that compare equal, such as an int row and its
-    ``Fraction`` twin, share one entry."""
+    ``Fraction`` twin, share one entry.  Once this memo is full, a miss
+    looks the row up sorted in :func:`_multiset_share`, so a grid of more
+    rows than it holds costs one sort per miss and one oracle call per
+    multiset, not one call per lookup.  While it has room, a miss rates the
+    row as given, as a grid that fits has always paid."""
+    info = _rated_share.cache_info()
+    if info.currsize == info.maxsize:
+        return _multiset_share(tuple(sorted(values, reverse=True)), parts)
+    share = maximin_share(Instance((values,)), 0, parts)
+    return share.numerator, share.denominator
+
+
+@functools.lru_cache(maxsize=4096)
+def _multiset_share(values: tuple[Value, ...], parts: int) -> tuple[int, int]:
+    """:func:`_rated_share` of a row sorted in descending order: a share
+    depends on the multiset of values only."""
     share = maximin_share(Instance((values,)), 0, parts)
     return share.numerator, share.denominator

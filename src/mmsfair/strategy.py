@@ -39,10 +39,15 @@ values) depends on her own true row and, for each other player, only on
 that player's class: her ranking, plus her row itself when the mechanism
 reads it (``rows_read``; no ordinal-model mechanism reads a row).  The
 grid sweep decides each verdict once, on the first row of each class, and
-counts it for every instance the classes hold.  It fixes each of her true
-rows' report class once per pool, before the others' classes vary, and
-keeps one table per true row for the whole sweep, so each (row, bundle)
-value is summed once per sweep.  With public rankings a
+counts it for every instance the classes hold.  The reach step runs once
+per combination of the others' classes and pool of hers, and the pool's
+verdicts are decided once per distinct reach outcome, her bundle for each
+report class: with the pool fixed, its report classes and their order are
+fixed, and the distinct bundles with their first reports follow from the
+bundles, since every report of a class reaches that class's one bundle (the
+rule ``_reachable`` relies on).  A true row is scored against a table that
+is kept for the whole sweep where the row can be scored again, so each
+(row, bundle) value is summed once per sweep.  With public rankings a
 report replaces only the player's row, so a player whose row the
 mechanism never reads reaches only her truthful bundle and the sweep does
 not search her.
@@ -289,9 +294,14 @@ def verify_truthful_on_grid(
     share one pool, or with public rankings one per ranking of hers; each
     pool is built once, and the reach step, which also gives her truthful
     bundle, runs once per combination and pool, with the pool's first true
-    row in her slot.  Her true rows' report classes are fixed once per
-    pool, and each (row, bundle) value is summed once per sweep.  Only the
-    ranking pools (ordinal, cardinal) are refused past ``ENUM_LIMIT`` items.
+    row in her slot.  The pool's verdicts are decided once per distinct
+    reach outcome (the pool and her bundle for each report class, which fix
+    what she reaches; see the module docstring) and kept for this call
+    only: how many of her true rows gain, and the least of them, whose
+    instance is the least violating one of each combination giving that
+    outcome.  Her true rows' report classes are fixed once per pool, and
+    each (row, bundle) value is summed once per sweep.  Only the ranking
+    pools (ordinal, cardinal) are refused past ``ENUM_LIMIT`` items.
     """
     _check_defined(mech, model, n, m)
     if n < 1 or m < 0:
@@ -334,7 +344,7 @@ def verify_truthful_on_grid(
     for row in rows_space:
         by_order.setdefault(ranking_order(row), []).append(row)
     ranked = [(rows[0], len(rows)) for rows in by_order.values()]
-    singles = [(row, 1) for row in rows_space]
+    singles = [(row, 1) for row in rows_space] if spec.rows_read else []
     classes = [singles if i in spec.rows_read else ranked for i in range(n)]
 
     # Her true rows grouped by the pool they share, as (ranking, rows) pairs:
@@ -344,34 +354,51 @@ def verify_truthful_on_grid(
     by_ranking = list(by_order.items())
     groups = [[p] for p in by_ranking] if model == PUBLIC_RANKINGS else [by_ranking]
     pools = [(_pool(model, m, rows_space, g[0][0]), g) for g in groups if g]
-    # Each true row's bundle values, summed once for the whole sweep.
-    tables = {row: _Values(row) for row in rows_space}
+    # Each true row's bundle values, summed once for the whole sweep where
+    # the row can be scored again: by a second combination of the others'
+    # classes or a second searched player.  Otherwise each table is built
+    # where it is used, so a one-player sweep holds one at a time.
+    others_vary = any(len(classes[i]) > 1 for i in range(n) if i not in searched)
+    if len(searched) > 1 or others_vary:
+        table = {row: _Values(row) for row in rows_space}.__getitem__
+    else:
+        table = _Values
 
     violations, first = 0, None
     for player in searched:
         # Her true rows' report classes, fixed before the others vary.
         report_class = _report_class(mech, player)
         facts = [
-            (pool, [
-                (row, report_class(own, row), tables[row])
-                for own, rows in group for row in rows
-            ])
+            (pool, [(row, report_class(own, row)) for own, rows in group for row in rows])
             for pool, group in pools
         ]
+        # Per reach outcome: how many of the pool's true rows gain, and the
+        # least of them with its first gaining report and both values.
+        verdicts: dict = {}
         for others in product(*classes[:player], *classes[player + 1 :]):
             count = prod(size for _, size in others)
             reps = tuple(row for row, _ in others)
-            for pool, true_rows in facts:
+            for index, (pool, true_rows) in enumerate(facts):
                 group_rows = reps[:player] + (true_rows[0][0],) + reps[player:]
                 by_class, reached = _reachable(mech, model, group_rows, player, pool)
-                for true_row, key, values in true_rows:
-                    gains = _gains(values, by_class[key], reached)
-                    t_val, gain = next(gains), next(gains, None)
-                    if gain is not None:
-                        violations += count
-                        inst_rows = reps[:player] + (true_row,) + reps[player:]
-                        found = (inst_rows, player, gain[1], t_val, gain[0])
-                        first = min(first or found, found, key=itemgetter(0, 1))
+                outcome = (index, *by_class.values())
+                verdict = verdicts.get(outcome)
+                if verdict is None:
+                    hits, least = 0, None
+                    for true_row, key in true_rows:
+                        gains = _gains(table(true_row), by_class[key], reached)
+                        t_val, gain = next(gains), next(gains, None)
+                        if gain is not None:
+                            hits += 1
+                            if least is None or true_row < least[0]:
+                                least = (true_row, gain[1], t_val, gain[0])
+                    verdict = verdicts[outcome] = hits, least
+                hits, least = verdict
+                if hits:
+                    violations += count * hits
+                    true_row, *gain = least
+                    found = (reps[:player] + (true_row,) + reps[player:], player, *gain)
+                    first = min(first or found, found, key=itemgetter(0, 1))
     certificate = "input-oblivious: the allocation ignores all reports"
     return GridVerification(
         str(mech), model, n, m, grid, total, violations,

@@ -578,6 +578,43 @@ class TestShareMemo:
         assert maximin_share(inst, 0, 2) == 4
         assert len(calls) == 2
 
+    def test_one_oracle_call_per_multiset_past_the_row_memo(self, monkeypatch):
+        # 3 x 15,625 instances of 2x6 over {0..4}, the inner row cycling
+        # through every row: more rows than the row memo holds, so keyed by
+        # the row alone it missed 46,874 times, one oracle call each.  Once
+        # it is full, a miss asks the oracle only for a new multiset, and
+        # six values over {0..4} make 210 multisets.
+        calls = []
+        real = mms.maximin_share
+
+        def spy(inst, player, parts):
+            calls.append(inst.values[player])
+            return real(inst, player, parts)
+
+        monkeypatch.setattr(mms, "maximin_share", spy)
+        mms._rated_share.cache_clear()
+        mms._multiset_share.cache_clear()
+        held = mms._rated_share.cache_info().maxsize
+        rows = list(product(range(5), repeat=6))
+        alloc = Allocation.from_bundles([[0, 2, 4], [1, 3, 5]])
+        for outer in rows[::5_209]:
+            for index, inner in enumerate(rows):
+                inst = Instance.from_rows([outer, inner])
+                got = approximation_ratio(inst, alloc)
+                if index % 1_009 == 0:
+                    assert got == _direct_ratio(inst, alloc)
+        # the rows as given until the row memo is full, then one sorted row
+        # per multiset
+        multisets = calls[held:]
+        assert len(calls) <= held + 210
+        assert len(set(multisets)) == len(multisets)
+        assert all(list(row) == sorted(row, reverse=True) for row in multisets)
+        # a second pass finds every multiset rated
+        calls.clear()
+        for inner in rows:
+            approximation_ratio(Instance.from_rows([rows[0], inner]), alloc)
+        assert calls == []
+
 
 # Values are often 0 so that some shares, or all of them, are 0.
 _INT_VALUES = st.one_of(st.just(0), st.integers(0, 10**6))

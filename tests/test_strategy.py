@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -458,6 +459,15 @@ def _differential_cases():
                 except ValueError:  # not defined at this (n, m)
                     continue
                 yield pytest.param(mech, model, n, m, grid, id=f"{name}-{model}-{n}x{m}")
+    # reach outcomes repeat across the other player's classes, and the true
+    # rows that gain under one outcome span several rankings, so the witness
+    # is the least of them, not the first scored
+    for name, model, m, grid in (
+        ("pr", ORDINAL, 4, (0, 1, 2)), ("cut-and-choose", CARDINAL, 3, (0, 1, 2, 3))
+    ):
+        yield pytest.param(
+            Mechanism(name), model, 2, m, grid, id=f"{name}-{model}-2x{m}-over-{len(grid)}"
+        )
 
 
 @pytest.mark.parametrize("mech, model, n, m, grid", list(_differential_cases()))
@@ -631,3 +641,53 @@ def test_criterion_4_sweep_sums_each_row_bundle_once(monkeypatch):
     result = verify_truthful_on_grid(Mechanism("pick-seq"), ORDINAL, 2, 4, (0, 1, 2))
     assert (result.violations, result.complete) == (0, True)
     assert len(set(summed)) == len(summed) == len(sums) <= 81 * 16
+
+
+@pytest.mark.parametrize(
+    "name, model, grid, verdicts",
+    [
+        ("pick-seq", ORDINAL, (0, 1, 2), 405),
+        ("pr", ORDINAL, (0, 1, 2), 1_296),
+        ("pr-exact-2-4", PUBLIC_RANKINGS, (0, 1, 2), 324),
+        ("cut-and-choose", CARDINAL, (1, 3), 240),
+    ],
+)
+def test_criterion_4_scores_each_reach_outcome_once(monkeypatch, name, model, grid, verdicts):
+    # a pool's true rows are scored once per distinct reach outcome, where
+    # every combination of the other player's classes scored them again
+    # (3,726, 3,726, 1,863 and 512 verdicts); a second sweep in the same
+    # process scores as many, so nothing outlives a call
+    calls = []
+    real = strategy._gains
+
+    def spy(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(strategy, "_gains", spy)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        verify_truthful_on_grid(Mechanism(name), model, 2, 4, grid)
+        counts.append(len(calls))
+    assert counts == [verdicts, verdicts]
+
+
+def test_one_player_sweep_holds_no_table_per_row():
+    # with one player each true row is scored once, so no row's table of
+    # bundle values is held for the whole sweep; holding one per row took
+    # the traced peak to over five times the grid's rows
+    sweep = (Mechanism("pick-seq"), ORDINAL, 1, 5, range(5))
+    verify_truthful_on_grid(*sweep)  # the allocator's memos fill untraced
+    tracemalloc.start()
+    try:
+        rows = list(product(range(5), repeat=5))
+        size = tracemalloc.get_traced_memory()[0]
+        del rows
+        tracemalloc.reset_peak()
+        result = verify_truthful_on_grid(*sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.instances, result.violations) == (5**5, 0)
+    assert peak < 3 * size

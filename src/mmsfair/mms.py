@@ -10,18 +10,26 @@ Two bundles are a number-partitioning problem: the share is the largest
 subset sum not above half the total.  A narrow row is swept with a shift-or
 bitset of achievable sums.  A wider row first tries Karmarkar-Karp
 differencing (Korf, AIJ 1998), whose partition is provably optimal when its
-difference is ``total % 2``; otherwise the cheaper of two exact methods, by
-a cost estimate from the item count and the total, answers: the bitset,
+difference is ``total % 2``.  Past that exit the weights are divided by
+their greatest common divisor, which shrinks every bitset by that factor,
+and the answer is multiplied back.  Then the cheaper of two exact methods,
+by a cost estimate from the item count and the total, answers: the bitset,
 masked to half the total, or meet-in-the-middle over the subset sums of two
-halves of the items (Horowitz & Sahni, JACM 1974).  Three or more bundles
-start from the k-way largest differencing partition (Korf, AIJ 1998) and
-improve it by sequential number partitioning (Korf, Schreiber & Moffitt,
-ISAIM 2014): each first bundle that holds the largest item and could beat
-the incumbent, with the rest split into one bundle fewer, down to the
-two-part oracle.  Its exact methods find the largest subset sum up to any
-cap in any item order, which also builds cut-and-choose's cut.  A share or a
-cut counts at most :data:`NODE_LIMIT` search nodes; a larger one is refused
-with :class:`~mmsfair.instance.EnumerationLimitError`.  None of this recurses.
+halves of the items (Horowitz & Sahni, JACM 1974).  Where the bitset is the
+cheaper and the row has more subsets than sums up to half, a perfect
+partition is all but sure, and a split decision is tried first: the
+unmasked bitsets of the two halves' subset sums, which are symmetric, meet
+at half the total exactly when one shifted AND of them is nonzero.
+
+Three or more bundles start from the k-way largest differencing partition
+(Korf, AIJ 1998) and improve it by sequential number partitioning (Korf,
+Schreiber & Moffitt, ISAIM 2014): each first bundle that holds the largest
+item and could beat the incumbent, with the rest split into one bundle
+fewer, down to the two-part oracle.  Its exact methods find the largest
+subset sum up to any cap in any item order, which also builds
+cut-and-choose's cut.  A share or a cut counts at most :data:`NODE_LIMIT`
+search nodes; a larger one is refused with
+:class:`~mmsfair.instance.EnumerationLimitError`.  None of this recurses.
 
 Approximation ratios are compared as integer pairs (numerator, denominator)
 by cross-multiplication; only the worst ratio is returned, as a ``Fraction``.
@@ -156,12 +164,39 @@ def _max_min_two_parts(weights: Sequence[int], nodes: list[int]) -> int:
     900
     >>> _max_min_two_parts([10**6, 10**6 - 1, 3], [0])  # meet-in-the-middle
     1000000
+    >>> row = [94, 93, 91, 86, 81, 79, 64, 52, 43, 32, 12, 1]
+    >>> _max_min_two_parts(row, [0])  # dense: one AND of two half-sum bitsets
+    364
     """
     total = sum(weights)
     half = total // 2
     if half >= _NARROW_HALF and _karmarkar_karp(weights) == total % 2:
         return half
-    return _largest_sum(weights, half, nodes)
+    unit = math.gcd(*weights)
+    if unit > 1:
+        weights = [w // unit for w in weights]
+        half = total // unit // 2
+    if half >= _NARROW_HALF and half.bit_length() < len(weights):
+        # more subsets than sums up to half: a perfect split is all but sure
+        words, meet_words = _prices(len(weights), half)
+        if words <= meet_words:
+            # the split is charged its own price, capped at the bitset's,
+            # and a bitset run after a miss only the rest: the decision
+            # never costs more nodes than the bitset alone
+            paid = min(_split_words(weights), words) // _NODE_WORDS
+            _spend(nodes, paid)
+            if _perfect_split(weights, half):
+                return unit * half
+            _spend(nodes, words // _NODE_WORDS - paid)
+            return unit * _two_parts_bitset(weights, half)
+    return unit * _largest_sum(weights, half, nodes)
+
+
+def _prices(count: int, cap: int) -> tuple[int, int]:
+    """Estimated cost in 64-bit bitset words of the largest subset sum up to
+    ``cap`` of ``count`` weights: by the masked bitset, and by
+    meet-in-the-middle."""
+    return count * (cap // 64 + 1), _STEP_WORDS << (count + 1) // 2
 
 
 def _largest_sum(weights: Sequence[int], cap: int, nodes: list[int]) -> int:
@@ -169,12 +204,60 @@ def _largest_sum(weights: Sequence[int], cap: int, nodes: list[int]) -> int:
     order, by the cheaper exact method for a cost estimate from the item
     count and the cap, charged at its price in nodes against
     :data:`NODE_LIMIT`."""
-    count = len(weights)
-    words, meet_words = count * (cap // 64 + 1), _STEP_WORDS << (count + 1) // 2
+    words, meet_words = _prices(len(weights), cap)
     _spend(nodes, min(words, meet_words) // _NODE_WORDS)
     if words <= meet_words:
         return _two_parts_bitset(weights, cap)
     return _two_parts_meet(weights, cap)
+
+
+def _perfect_split(weights: Sequence[int], target: int) -> bool:
+    """Whether some subset of two or more nonnegative ``weights`` (sorted in
+    descending order) sums to ``target``: meet-in-the-middle on the
+    shift-or bitsets of the subset sums of the even-index and of the
+    odd-index weights.  Each side's largest weight joins its bitset only if
+    the sides without them miss ``target``, as they seldom do on a dense
+    row."""
+    odd_rest = weights[3::2]
+    bits_a, bits_b = _subset_bits(weights[2::2]), _subset_bits(odd_rest)
+    c = target - sum(odd_rest)
+    if _meets(bits_a, bits_b, c):
+        return True
+    bits_a |= bits_a << weights[0]
+    bits_b |= bits_b << weights[1]
+    return _meets(bits_a, bits_b, c - weights[1])
+
+
+def _meets(bits_a: int, bits_b: int, c: int) -> bool:
+    """Whether some ``a`` set in ``bits_a`` and some ``b`` set in ``bits_b``,
+    the subset-sum bitset of weights ``B``, add up to ``c + sum(B)``.
+    Subset sums are symmetric (``b`` is one of ``B``'s exactly when
+    ``sum(B) - b`` is), so that holds exactly when bit ``a - c`` of
+    ``bits_b`` is set for some ``a``: one shifted AND."""
+    if c < 0:
+        return bool(bits_a & (bits_b >> -c))
+    return bool((bits_a >> c) & bits_b)
+
+
+def _split_words(weights: Sequence[int]) -> int:
+    """At most the 64-bit words that :func:`_perfect_split` shifts: one
+    shift-or per weight over the sums so far, which in ascending order are
+    at most ``k / n`` of its side's sum at the ``k``-th of ``n`` weights,
+    and two shifted ANDs."""
+    words = 2 * (sum(weights) // 64 + 1)
+    for side in (weights[0::2], weights[1::2]):
+        words += len(side) + (len(side) + 1) * sum(side) // 128
+    return words
+
+
+def _subset_bits(weights: Sequence[int]) -> int:
+    """Bitset of every subset sum of ``weights`` (sorted in descending
+    order), built in ascending order so that the early shift-ors are
+    short."""
+    bits = 1
+    for w in reversed(weights):
+        bits |= bits << w
+    return bits
 
 
 def _two_parts_bitset(weights: Sequence[int], cap: int) -> int:
@@ -209,15 +292,18 @@ def _karmarkar_karp(weights: Sequence[int]) -> int:
 
 def _two_parts_meet(weights: Sequence[int], cap: int) -> int:
     """Largest subset sum up to ``cap``, by meet-in-the-middle: the subset
-    sums of the even-index and of the odd-index weights, the second list
-    sorted, and for each sum of the first its largest partner that keeps the
-    pair within ``cap``."""
-    left = _subset_sums(weights[0::2], cap)
-    right = sorted(_subset_sums(weights[1::2], cap))
+    sums of the even-index and of the odd-index weights, the larger list
+    sorted, and for each sum of the smaller list its largest partner in the
+    larger that keeps the pair within ``cap``."""
+    small = _subset_sums(weights[1::2], cap)
+    large = _subset_sums(weights[0::2], cap)
+    if len(small) > len(large):
+        small, large = large, small
+    large.sort()
     best = 0
-    for s in left:
-        # right[0] == 0 <= cap - s, so the partner always exists
-        pair = s + right[bisect_right(right, cap - s) - 1]
+    for s in small:
+        # large[0] == 0 <= cap - s, so the partner always exists
+        pair = s + large[bisect_right(large, cap - s) - 1]
         if pair > best:
             best = pair
             if best == cap:

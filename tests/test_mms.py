@@ -119,7 +119,7 @@ def _two_part_route(row):
         raise AssertionError("a 2-bundle query reached branch and bound")
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_two_parts_bitset", "_two_parts_meet"):
+        for name in ("_perfect_split", "_two_parts_bitset", "_two_parts_meet"):
             mp.setattr(mms, name, spy(name))
         mp.setattr(mms, "_max_min_partition", branch_and_bound)
         share = maximin_share(Instance.from_rows([row]), 0, 2)
@@ -146,6 +146,17 @@ def _draw(rng, m, top, accept):
         row = [rng.randint(1, top) for _ in range(m)]
         if accept(row):
             return row
+
+
+# Rows of 12 to 28 values: some share a factor, some hold zeros, and some
+# have one value out of step with a factor, so that half the total is a
+# subset sum on some rows and not on others.
+_SPLIT_ROWS = st.builds(
+    lambda base, factor, extra: [factor * v for v in base] + extra,
+    st.lists(st.integers(0, 300), min_size=11, max_size=27),
+    st.sampled_from([1, 2, 3, 6]),
+    st.lists(st.integers(0, 2), min_size=1, max_size=1),
+)
 
 
 class TestTwoPartOracle:
@@ -192,9 +203,83 @@ class TestTwoPartOracle:
         for _ in range(5):
             row = _draw(rng, m, 10**4, lambda r: not _kk_exits(r))
             share, used = _two_part_route(row)
-            assert used == ["_two_parts_bitset"]
+            # from m = 20 a row has more subsets than sums up to half, and
+            # the split decision finds its perfect partition first
+            assert used == (["_two_parts_bitset"] if m < 20 else ["_perfect_split"])
             assert sum(row) // 2 >= mms._NARROW_HALF
             assert share == _set_of_sums_half(row)
+
+    @pytest.mark.parametrize("m", [20, 24])
+    def test_masked_bitset_after_a_missed_split(self, m):
+        # multiples of 3 and one value of 1 mod 3: no subset sum is 2 mod 3,
+        # so a half of 2 mod 3 is missed and the masked bitset answers
+        def missed(r):
+            return [3 * v for v in r[:-1]] + [3 * r[-1] - 2]
+
+        rng = random.Random(2000 + m)
+        for _ in range(5):
+            row = missed(
+                _draw(
+                    rng,
+                    m,
+                    10**3,
+                    lambda r: sum(missed(r)) // 2 % 3 == 2 and not _kk_exits(missed(r)),
+                )
+            )
+            share, used = _two_part_route(row)
+            assert used == ["_perfect_split", "_two_parts_bitset"]
+            assert share == _set_of_sums_half(row) < sum(row) // 2
+
+    @pytest.mark.parametrize("m", [20, 24])
+    def test_common_factor(self, m):
+        # multiples of 3 with an odd total over 3: half the total is no
+        # multiple of 3, and the share is 3 times half the total over 3
+        rng = random.Random(3000 + m)
+        for _ in range(5):
+            row = [3 * v for v in _draw(rng, m, 10**4, lambda r: sum(r) % 2)]
+            share, used = _two_part_route(row)
+            assert used == ["_perfect_split"]
+            assert share == 3 * (sum(row) // 3 // 2) == _set_of_sums_half(row)
+
+    @DERANDOMIZED
+    @given(_SPLIT_ROWS)
+    @example([5] * 11 + [1])  # 56 / 2 = 28 is no sum
+    @example([8, 7, 6, 5, 4, 3, 2, 1, 9, 10, 11, 12])
+    def test_perfect_split_matches_set_of_sums(self, row):
+        half = sum(row) // 2
+        reached = mms._perfect_split(sorted(row, reverse=True), half)
+        assert reached == (_set_of_sums_half(row) == half)
+
+    @DERANDOMIZED
+    @given(_SPLIT_ROWS, st.sampled_from([1, 7]))
+    def test_split_route_matches_set_of_sums(self, row, denominator):
+        # Fraction rows over 7 scale back to ``row``; zeros drop out
+        share, used = _two_part_route([Fraction(v, denominator) for v in row])
+        assert used in (
+            [],
+            ["_two_parts_bitset"],
+            ["_perfect_split"],
+            ["_perfect_split", "_two_parts_bitset"],
+        )
+        assert share == Fraction(_set_of_sums_half(row), denominator)
+
+    def test_split_is_charged_no_more_than_the_bitset(self):
+        # a perfect row pays the split's price, a missed one the bitset's
+        rng = random.Random(4000)
+        perfect = _draw(rng, 24, 10**5, lambda r: not _kk_exits(r))
+        # 3 * sum(perfect[:-1]) is odd, so half the total below is 2 mod 3
+        missed = [3 * v for v in perfect[:-1]] + [1]
+        for row, reached in ((perfect, True), (missed, False)):
+            weights = sorted(row, reverse=True)
+            half, nodes = sum(row) // 2, [0]
+            assert (mms._max_min_two_parts(weights, nodes) == half) == reached
+            words, meet_words = mms._prices(len(weights), half)
+            assert half.bit_length() < len(weights) and words <= meet_words
+            split = mms._split_words(weights) // mms._NODE_WORDS
+            if reached:
+                assert nodes == [split] and 0 < split < words // mms._NODE_WORDS
+            else:
+                assert nodes == [words // mms._NODE_WORDS]
 
     @pytest.mark.parametrize("m", range(10, 23))
     def test_meet_in_the_middle(self, m):

@@ -18,6 +18,7 @@ between bundles resolve to the bundle containing the lowest-index item.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,25 +182,36 @@ def _simulate_picks(
     return bundles
 
 
+def _pr_exact_24_reads(orders) -> tuple[int, ...]:
+    """The players whose rows ``pr-exact-2-4`` reads under the rankings
+    ``orders``: player 1's, when both players share a favorite item."""
+    return (0,) if orders[0][0] == orders[1][0] else ()
+
+
+def _pr_exact_24_top_wins(order, row) -> bool:
+    """All that ``pr-exact-2-4`` reads of player 1's row, given her ranking
+    ``order``: whether it values her top item at least as much as her
+    ranks-2-3 pair."""
+    return row[order[0]] >= row[order[1]] + row[order[2]]
+
+
 def _pr_exact_24_bundles(orders, rows, n, m, seed):
     """Two-player, four-item exact mechanism on raw orders and reported rows.
 
-    Distinct favorite items: the sequence 1,2,2,1, which is ``pr``'s outcome
-    at (2, 4), so it comes from ``pr``'s memoized outcome.  Shared favorite:
-    player 1 takes the better (by her report) of her top item and her
-    ranks-2-3 pair, ties keeping just the top item; player 2 takes the
-    complement.
+    Distinct favorite items (no row read, by :func:`_pr_exact_24_reads`):
+    the sequence 1,2,2,1, which is ``pr``'s outcome at (2, 4), so it comes
+    from ``pr``'s memoized outcome.  Shared favorite: player 1 takes the
+    better (by her report, :func:`_pr_exact_24_top_wins`) of her top item
+    and her ranks-2-3 pair, ties keeping just the top item; player 2 takes
+    the complement.
     """
-    o1, o2 = orders
-    if o1[0] != o2[0]:
+    if not _pr_exact_24_reads(orders):
         return _outcome(PR, None, 2, 4, 0, tuple(orders))
-    top = o1[0]
-    pair = (o1[1], o1[2])
-    row1 = rows[0]
-    if row1[top] >= row1[pair[0]] + row1[pair[1]]:
-        mine = frozenset((top,))
+    o1 = orders[0]
+    if _pr_exact_24_top_wins(o1, rows[0]):
+        mine = frozenset((o1[0],))
     else:
-        mine = frozenset(pair)
+        mine = frozenset((o1[1], o1[2]))
     rest = frozenset(range(4)) - mine
     return mine, rest
 
@@ -211,7 +223,9 @@ def best_two_partition(row: Sequence[Value]) -> tuple[frozenset[int], frozenset[
     (as a sorted index tuple); that bundle is returned first.  It is built
     one index at a time from the two-part share oracle, within one count of
     :data:`~mmsfair.mms.NODE_LIMIT` nodes; a row past it raises
-    :class:`~mmsfair.instance.EnumerationLimitError`.
+    :class:`~mmsfair.instance.EnumerationLimitError`.  The weights are
+    divided by their greatest common divisor first: the cut is the same,
+    and every decision's bitset is that factor shorter.
 
     >>> first, rest = best_two_partition(list(range(1, 23)))
     >>> [j + 1 for j in sorted(first)], sum(j + 1 for j in rest)
@@ -220,6 +234,9 @@ def best_two_partition(row: Sequence[Value]) -> tuple[frozenset[int], frozenset[
     if not row:
         return frozenset(), frozenset()
     weights, nodes = _integer_row(row)[0], [0]
+    unit = math.gcd(*weights)
+    if unit > 1:
+        weights = [w // unit for w in weights]
     low = _max_min_two_parts(sorted(filter(None, weights), reverse=True), nodes)
     targets = (low, sum(weights) - low)  # the sums of a max-min bundle
     bundle, s = [0], weights[0]
@@ -284,11 +301,19 @@ class _Spec:
     default no grid does).
     ``rows_read`` is the players whose reported value rows the allocation
     reads: replacing any other player's row, her order kept, leaves every
-    bundle unchanged.  It is empty for a value-oblivious mechanism."""
+    bundle unchanged.  It is empty for a value-oblivious mechanism.
+    ``reads(orders)``, where given, is the part of ``rows_read`` that the
+    allocation reads under the ranking profile ``orders``
+    (:meth:`rows_read_under`), and ``row_class(order, row)`` is all it reads
+    of such a row, given that player's ranking: two rows of one ranking and
+    one class leave every bundle unchanged (by default the class is the
+    row)."""
 
     models: frozenset
     truthful: frozenset
     rows_read: tuple[int, ...] = ()
+    reads: Callable | None = None
+    row_class: Callable = lambda order, row: row
     ignores_reports: bool = False
     takes_epsilon: bool = False
     shape: tuple[int, int | None] | None = None
@@ -296,6 +321,12 @@ class _Spec:
     bundles: Callable | None = None
     bound: Callable | None = None
     grid_decides: Callable = lambda grid: False
+
+    def rows_read_under(self, orders) -> tuple[int, ...]:
+        """The players whose rows the allocation reads under the ranking
+        profile ``orders``: replacing any other player's row, the orders
+        kept, leaves every bundle unchanged."""
+        return self.rows_read if self.reads is None else self.reads(orders)
 
 
 _ALL = frozenset(MODELS)
@@ -308,8 +339,8 @@ _BEST_ITEM = _Spec(
 # The cyclic sequences (pr, sqrt-seq) are truthful only when rankings are
 # public: as reported-ranking mechanisms they are not sequential dictatorships.
 # pr-exact-2-4's player 1 takes one binary decision (top item against ranks
-# 2-3); a grid holding zero and a positive value realizes both sides under any
-# public ranking.
+# 2-3) when the players share a favorite; a grid holding zero and a positive
+# value realizes both sides under any public ranking.
 _SPECS = {
     BEST_ITEM: _BEST_ITEM,
     PICK_SEQ: _BEST_ITEM,
@@ -320,6 +351,7 @@ _SPECS = {
     ),
     PR_EXACT_24: _Spec(
         _PUBLIC, _PUBLIC, rows_read=(0,), shape=(2, 4),
+        reads=_pr_exact_24_reads, row_class=_pr_exact_24_top_wins,
         bundles=_pr_exact_24_bundles,
         grid_decides=lambda grid: any(v == 0 for v in grid) and any(v > 0 for v in grid),
     ),

@@ -185,10 +185,12 @@ def _max_min_two_parts(weights: Sequence[int], nodes: list[int]) -> int:
             # never costs more nodes than the bitset alone
             paid = min(_split_words(weights), words) // _NODE_WORDS
             _spend(nodes, paid)
-            if _perfect_split(weights, half):
+            found, evens = _perfect_split(weights, half)
+            if found:
                 return unit * half
             _spend(nodes, words // _NODE_WORDS - paid)
-            return unit * _two_parts_bitset(weights, half)
+            # the even-index weights' sums are held: only the odd ones go in
+            return unit * _two_parts_bitset(weights[1::2], half, evens, sum(weights[0::2]))
     return unit * _largest_sum(weights, half, nodes)
 
 
@@ -211,21 +213,21 @@ def _largest_sum(weights: Sequence[int], cap: int, nodes: list[int]) -> int:
     return _two_parts_meet(weights, cap)
 
 
-def _perfect_split(weights: Sequence[int], target: int) -> bool:
+def _perfect_split(weights: Sequence[int], target: int) -> tuple[bool, int]:
     """Whether some subset of two or more nonnegative ``weights`` (sorted in
-    descending order) sums to ``target``: meet-in-the-middle on the
-    shift-or bitsets of the subset sums of the even-index and of the
-    odd-index weights.  Each side's largest weight joins its bitset only if
-    the sides without them miss ``target``, as they seldom do on a dense
-    row."""
+    descending order) sums to ``target``, and the shift-or bitset it built of
+    the subset sums of the even-index weights, all of them after a miss.  The
+    decision is meet-in-the-middle on that bitset and the odd-index weights'.
+    Each side's largest weight joins its bitset only if the sides without
+    them miss ``target``, as they seldom do on a dense row."""
     odd_rest = weights[3::2]
     bits_a, bits_b = _subset_bits(weights[2::2]), _subset_bits(odd_rest)
     c = target - sum(odd_rest)
     if _meets(bits_a, bits_b, c):
-        return True
+        return True, bits_a
     bits_a |= bits_a << weights[0]
     bits_b |= bits_b << weights[1]
-    return _meets(bits_a, bits_b, c - weights[1])
+    return _meets(bits_a, bits_b, c - weights[1]), bits_a
 
 
 def _meets(bits_a: int, bits_b: int, c: int) -> bool:
@@ -260,14 +262,16 @@ def _subset_bits(weights: Sequence[int]) -> int:
     return bits
 
 
-def _two_parts_bitset(weights: Sequence[int], cap: int) -> int:
-    """Largest subset sum up to ``cap``, by a shift-or bitset of achievable
-    sums.  Items go in reverse order, ascending for the oracle's weights, so
-    the bitset stays short while the prefix sums are small; no sum passes
-    ``cap`` before the prefix sum does, so only from then on is the bitset
-    masked to ``cap + 1`` bits."""
+def _two_parts_bitset(
+    weights: Sequence[int], cap: int, bits: int = 1, prefix: int = 0
+) -> int:
+    """Largest sum up to ``cap`` of a subset of ``weights`` and a sum set in
+    ``bits`` (by default only 0), the largest of which is ``prefix``, by a
+    shift-or bitset of achievable sums.  Items go in reverse order,
+    ascending for the oracle's weights, so the bitset stays short while the
+    prefix sums are small; no sum passes ``cap`` before the prefix sum
+    does, so only from then on is the bitset masked to ``cap + 1`` bits."""
     mask = (1 << (cap + 1)) - 1
-    bits, prefix = 1, 0
     for w in reversed(weights):
         prefix += w
         bits |= bits << w

@@ -15,24 +15,34 @@ searches one player of one instance in any model, and the grid sweep alike.
 Both searches draw their reports from one rule, ``_pool``: every ranking in
 the ordinal model; in the cardinal model the candidate rows plus one strict
 row per ranking; with public rankings the candidate rows consistent with
-her ranking.  The grid sweep's candidate rows are the grid's rows;
-:func:`deviation_search`'s are her true row and the supplied rows, plus every
-permutation of her true row (cardinal) or her one strict row, valued m down
-to 1 along her ranking (public rankings): her true row is the only
-permutation of itself consistent with her ranking, and that row the only
-strict one.  Only the ranking pools list ``m!`` reports, so only they are
-held to ``m <= ENUM_LIMIT``.
+her ranking.  The grid sweep's candidate rows are the grid's rows, so its
+public-rankings pools are built from the grid without testing a row
+(``_ranked_rows``: each non-increasing tuple of grid values placed along
+her ranking); :func:`deviation_search`'s are her true row and the supplied
+rows, plus every permutation of her true row (cardinal) or her one strict
+row, valued m down to 1 along her ranking (public rankings): her true row
+is the only permutation of itself consistent with her ranking, and that
+row the only strict one.  Only the ranking pools list ``m!`` reports, so
+only they are held to ``m <= ENUM_LIMIT``.
 
 Only ``_reachable`` allocates: it submits each report of a pool in turn
 (``mechanisms._submit`` says what a report replaces in each model), the
 others' reports fixed, and keeps her bundle per report class and the
 distinct bundles in order of first appearance, each with its first report.
-Every pool holds her true report, so her truthful bundle comes from that
-step too.  Scanning the distinct bundles (``_gains``, the one scorer of
-both searches) stops at the same report as scanning the pool, because
-every report before the first profitable one reaches a bundle worth no
-more than the truthful one.  It reads her true row's table of bundle
-values (``_Values``), which sums each value on first use.
+A report's class is what the allocation reads of it: her ranking, plus
+what the mechanism reads of her row when it reads her row at all
+(``_Spec.row_class``; for ``pr-exact-2-4`` one comparison), and each class
+is allocated once, at its first report.  With public rankings her ranking
+is fixed, so where the rankings leave her row unread
+(``_Spec.rows_read_under``; for ``pr-exact-2-4`` where the favorites
+differ) one allocation answers for the whole pool, every report reaching
+her truthful bundle.  Every pool holds her true report, so her truthful
+bundle comes from that step too.  Scanning the distinct bundles
+(``_gains``, the one scorer of both searches) stops at the same report as
+scanning the pool, because every report before the first profitable one
+reaches a bundle worth no more than the truthful one.  It reads her true
+row's table of bundle values (``_Values``), which sums each value on first
+use.
 
 A player's verdict (whether she gains, with which first report, and both
 values) depends on her own true row and, for each other player, only on
@@ -45,9 +55,10 @@ verdicts are decided once per distinct reach outcome, her bundle for each
 report class: with the pool fixed, its report classes and their order are
 fixed, and the distinct bundles with their first reports follow from the
 bundles, since every report of a class reaches that class's one bundle (the
-rule ``_reachable`` relies on).  A true row is scored against a table that
-is kept for the whole sweep where the row can be scored again, so each
-(row, bundle) value is summed once per sweep.  With public rankings a
+rule ``_reachable`` relies on).  A pool that one allocation answers gains
+nothing and is not scored.  A true row is scored against a table that is
+kept for the whole sweep where the row can be scored again, so each (row,
+bundle) value is summed once per sweep.  With public rankings a
 report replaces only the player's row, so a player whose row the
 mechanism never reads reaches only her truthful bundle and the sweep does
 not search her.
@@ -56,7 +67,7 @@ not search her.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
 from math import prod
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -121,6 +132,18 @@ def _pool(model: str, m: int, rows: Iterable, own: tuple[int, ...] | None) -> li
     return list(dict.fromkeys(chain(rows, permutations(range(m, 0, -1)))))
 
 
+def _ranked_rows(grid: Sequence[Value], order: tuple[int, ...]) -> list[tuple]:
+    """Every row over the ascending ``grid`` consistent with the ranking
+    ``order``, in ``product`` order: each non-increasing tuple of grid
+    values, placed along ``order``.  No row is tested, so the work is the
+    rows returned."""
+    position = sorted(range(len(order)), key=order.__getitem__)
+    return sorted(
+        tuple(map(values.__getitem__, position))
+        for values in combinations_with_replacement(grid[::-1], len(order))
+    )
+
+
 def _validate_misreports(misreports, m: int) -> list[tuple[Value, ...]]:
     rows = []
     for row in misreports:
@@ -138,33 +161,42 @@ def _reachable(
     model: str,
     rows: Sequence[Sequence[Value]],
     player: int,
-    pool: Iterable,
-) -> tuple[dict, list[tuple[frozenset[int], object]]]:
+    pool: Sequence,
+) -> tuple[dict | None, list[tuple[frozenset[int], object]]]:
     """Her bundle for each report class (:func:`_report_class`) as she
     submits each report of ``pool``, the others' rows fixed, and the
     distinct bundles in order of first appearance, each paired with the
-    first report reaching it.  A public-rankings pool holds only rows
-    consistent with her ranking.  A value-oblivious mechanism's outcome per
-    ranking profile comes from the allocator's own memo, so reports sharing
-    a ranking cost one lookup."""
+    first report reaching it.  Each class is allocated once, at its first
+    report, as every report of a class reaches one bundle.  A
+    public-rankings pool holds only rows consistent with her ranking, so
+    every report keeps the rankings of ``rows``; when the mechanism reads no
+    row of hers under them (``_Spec.rows_read_under``), one allocation
+    answers for the pool: the table of classes is ``None``, and every report
+    reaches that one bundle, her truthful one."""
     n, m = len(rows), len(rows[0])
     orders, rows = [ranking_order(row) for row in rows], list(rows)
+    if model == PUBLIC_RANKINGS and player not in _SPECS[mech.name].rows_read_under(orders):
+        return None, [(_allocate(mech, orders, rows, n, m)[player], pool[0])]
     report_class = _report_class(mech, player)
     by_class: dict = {}
     reached: dict[frozenset[int], object] = {}
     for report in pool:
         _submit(model, orders, rows, player, report)
-        bundle = _allocate(mech, orders, rows, n, m)[player]
-        by_class[report_class(orders[player], rows[player])] = bundle
-        reached.setdefault(bundle, report)
+        key = report_class(orders[player], rows[player])
+        if key not in by_class:
+            bundle = by_class[key] = _allocate(mech, orders, rows, n, m)[player]
+            reached.setdefault(bundle, report)
     return by_class, list(reached.items())
 
 
 def _report_class(mech: Mechanism, player: int):
     """What the allocation reads of her report, as a function of her order
-    and row: her order, and her row if read."""
-    if player in _SPECS[mech.name].rows_read:
-        return lambda order, row: (order, row)
+    and row: her order, and if it reads her row, the row's class under that
+    order (``_Spec.row_class``)."""
+    spec = _SPECS[mech.name]
+    if player in spec.rows_read:
+        row_class = spec.row_class
+        return lambda order, row: (order, row_class(order, row))
     return lambda order, row: order
 
 
@@ -230,7 +262,10 @@ def deviation_search(
     )
     pool = _pool(model, inst.m, chain([true_row], supplied, extra), own)
     by_class, reached = _reachable(mech, model, inst.values, player, pool)
-    truthful = by_class[_report_class(mech, player)(own, true_row)]
+    if by_class is None:
+        truthful = reached[0][0]
+    else:
+        truthful = by_class[_report_class(mech, player)(own, true_row)]
     gains = _gains(_Values(true_row), truthful, reached)
     t_val = next(gains)
     best, witness = max(gains, key=itemgetter(0), default=(t_val, None))
@@ -291,13 +326,15 @@ def verify_truthful_on_grid(
     as its least instance in ``product`` order, which is lexicographic in
     the rows, so the least (instance, player) among violating
     representatives is the first witness a full scan finds.  Her true rows
-    share one pool, or with public rankings one per ranking of hers; each
-    pool is built once, and the reach step, which also gives her truthful
-    bundle, runs once per combination and pool, with the pool's first true
-    row in her slot.  The pool's verdicts are decided once per distinct
-    reach outcome (the pool and her bundle for each report class, which fix
-    what she reaches; see the module docstring) and kept for this call
-    only: how many of her true rows gain, and the least of them, whose
+    share one pool, or with public rankings one per ranking of hers, built
+    from the grid; each pool is built once, and the reach step, which also
+    gives her truthful bundle, runs once per combination and pool, with the
+    pool's first true row in her slot.  Where that step allocates once for
+    the whole pool (her row unread under the rankings), none of the pool's
+    true rows gains and none is scored.  The pool's verdicts are decided
+    once per distinct reach outcome (the pool and her bundle for each report
+    class, which fix what she reaches; see the module docstring) and kept
+    for this call only: how many of her true rows gain, and the least of them, whose
     instance is the least violating one of each combination giving that
     outcome.  Her true rows' report classes are fixed once per pool, and
     each (row, bundle) value is summed once per sweep.  Only the ranking
@@ -348,12 +385,15 @@ def verify_truthful_on_grid(
     classes = [singles if i in spec.rows_read else ranked for i in range(n)]
 
     # Her true rows grouped by the pool they share, as (ranking, rows) pairs:
-    # with public rankings the rows of one ranking of hers, otherwise all of
-    # them.  With nobody searched there are no rows and no pool, so the sweep
-    # passes ENUM_LIMIT.
+    # with public rankings the rows of one ranking of hers, whose pool is
+    # built from the grid without testing a row, otherwise all of them.
+    # With nobody searched there are no rows and no pool, so the sweep passes
+    # ENUM_LIMIT.
     by_ranking = list(by_order.items())
-    groups = [[p] for p in by_ranking] if model == PUBLIC_RANKINGS else [by_ranking]
-    pools = [(_pool(model, m, rows_space, g[0][0]), g) for g in groups if g]
+    if model == PUBLIC_RANKINGS:
+        pools = [(_ranked_rows(grid, own), [(own, rows)]) for own, rows in by_ranking]
+    else:
+        pools = [(_pool(model, m, rows_space, None), by_ranking)] if by_ranking else []
     # Each true row's bundle values, summed once for the whole sweep where
     # the row can be scored again: by a second combination of the others'
     # classes or a second searched player.  Otherwise each table is built
@@ -381,6 +421,8 @@ def verify_truthful_on_grid(
             for index, (pool, true_rows) in enumerate(facts):
                 group_rows = reps[:player] + (true_rows[0][0],) + reps[player:]
                 by_class, reached = _reachable(mech, model, group_rows, player, pool)
+                if by_class is None:
+                    continue  # she reaches only her truthful bundle
                 outcome = (index, *by_class.values())
                 verdict = verdicts.get(outcome)
                 if verdict is None:

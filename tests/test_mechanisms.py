@@ -249,6 +249,28 @@ class TestCutAndChoose:
         low = min(sum(row[j] for j in first), sum(row[j] for j in rest))
         assert low == maximin_share(Instance.from_rows([row]), 0, 2)
 
+    def test_common_factor_is_divided_out(self, monkeypatch):
+        # a row times 3 is cut as the row itself, on bitsets a third as
+        # long: it took twice the time of the row before
+        charged = []
+        real = mms._spend
+
+        def spend(nodes, count):
+            real(nodes, count)
+            charged.append(nodes[0])
+
+        monkeypatch.setattr(mms, "_spend", spend)
+        rng = random.Random(24)
+        for _ in range(10):
+            row = [rng.randint(1, 10**4) for _ in range(24)]
+            cuts, counts = [], []
+            for r in (row, [3 * v for v in row]):
+                charged.clear()
+                cuts.append(best_two_partition(r))
+                counts.append(charged[-1] if charged else 0)
+            assert cuts[1] == cuts[0]
+            assert counts[1] <= counts[0]
+
     def test_cut_shares_one_node_budget(self, monkeypatch):
         # the share alone fits the limit; the reachability decisions of
         # the cut, charged to the same count, do not
@@ -616,3 +638,24 @@ class TestRowsRead:
             assert sizes, mech
         # and each row a mechanism declares read does move some bundle
         assert moved == {("pr-exact-2-4", 0), ("cut-and-choose", 0), ("cut-and-choose", 1)}
+
+    def test_pr_exact_reads_what_its_rule_declares(self):
+        # for every pair of 2x4 rankings, a row the rule leaves unread never
+        # moves a bundle, and a read row moves them only through its class
+        mech, spec = Mechanism("pr-exact-2-4"), mechanisms._SPECS["pr-exact-2-4"]
+        rows = list(product(range(3), repeat=4))
+        shared = 0
+        for orders in product(permutations(range(4)), repeat=2):
+            read = spec.rows_read_under(orders)
+            seen = {}
+            for i, row in product(range(2), rows):
+                profile = [rows[0], rows[0]]
+                profile[i] = row
+                bundles = mechanisms._allocate(mech, orders, profile, 2, 4)
+                key = (i, spec.row_class(orders[i], row)) if i in read else i
+                assert seen.setdefault(key, bundles) == bundles, (orders, i, row)
+            if read:
+                shared += 1
+                assert read == (0,) and orders[0][0] == orders[1][0]
+                assert seen[0, True] != seen[0, False]  # the class is all it reads
+        assert shared == 24 * 6  # a shared favorite: a quarter of the pairs

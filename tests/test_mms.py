@@ -246,9 +246,11 @@ class TestTwoPartOracle:
     @example([5] * 11 + [1])  # 56 / 2 = 28 is no sum
     @example([8, 7, 6, 5, 4, 3, 2, 1, 9, 10, 11, 12])
     def test_perfect_split_matches_set_of_sums(self, row):
-        half = sum(row) // 2
-        reached = mms._perfect_split(sorted(row, reverse=True), half)
+        half, weights = sum(row) // 2, sorted(row, reverse=True)
+        reached, evens = mms._perfect_split(weights, half)
         assert reached == (_set_of_sums_half(row) == half)
+        if not reached:  # a miss hands on every even-index weight's sums
+            assert evens == mms._subset_bits(weights[0::2])
 
     @DERANDOMIZED
     @given(_SPLIT_ROWS, st.sampled_from([1, 7]))
@@ -280,6 +282,39 @@ class TestTwoPartOracle:
                 assert nodes == [split] and 0 < split < words // mms._NODE_WORDS
             else:
                 assert nodes == [words // mms._NODE_WORDS]
+
+    def test_missed_split_continues_from_the_even_sums(self, monkeypatch):
+        # the two rows of the CI's missed.txt and seeded rows of multiples
+        # of 3 and one value of 1 mod 3: after a miss the masked bitset adds
+        # only the odd-index weights to the even-index sums the split built,
+        # gives the plain set of sums' answer and is charged no more nodes
+        # than the bitset alone
+        missed = [
+            [258, 2076, 519, 300, 1713, 2712, 1689, 2349, 2961, 2745, 1809, 711,
+             2073, 702, 606, 2220, 1080, 2835, 1578, 1749, 1356, 747, 1941, 2341],
+            [966, 2688, 2895, 432, 2943, 1716, 2748, 441, 2331, 912, 144, 1191,
+             219, 1209, 2511, 2592, 1182, 1305, 321, 492, 729, 1845, 81, 847],
+        ]
+        rng = random.Random(2024)
+        while len(missed) < 8:
+            row = [3 * rng.randint(1, 1000) for _ in range(23)] + [3 * rng.randint(1, 1000) - 2]
+            if sum(row) // 2 % 3 == 2 and not _kk_exits(row):
+                missed.append(row)
+        calls = []
+        real = mms._two_parts_bitset
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mms, "_two_parts_bitset", spy)
+        for row in missed:
+            weights, half, nodes = sorted(row, reverse=True), sum(row) // 2, [0]
+            calls.clear()
+            assert mms._max_min_two_parts(weights, nodes) == _set_of_sums_half(row) < half
+            evens = weights[0::2]
+            assert calls == [(weights[1::2], half, mms._subset_bits(evens), sum(evens))]
+            assert nodes == [mms._prices(len(weights), half)[0] // mms._NODE_WORDS]
 
     @pytest.mark.parametrize("m", range(10, 23))
     def test_meet_in_the_middle(self, m):

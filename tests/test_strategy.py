@@ -24,7 +24,7 @@ from mmsfair import (
     run_mechanism,
     verify_truthful_on_grid,
 )
-from mmsfair import strategy
+from mmsfair import mechanisms, strategy
 
 
 class TestOrdinalSearch:
@@ -461,9 +461,12 @@ def _differential_cases():
                 yield pytest.param(mech, model, n, m, grid, id=f"{name}-{model}-{n}x{m}")
     # reach outcomes repeat across the other player's classes, and the true
     # rows that gain under one outcome span several rankings, so the witness
-    # is the least of them, not the first scored
+    # is the least of them, not the first scored; pr-exact-2-4 over three
+    # values reads her row under some rankings and not under others
     for name, model, m, grid in (
-        ("pr", ORDINAL, 4, (0, 1, 2)), ("cut-and-choose", CARDINAL, 3, (0, 1, 2, 3))
+        ("pr", ORDINAL, 4, (0, 1, 2)),
+        ("cut-and-choose", CARDINAL, 3, (0, 1, 2, 3)),
+        ("pr-exact-2-4", PUBLIC_RANKINGS, 4, (0, 1, 2)),
     ):
         yield pytest.param(
             Mechanism(name), model, 2, m, grid, id=f"{name}-{model}-2x{m}-over-{len(grid)}"
@@ -542,6 +545,81 @@ def test_searches_match_plain_reference(mech, model, n, m):
             assert (rep.best_deviation_value, rep.witness, rep.search_complete) == (
                 _reference_search(mech, model, inst, player, rows)
             )
+
+
+def test_pr_exact_public_searches_match_per_report_search():
+    # every 2x4 instance over {0,1,2}, both players: the search, which
+    # allocates once where the rankings leave her row unread and once per
+    # class of her row elsewhere, against each report run through
+    # run_mechanism (value shapes placed along her ranking, and one row
+    # that rises along it, which run_mechanism drops)
+    mech = Mechanism("pr-exact-2-4")
+    shapes = ((2, 0, 0, 0), (2, 2, 0, 0), (2, 1, 1, 0), (1, 1, 1, 1), (2, 1, 0, 0), (0, 1, 2, 2))
+    for rows in product(product((0, 1, 2), repeat=4), repeat=2):
+        inst = Instance.from_rows(rows)
+        truthful = run_mechanism(mech, PUBLIC_RANKINGS, inst).bundles
+        for player, true_row in enumerate(rows):
+            rank = derive_ranking(inst, player).order.index
+            supplied = [tuple(v[rank(j)] for j in range(4)) for v in shapes]
+            rep = deviation_search(mech, PUBLIC_RANKINGS, inst, player, supplied)
+            best = t_val = inst.value(player, truthful[player])
+            witness = None
+            strict = tuple(4 - rank(j) for j in range(4))
+            for report in dict.fromkeys([true_row, *supplied, strict]):
+                reported = list(rows)
+                reported[player] = report
+                bundle = run_mechanism(mech, PUBLIC_RANKINGS, inst, reported).bundles[player]
+                if inst.value(player, bundle) > best:
+                    best, witness = inst.value(player, bundle), report
+            assert (rep.truthful_value, rep.best_deviation_value, rep.witness) == (
+                t_val, best, witness
+            )
+            assert rep.search_complete is False
+
+
+@pytest.mark.parametrize("grid", [(0,), (0, 1, 2), (0, Fraction(1, 2), 3), range(5)])
+@pytest.mark.parametrize("m", [0, 1, 3, 4])
+def test_ranked_rows_are_the_consistent_rows(grid, m):
+    # the public-rankings pools, built without testing a row, hold what a
+    # filter of every grid row keeps, in product order
+    grid = tuple(grid)
+    rows = list(product(grid, repeat=m))
+    for order in permutations(range(m)):
+        assert strategy._ranked_rows(grid, order) == [
+            r for r in rows if mechanisms._consistent_with_order(r, order)
+        ]
+
+
+@pytest.mark.parametrize(
+    "grid, reach_calls, allocations", [((0, 1, 2), 529, 662), (tuple(range(6)), 576, 720)]
+)
+def test_pr_exact_public_sweep_allocates_once_per_class(monkeypatch, grid, reach_calls, allocations):
+    # a pool whose rankings leave her row unread allocates once, and one
+    # that reads it once per class of her row: 7,935 and 72,576 allocations
+    # when every report was allocated, with the same reach calls; the pools
+    # come from the grid, where 1,863 and 31,104 order checks built them
+    counts = {"_allocate": 0, "_reachable": 0, "_consistent_with_order": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(strategy, "_allocate")
+    spy(strategy, "_reachable")
+    spy(strategy, "_consistent_with_order")
+    spy(mechanisms, "_consistent_with_order")
+    result = verify_truthful_on_grid(
+        Mechanism("pr-exact-2-4"), PUBLIC_RANKINGS, 2, 4, grid, budget=2_000_000
+    )
+    assert (result.violations, result.complete) == (0, True)
+    assert counts == {
+        "_allocate": allocations, "_reachable": reach_calls, "_consistent_with_order": 0
+    }
 
 
 @pytest.mark.parametrize("name", MECHANISM_NAMES)
@@ -648,7 +726,7 @@ def test_criterion_4_sweep_sums_each_row_bundle_once(monkeypatch):
     [
         ("pick-seq", ORDINAL, (0, 1, 2), 405),
         ("pr", ORDINAL, (0, 1, 2), 1_296),
-        ("pr-exact-2-4", PUBLIC_RANKINGS, (0, 1, 2), 324),
+        ("pr-exact-2-4", PUBLIC_RANKINGS, (0, 1, 2), 81),
         ("cut-and-choose", CARDINAL, (1, 3), 240),
     ],
 )
@@ -656,7 +734,9 @@ def test_criterion_4_scores_each_reach_outcome_once(monkeypatch, name, model, gr
     # a pool's true rows are scored once per distinct reach outcome, where
     # every combination of the other player's classes scored them again
     # (3,726, 3,726, 1,863 and 512 verdicts); a second sweep in the same
-    # process scores as many, so nothing outlives a call
+    # process scores as many, so nothing outlives a call.  A pr-exact-2-4
+    # pool is scored only where the players share a favorite, as elsewhere
+    # she reaches one bundle (324 verdicts when every outcome was scored)
     calls = []
     real = strategy._gains
 

@@ -25,43 +25,44 @@ is the only permutation of itself consistent with her ranking, and that
 row the only strict one.  Only the ranking pools list ``m!`` reports, so
 only they are held to ``m <= ENUM_LIMIT``.
 
+One class rule, ``_report_class``, says what the allocation reads of a
+report: her ranking, plus what the mechanism reads of her row when it reads
+her row at all (``rows_read``, ``_Spec.row_class``; for ``pr-exact-2-4``
+one comparison; no ordinal-model mechanism reads a row).  The others'
+reports fixed, every report of one class gives the same bundles, so a
+player's verdict (whether she gains, with which first report, and both
+values) depends on her true row and on each other player's class alone.
+
 Only ``_reachable`` allocates: it submits each report of a pool in turn
 (``mechanisms._submit`` says what a report replaces in each model), the
-others' reports fixed, and keeps her bundle per report class and the
-distinct bundles in order of first appearance, each with its first report.
-A report's class is what the allocation reads of it: her ranking, plus
-what the mechanism reads of her row when it reads her row at all
-(``_Spec.row_class``; for ``pr-exact-2-4`` one comparison), and each class
-is allocated once, at its first report.  With public rankings her ranking
+others' reports fixed, and keeps her bundle per report class, allocated at
+the class's first report, and the distinct bundles in order of first
+appearance, each with its first report.  With public rankings her ranking
 is fixed, so where the rankings leave her row unread
 (``_Spec.rows_read_under``; for ``pr-exact-2-4`` where the favorites
-differ) one allocation answers for the whole pool, every report reaching
-her truthful bundle.  Every pool holds her true report, so her truthful
-bundle comes from that step too.  Scanning the distinct bundles
-(``_gains``, the one scorer of both searches) stops at the same report as
-scanning the pool, because every report before the first profitable one
-reaches a bundle worth no more than the truthful one.  It reads her true
-row's table of bundle values (``_Values``), which sums each value on first
-use.
+differ) one allocation answers for the whole pool, her truthful bundle,
+and the table of classes is empty.  Every pool holds her true report, so
+her truthful bundle comes from that step too.  Scanning the distinct
+bundles (``_gains``, the one scorer of both searches) stops at the same
+report as scanning the pool, because every report before the first
+profitable one reaches a bundle worth no more than the truthful one.  It
+reads her true row's table of bundle values (``_Values``), which sums each
+value on first use.
 
-A player's verdict (whether she gains, with which first report, and both
-values) depends on her own true row and, for each other player, only on
-that player's class: her ranking, plus her row itself when the mechanism
-reads it (``rows_read``; no ordinal-model mechanism reads a row).  The
-grid sweep decides each verdict once, on the first row of each class, and
-counts it for every instance the classes hold.  The reach step runs once
-per combination of the others' classes and pool of hers, and the pool's
-verdicts are decided once per distinct reach outcome, her bundle for each
-report class: with the pool fixed, its report classes and their order are
-fixed, and the distinct bundles with their first reports follow from the
-bundles, since every report of a class reaches that class's one bundle (the
-rule ``_reachable`` relies on).  A pool that one allocation answers gains
-nothing and is not scored.  A true row is scored against a table that is
-kept for the whole sweep where the row can be scored again, so each (row,
-bundle) value is summed once per sweep.  With public rankings a
-report replaces only the player's row, so a player whose row the
-mechanism never reads reaches only her truthful bundle and the sweep does
-not search her.
+The grid sweep groups the grid's rows by each class rule once (at most two:
+row read, row not read).  It decides each verdict on the first row of each
+of the others' classes and counts it for every instance the classes hold.
+A public-rankings pool holds one report per class of hers, the first in
+``_ranked_rows`` order.  The reach step runs once per combination of the
+others' classes and pool of hers, and the pool's verdicts are decided once
+per distinct reach outcome, her bundle for each report class: with the
+pool fixed, its classes and their order are fixed, and so are the distinct
+bundles and their first reports.  Her true rows are scored class by class
+against their class's bundle, so a pool that one allocation answers scores
+none.  Each (row, bundle) value is summed once per sweep: a row's table is
+kept for the whole sweep where the row can be scored again.  With public
+rankings a report replaces only the player's row, so a player whose row the
+mechanism never reads is not searched.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def _reachable(
     rows: Sequence[Sequence[Value]],
     player: int,
     pool: Sequence,
-) -> tuple[dict | None, list[tuple[frozenset[int], object]]]:
+) -> tuple[dict, list[tuple[frozenset[int], object]]]:
     """Her bundle for each report class (:func:`_report_class`) as she
     submits each report of ``pool``, the others' rows fixed, and the
     distinct bundles in order of first appearance, each paired with the
@@ -171,12 +172,12 @@ def _reachable(
     public-rankings pool holds only rows consistent with her ranking, so
     every report keeps the rankings of ``rows``; when the mechanism reads no
     row of hers under them (``_Spec.rows_read_under``), one allocation
-    answers for the pool: the table of classes is ``None``, and every report
+    answers for the pool: the table of classes is empty, and every report
     reaches that one bundle, her truthful one."""
     n, m = len(rows), len(rows[0])
     orders, rows = [ranking_order(row) for row in rows], list(rows)
     if model == PUBLIC_RANKINGS and player not in _SPECS[mech.name].rows_read_under(orders):
-        return None, [(_allocate(mech, orders, rows, n, m)[player], pool[0])]
+        return {}, [(_allocate(mech, orders, rows, n, m)[player], pool[0])]
     report_class = _report_class(mech, player)
     by_class: dict = {}
     reached: dict[frozenset[int], object] = {}
@@ -262,10 +263,8 @@ def deviation_search(
     )
     pool = _pool(model, inst.m, chain([true_row], supplied, extra), own)
     by_class, reached = _reachable(mech, model, inst.values, player, pool)
-    if by_class is None:
-        truthful = reached[0][0]
-    else:
-        truthful = by_class[_report_class(mech, player)(own, true_row)]
+    # With no classes one allocation answered for the pool: her truthful bundle.
+    truthful = by_class.get(_report_class(mech, player)(own, true_row), reached[0][0])
     gains = _gains(_Values(true_row), truthful, reached)
     t_val = next(gains)
     best, witness = max(gains, key=itemgetter(0), default=(t_val, None))
@@ -310,7 +309,8 @@ def verify_truthful_on_grid(
     budget: int = BUDGET,
 ) -> GridVerification:
     """Run the applicable deviation search for every player of every
-    instance with values from ``grid``.
+    instance with values from ``grid``; ``budget``, an int of at least 1,
+    bounds the instances.
 
     Counts (instance, player) pairs admitting a profitable misreport and
     keeps the first witness in ``product`` order of the instances, players
@@ -318,8 +318,7 @@ def verify_truthful_on_grid(
 
     The instances are not scanned one by one.  A verdict is decided once
     for each searched player, each combination of the other players'
-    classes and each true row of hers (see the module docstring: a class
-    holds the rows of one ranking, or one row when the mechanism reads it).
+    classes (the module docstring's class rule) and each true row of hers.
     Each class stands for its first row in ``product`` order, and the
     verdict counts once for every instance of the combination, the product
     of the class sizes.  That product of row sets has the representatives
@@ -327,19 +326,17 @@ def verify_truthful_on_grid(
     the rows, so the least (instance, player) among violating
     representatives is the first witness a full scan finds.  Her true rows
     share one pool, or with public rankings one per ranking of hers, built
-    from the grid; each pool is built once, and the reach step, which also
-    gives her truthful bundle, runs once per combination and pool, with the
-    pool's first true row in her slot.  Where that step allocates once for
-    the whole pool (her row unread under the rankings), none of the pool's
-    true rows gains and none is scored.  The pool's verdicts are decided
-    once per distinct reach outcome (the pool and her bundle for each report
-    class, which fix what she reaches; see the module docstring) and kept
-    for this call only: how many of her true rows gain, and the least of them, whose
-    instance is the least violating one of each combination giving that
-    outcome.  Her true rows' report classes are fixed once per pool, and
-    each (row, bundle) value is summed once per sweep.  Only the ranking
-    pools (ordinal, cardinal) are refused past ``ENUM_LIMIT`` items.
+    once from the grid, and the reach step, which also gives her truthful
+    bundle, runs once per combination and pool, with a true row of the
+    pool's ranking in her slot.  The pool's verdicts are decided once per
+    distinct reach outcome (the pool and her bundle for each report class)
+    and kept for this call only: how many of her true rows gain, and the
+    least of them, whose instance is the least violating one of each
+    combination giving that outcome.  Only the ranking pools (ordinal,
+    cardinal) are refused past ``ENUM_LIMIT`` items.
     """
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ValueError(f"budget must be an integer of at least 1, got {budget!r}")
     _check_defined(mech, model, n, m)
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
@@ -374,66 +371,68 @@ def verify_truthful_on_grid(
     searched = [] if spec.ignores_reports else [
         i for i in range(n) if model != PUBLIC_RANKINGS or i in spec.rows_read
     ]
-    rows_space = list(product(grid, repeat=m)) if searched else []
-    # Each player's classes as (first row, size): the rows of one ranking,
-    # or single rows for a player whose row is read.
-    by_order: dict[tuple[int, ...], list] = {}
-    for row in rows_space:
-        by_order.setdefault(ranking_order(row), []).append(row)
-    ranked = [(rows[0], len(rows)) for rows in by_order.values()]
-    singles = [(row, 1) for row in rows_space] if spec.rows_read else []
-    classes = [singles if i in spec.rows_read else ranked for i in range(n)]
+    # The grid rows grouped by each class rule in use, keyed by whether it
+    # reads the row: each class the list of its rows in ``product`` order.
+    # With nobody searched there are no rows and no pool, so the sweep
+    # passes ENUM_LIMIT.
+    rules = {i in spec.rows_read: _report_class(mech, i) for i in range(n)}
+    groups: dict = {read: {} for read in rules}
+    for row in product(grid, repeat=m) if searched else ():
+        order = ranking_order(row)
+        for read, rule in rules.items():
+            groups[read].setdefault(rule(order, row), []).append(row)
+    sizes = {read: [(rows[0], len(rows)) for rows in g.values()] for read, g in groups.items()}
+    classes = [sizes[i in spec.rows_read] for i in range(n)]  # (first row, size)
 
-    # Her true rows grouped by the pool they share, as (ranking, rows) pairs:
-    # with public rankings the rows of one ranking of hers, whose pool is
-    # built from the grid without testing a row, otherwise all of them.
-    # With nobody searched there are no rows and no pool, so the sweep passes
-    # ENUM_LIMIT.
-    by_ranking = list(by_order.items())
-    if model == PUBLIC_RANKINGS:
-        pools = [(_ranked_rows(grid, own), [(own, rows)]) for own, rows in by_ranking]
-    else:
-        pools = [(_pool(model, m, rows_space, None), by_ranking)] if by_ranking else []
+    # Each searched rule's pools, each with a true row for her slot: with
+    # public rankings one per ranking of hers, holding the first report of
+    # each class among the rows it admits (reversed, so that the first one
+    # is kept; sorted, as ``_ranked_rows`` is), otherwise one.
+    pools = {}
+    for read in {i in spec.rows_read for i in searched}:
+        rule, firsts = rules[read], [rows[0] for rows in groups[read].values()]
+        if model == PUBLIC_RANKINGS:
+            pools[read] = [
+                (sorted({rule(own, r): r for r in reversed(_ranked_rows(grid, own))}.values()), row)
+                for own, row in {ranking_order(row): row for row in firsts}.items()
+            ]
+        else:
+            pools[read] = [(_pool(model, m, product(grid, repeat=m), None), firsts[0])]
     # Each true row's bundle values, summed once for the whole sweep where
     # the row can be scored again: by a second combination of the others'
     # classes or a second searched player.  Otherwise each table is built
     # where it is used, so a one-player sweep holds one at a time.
     others_vary = any(len(classes[i]) > 1 for i in range(n) if i not in searched)
     if len(searched) > 1 or others_vary:
-        table = {row: _Values(row) for row in rows_space}.__getitem__
+        grouped = next(iter(groups.values())).values()
+        table = {row: _Values(row) for rows in grouped for row in rows}.__getitem__
     else:
         table = _Values
 
     violations, first = 0, None
     for player in searched:
-        # Her true rows' report classes, fixed before the others vary.
-        report_class = _report_class(mech, player)
-        facts = [
-            (pool, [(row, report_class(own, row)) for own, rows in group for row in rows])
-            for pool, group in pools
-        ]
+        mine, facts = groups[player in spec.rows_read], pools[player in spec.rows_read]
         # Per reach outcome: how many of the pool's true rows gain, and the
         # least of them with its first gaining report and both values.
         verdicts: dict = {}
         for others in product(*classes[:player], *classes[player + 1 :]):
             count = prod(size for _, size in others)
             reps = tuple(row for row, _ in others)
-            for index, (pool, true_rows) in enumerate(facts):
-                group_rows = reps[:player] + (true_rows[0][0],) + reps[player:]
+            for index, (pool, own_row) in enumerate(facts):
+                group_rows = reps[:player] + (own_row,) + reps[player:]
                 by_class, reached = _reachable(mech, model, group_rows, player, pool)
-                if by_class is None:
-                    continue  # she reaches only her truthful bundle
                 outcome = (index, *by_class.values())
                 verdict = verdicts.get(outcome)
                 if verdict is None:
                     hits, least = 0, None
-                    for true_row, key in true_rows:
-                        gains = _gains(table(true_row), by_class[key], reached)
-                        t_val, gain = next(gains), next(gains, None)
-                        if gain is not None:
-                            hits += 1
-                            if least is None or true_row < least[0]:
-                                least = (true_row, gain[1], t_val, gain[0])
+                    for key, bundle in by_class.items():
+                        for true_row in mine.get(key, ()):
+                            gains = _gains(table(true_row), bundle, reached)
+                            t_val, gain = next(gains), next(gains, None)
+                            if gain is not None:
+                                hits += 1
+                                if least is None or true_row < least[0]:
+                                    least = (true_row, gain[1], t_val, gain[0])
                     verdict = verdicts[outcome] = hits, least
                 hits, least = verdict
                 if hits:

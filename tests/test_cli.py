@@ -266,6 +266,16 @@ class TestVerify:
         assert status == 2
         assert "6561" in err
 
+    def test_budget_must_be_a_positive_int(self, capsys):
+        # refused in one line, not read as a count that no grid meets
+        status, out, err = run_cli(
+            capsys, "verify", "--mech", "pick-seq", "--model", "ordinal",
+            "--n", "2", "--m", "2", "--grid", "0,1", "--budget", "0",
+        )
+        assert (status, out, err) == (
+            2, "", "error: budget must be an integer of at least 1, got 0\n"
+        )
+
     def test_public_rankings_past_enumeration_limit(self, capsys):
         # the row pool is grid rows, not m! rankings, and pr reads no row
         status, out, err = run_cli(

@@ -771,3 +771,69 @@ def test_one_player_sweep_holds_no_table_per_row():
         tracemalloc.stop()
     assert (result.instances, result.violations) == (5**5, 0)
     assert peak < 3 * size
+
+
+@pytest.mark.parametrize("budget", [1e6, None, True, 0, -5])
+def test_sweep_refuses_a_budget_that_is_not_a_positive_int(budget):
+    # refused in one line before any other check: a float or None once
+    # crashed on bit_length, and 0 or -5 was read as a count no grid meets
+    message = f"^budget must be an integer of at least 1, got {budget!r}$"
+    for args in (
+        (Mechanism("pick-seq"), ORDINAL, 2, 2, (0, 1)),
+        (Mechanism("pr-exact-2-4"), ORDINAL, 3, 3, ()),
+    ):
+        with pytest.raises(ValueError, match=message) as excinfo:
+            verify_truthful_on_grid(*args, budget=budget)
+        assert excinfo.type is ValueError
+
+
+def test_one_player_sweep_holds_each_grid_row_once():
+    # the grid's rows are held once, in their classes, not again as a list
+    # of every row and as (row, class) pairs: 2.44 times the rows' size
+    # when they were held three times
+    sweep = (Mechanism("pick-seq"), ORDINAL, 1, 6, range(5))
+    verify_truthful_on_grid(*sweep)  # the allocator's memos fill untraced
+    tracemalloc.start()
+    try:
+        rows = list(product(range(5), repeat=6))
+        size = tracemalloc.get_traced_memory()[0]
+        del rows
+        tracemalloc.reset_peak()
+        result = verify_truthful_on_grid(*sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.instances, result.violations) == (5**6, 0)
+    assert peak < 2 * size
+
+
+@pytest.mark.parametrize(
+    "grid, submits, reach_calls, allocations",
+    [((0, 1, 2), 266, 529, 662), (tuple(range(6)), 288, 576, 720)],
+)
+def test_pr_exact_public_pools_hold_one_report_per_class(
+    monkeypatch, grid, submits, reach_calls, allocations
+):
+    # each public-rankings pool holds the first report of each of her
+    # classes, so a reach call submits at most one report per class: the
+    # whole pool was submitted on every call (1,995 and 18,144 submits),
+    # with the same allocations and reach calls
+    counts = {"_submit": 0, "_allocate": 0, "_reachable": 0}
+
+    def spy(name):
+        real = getattr(strategy, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(strategy, name, wrapper)
+
+    for name in counts:
+        spy(name)
+    result = verify_truthful_on_grid(
+        Mechanism("pr-exact-2-4"), PUBLIC_RANKINGS, 2, 4, grid, budget=2_000_000
+    )
+    assert (result.violations, result.complete) == (0, True)
+    assert counts["_submit"] <= submits
+    assert (counts["_allocate"], counts["_reachable"]) == (allocations, reach_calls)

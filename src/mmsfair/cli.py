@@ -68,6 +68,7 @@ _MEMOS = (
     ("mechanisms._sequence", mechanisms._sequence),
     ("mms._rated_share", mms._rated_share),
     ("mms._multiset_share", mms._multiset_share),
+    ("mms._ratio", mms._ratio),
 )
 
 # The largest decimal exponent a rational flag takes: Fraction writes the

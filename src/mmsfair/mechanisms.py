@@ -431,18 +431,14 @@ def _resolve_reports(
     inst: Instance,
     reported,
 ) -> tuple[list[tuple[int, ...]], list[Sequence[Value]]]:
-    """The (ranking orders, value rows) a mechanism reads: the true ones, with
-    each player's report submitted in turn.
+    """The (ranking orders, value rows) a mechanism reads given the reports
+    ``reported``: the true ones, with each player's report submitted in turn.
 
     In the public-rankings model a reported row inconsistent with the
-    player's true ranking is dropped, which leaves her true row.  Truthful
-    reports (``None``) give the true orders and rows in every model.
+    player's true ranking is dropped, which leaves her true row.
     """
     orders = [ranking_order(row) for row in inst.values]
     rows: list[Sequence[Value]] = list(inst.values)
-    if reported is None:
-        return orders, rows
-
     if model == ORDINAL:
         if isinstance(reported, Instance):
             raise MechanismError(
@@ -482,10 +478,14 @@ def run_mechanism(
 
     ``reported`` carries the (possibly misreported) inputs: a value matrix in
     the cardinal and public-rankings models, a list of rankings in the
-    ordinal model, or ``None`` for truthful reports.
+    ordinal model, or ``None`` for truthful reports, which read the true
+    orders and rows in every model.
     """
     values = inst.values
     n, m = len(values), len(values[0])
     _check_defined(mech, model, n, m)
-    orders, rows = _resolve_reports(model, inst, reported)
+    if reported is None:
+        orders, rows = tuple(map(ranking_order, values)), values
+    else:
+        orders, rows = _resolve_reports(model, inst, reported)
     return Allocation(_allocate(mech, orders, rows, n, m, seed))

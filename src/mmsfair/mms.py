@@ -32,7 +32,10 @@ search nodes; a larger one is refused with
 :class:`~mmsfair.instance.EnumerationLimitError`.  None of this recurses.
 
 Approximation ratios are compared as integer pairs (numerator, denominator)
-by cross-multiplication; only the worst ratio is returned, as a ``Fraction``.
+by cross-multiplication; only the worst ratio is returned, as a ``Fraction``
+taken from a bounded memo keyed by that pair: one ``Fraction`` is built per
+distinct ratio and shared by every rating that reaches it, as a
+``Fraction`` is immutable.
 The shares they divide by come from a bounded memo keyed by the row as given
 and the bundle count, so rating every instance of a value grid asks the
 oracle once per distinct row; a grid of more rows than that memo holds falls
@@ -428,7 +431,9 @@ def approximation_ratio(inst: Instance, alloc: Allocation):
     positive share.
 
     Returns :data:`UNBOUNDED` when every player's share is 0 (then any
-    allocation is trivially as good as the shares demand).
+    allocation is trivially as good as the shares demand).  The ratio is
+    one shared ``Fraction`` per (numerator, denominator) pair, from the
+    :func:`_ratio` memo, so rating a grid builds no ``Fraction`` twice.
     """
     violations = validate_allocation(inst, alloc)
     if violations:
@@ -446,7 +451,14 @@ def approximation_ratio(inst: Instance, alloc: Allocation):
             worst = num, den
     if worst is None:
         return UNBOUNDED
-    return Fraction(*worst)
+    return _ratio(*worst)
+
+
+@functools.lru_cache(maxsize=4096)
+def _ratio(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)``, built once per pair: a ``Fraction`` is
+    immutable, so every rating that reaches the pair shares it."""
+    return Fraction(num, den)
 
 
 def _player_ratios(inst: Instance, alloc: Allocation) -> tuple[tuple, tuple, tuple]:

@@ -52,8 +52,10 @@ value on first use.
 The grid sweep groups the grid's rows by each class rule once (at most two:
 row read, row not read).  It decides each verdict on the first row of each
 of the others' classes and counts it for every instance the classes hold.
-A public-rankings pool holds one report per class of hers, the first in
-``_ranked_rows`` order.  The reach step runs once per combination of the
+A pool of rows holds one report per class of hers, the first in
+``_ranked_rows`` order (public rankings) or in ``_pool`` order (cardinal),
+so a cardinal pool of a mechanism that reads no row of hers holds one
+report per ranking.  The reach step runs once per combination of the
 others' classes and pool of hers, and the pool's verdicts are decided once
 per distinct reach outcome, her bundle for each report class: with the
 pool fixed, its classes and their order are fixed, and so are the distinct
@@ -143,6 +145,16 @@ def _ranked_rows(grid: Sequence[Value], order: tuple[int, ...]) -> list[tuple]:
         tuple(map(values.__getitem__, position))
         for values in combinations_with_replacement(grid[::-1], len(order))
     )
+
+
+def _first_reports(rule, rows: Iterable[tuple], own: tuple[int, ...] | None = None) -> list:
+    """The first of the value ``rows`` in each report class under ``rule``,
+    in their order: each row's class is taken under her fixed ranking
+    ``own`` (public rankings), or else under the row's own ranking."""
+    firsts: dict = {}
+    for row in rows:
+        firsts.setdefault(rule(ranking_order(row) if own is None else own, row), row)
+    return list(firsts.values())
 
 
 def _validate_misreports(misreports, m: int) -> list[tuple[Value, ...]]:
@@ -385,19 +397,21 @@ def verify_truthful_on_grid(
     classes = [sizes[i in spec.rows_read] for i in range(n)]  # (first row, size)
 
     # Each searched rule's pools, each with a true row for her slot: with
-    # public rankings one per ranking of hers, holding the first report of
-    # each class among the rows it admits (reversed, so that the first one
-    # is kept; sorted, as ``_ranked_rows`` is), otherwise one.
+    # public rankings one per ranking of hers, otherwise one.  A pool of
+    # rows holds the first report of each class among them: of the rows
+    # her ranking admits, in ``_ranked_rows`` order, or of the cardinal
+    # pool, in ``_pool`` order.
     pools = {}
     for read in {i in spec.rows_read for i in searched}:
         rule, firsts = rules[read], [rows[0] for rows in groups[read].values()]
         if model == PUBLIC_RANKINGS:
             pools[read] = [
-                (sorted({rule(own, r): r for r in reversed(_ranked_rows(grid, own))}.values()), row)
+                (_first_reports(rule, _ranked_rows(grid, own), own), row)
                 for own, row in {ranking_order(row): row for row in firsts}.items()
             ]
         else:
-            pools[read] = [(_pool(model, m, product(grid, repeat=m), None), firsts[0])]
+            pool = _pool(model, m, product(grid, repeat=m), None)
+            pools[read] = [(pool if model == ORDINAL else _first_reports(rule, pool), firsts[0])]
     # Each true row's bundle values, summed once for the whole sweep where
     # the row can be scored again: by a second combination of the others'
     # classes or a second searched player.  Otherwise each table is built

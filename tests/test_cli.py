@@ -1137,6 +1137,7 @@ _STATS_KEYS = [
         "mechanisms._sequence",
         "mms._rated_share",
         "mms._multiset_share",
+        "mms._ratio",
     )
     for count in ("hits", "misses", "currsize")
 ] + ["stats.wall_s"]

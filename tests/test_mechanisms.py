@@ -464,6 +464,36 @@ class TestRunMechanism:
                     mech, model, inst, reported
                 ), (mech, model, profile)
 
+    def test_truthful_default_on_list_rows_equals_explicit_reports(self):
+        # an Instance built from list rows: truthful reports read its rows
+        # as they are, and its orders through ranking_order
+        rng = random.Random(41)
+        for _ in range(60):
+            n, m = rng.choice([(2, 4), (2, 5), (3, 3), (1, 6)])
+            rows = [
+                [rng.choice([0, 1, 2, Fraction(1, 2), Fraction(7, 3)]) for _ in range(m)]
+                for _ in range(n)
+            ]
+            inst = Instance(tuple(rows))
+            assert all(type(row) is list for row in inst.values)
+            rankings = [derive_ranking(inst, i) for i in range(n)]
+            for name in MECHANISM_NAMES:
+                mech = Mechanism(name, Fraction(2) if name == "sqrt-seq" else None)
+                if name == "pr-exact-2-4" and (n, m) != (2, 4):
+                    continue
+                if name == "cut-and-choose" and n != 2:
+                    continue
+                for model in sorted(models_for(mech)):
+                    reported = rankings if model == ORDINAL else [list(r) for r in rows]
+                    seed = rng.randrange(100)
+                    try:
+                        truthful = run_mechanism(mech, model, inst, seed=seed)
+                    except ValueError:  # not defined at this (n, m)
+                        continue
+                    assert truthful == run_mechanism(
+                        mech, model, inst, reported, seed=seed
+                    ), (mech, model, rows)
+
 
 class TestGuarantees:
     def test_pick_seq_tightness_all_ones(self):

@@ -16,9 +16,11 @@ from mmsfair import (
     Allocation,
     EnumerationLimitError,
     Instance,
+    Mechanism,
     approximation_ratio,
     maximin_share,
     mms,
+    run_mechanism,
 )
 from mmsfair.instance import validate_allocation
 
@@ -802,6 +804,72 @@ class TestIntegerRating:
         got, want = _rate([ints, fractions], owners)
         assert got == want
         assert type(got) is Fraction or got is UNBOUNDED
+
+
+def _plain_ratio(inst, alloc):
+    """min(value / share) over players with a positive share, the shares
+    from the oracle and every quotient a new Fraction."""
+    ratios = [
+        Fraction(sum(row[j] for j in bundle)) / share
+        for i, (row, bundle) in enumerate(zip(inst.values, alloc.bundles))
+        if (share := maximin_share(inst, i, inst.n))
+    ]
+    return min(ratios, default=UNBOUNDED)
+
+
+def _in_lowest_terms(ratio):
+    return (
+        type(ratio) is Fraction
+        and ratio.denominator > 0
+        and math.gcd(ratio.numerator, ratio.denominator) == 1
+    )
+
+
+class TestRatioMemo:
+    """approximation_ratio returns one shared Fraction per (numerator,
+    denominator) pair from the ``_ratio`` memo."""
+
+    def test_fraction_and_list_rows_match_plain_ratio(self):
+        rng = random.Random(17)
+        values = [0, 1, 3, Fraction(1, 2), Fraction(2, 3), Fraction(5, 4)]
+        for _ in range(300):
+            n, m = rng.choice([(2, 4), (3, 5), (2, 6)])
+            rows = [[rng.choice(values) for _ in range(m)] for _ in range(n)]
+            owners = [rng.randrange(n) for _ in range(m)]
+            alloc = Allocation.from_bundles(
+                [[j for j, o in enumerate(owners) if o == i] for i in range(n)]
+            )
+            as_fractions = [[Fraction(v) for v in row] for row in rows]
+            for inst in (Instance(tuple(rows)), Instance.from_rows(as_fractions)):
+                got = approximation_ratio(inst, alloc)
+                assert got == _plain_ratio(inst, alloc), rows
+                assert got is UNBOUNDED or _in_lowest_terms(got)
+
+    def test_ratio_is_in_lowest_terms_and_shared(self):
+        # value 2 against share 4 is the pair (2, 4), rated 1/2; a second
+        # instance reaching that pair gets the same Fraction
+        inst = Instance.from_rows([[2, 2, 2, 2], [2, 2, 2, 2]])
+        first = approximation_ratio(inst, Allocation.from_bundles([[0, 1, 2], [3]]))
+        assert first == Fraction(1, 2) and _in_lowest_terms(first)
+        assert approximation_ratio(inst, Allocation.from_bundles([[3], [0, 1, 2]])) is first
+        wide = Instance.from_rows([[6, 6, 6, 6, 6, 6], [3, 3, 3, 3, 3, 3]])
+        half = Allocation.from_bundles([[0, 1, 2, 3, 4], [5]])
+        assert approximation_ratio(wide, half) == Fraction(1, 3)
+        assert _in_lowest_terms(approximation_ratio(wide, half))
+
+    def test_second_pass_over_a_grid_misses_nothing(self):
+        # rating the 2x4 grid over {0..3} twice: the second pass finds every
+        # ratio in the memo, so it builds no Fraction
+        best_item = Mechanism("best-item")
+        rows = list(product(range(4), repeat=4))
+        rated = [Instance.from_rows(profile) for profile in product(rows, repeat=2)]
+        allocs = [run_mechanism(best_item, "cardinal", inst) for inst in rated]
+        first = [approximation_ratio(inst, a) for inst, a in zip(rated, allocs)]
+        misses = mms._ratio.cache_info().misses
+        second = [approximation_ratio(inst, a) for inst, a in zip(rated, allocs)]
+        assert mms._ratio.cache_info().misses == misses
+        assert all(a is b for a, b in zip(first, second))
+        assert min(r for r in first if r is not UNBOUNDED) == Fraction(1, 2)
 
 
 def _validate_reference(inst, alloc):

@@ -837,3 +837,41 @@ def test_pr_exact_public_pools_hold_one_report_per_class(
     assert (result.violations, result.complete) == (0, True)
     assert counts["_submit"] <= submits
     assert (counts["_allocate"], counts["_reachable"]) == (allocations, reach_calls)
+
+
+@pytest.mark.parametrize(
+    "name, grid, submits, allocations, reach_calls, violations, witness",
+    [
+        ("pick-seq", (0, 1, 2), 1_104, 1_104, 46, 0, None),
+        (
+            "pr", (0, 1, 2, 3), 1_152, 1_152, 48, 7_120,
+            GridWitness(((0, 0, 1, 1), (0, 0, 0, 1)), 0, (0, 0, 0, 1), 1, 2),
+        ),
+    ],
+)
+def test_rank_only_cardinal_pools_hold_one_report_per_ranking(
+    monkeypatch, name, grid, submits, allocations, reach_calls, violations, witness
+):
+    # a mechanism that reads no row sees only her ranking, so the cardinal
+    # pool keeps the first report of each ranking in pool order: every grid
+    # row and strict row was submitted on every reach call (4,830 and 13,440
+    # submits), with the same allocations, verdicts and witness
+    counts = {"_submit": 0, "_allocate": 0, "_reachable": 0}
+
+    def spy(name):
+        real = getattr(strategy, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(strategy, name, wrapper)
+
+    for spied in counts:
+        spy(spied)
+    result = verify_truthful_on_grid(Mechanism(name), CARDINAL, 2, 4, grid)
+    assert (result.instances, result.violations, result.complete) == (
+        len(grid) ** 8, violations, True
+    )
+    assert result.witness == witness
+    assert counts == {"_submit": submits, "_allocate": allocations, "_reachable": reach_calls}

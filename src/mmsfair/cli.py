@@ -66,6 +66,8 @@ _MEMOS = (
     ("mechanisms._outcome", mechanisms._outcome),
     ("mechanisms._proposal", mechanisms._proposal),
     ("mechanisms._sequence", mechanisms._sequence),
+    ("mechanisms._shared_allocation", mechanisms._shared_allocation),
+    ("mms._rated_term", mms._rated_term),
     ("mms._rated_share", mms._rated_share),
     ("mms._multiset_share", mms._multiset_share),
     ("mms._ratio", mms._ratio),

@@ -162,7 +162,15 @@ class Ranking:
 
 @dataclass(frozen=True)
 class Allocation:
-    """An ordered partition of the items into one bundle per player."""
+    """An ordered partition of the items into one bundle per player.
+
+    It is immutable, so one object may be shared, as
+    :func:`~mmsfair.mechanisms.run_mechanism` shares one per distinct
+    outcome.  A tuple of frozensets that
+    :func:`~mmsfair.mms.approximation_ratio` found valid keeps the instance
+    shape ``(n, m)`` it was checked for, outside its fields (no ``repr`` or
+    ``==`` reads it), and is not checked again for that shape.
+    """
 
     bundles: tuple[frozenset[int], ...]
 

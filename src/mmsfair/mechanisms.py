@@ -480,6 +480,10 @@ def run_mechanism(
     the cardinal and public-rankings models, a list of rankings in the
     ordinal model, or ``None`` for truthful reports, which read the true
     orders and rows in every model.
+
+    Equal outcomes give one shared :class:`Allocation`, from the
+    :func:`_shared_allocation` memo: it is immutable, and
+    :func:`~mmsfair.mms.approximation_ratio` checks it once for its shape.
     """
     values = inst.values
     n, m = len(values), len(values[0])
@@ -488,4 +492,14 @@ def run_mechanism(
         orders, rows = tuple(map(ranking_order, values)), values
     else:
         orders, rows = _resolve_reports(model, inst, reported)
-    return Allocation(_allocate(mech, orders, rows, n, m, seed))
+    return _shared_allocation(_allocate(mech, orders, rows, n, m, seed))
+
+
+@functools.lru_cache(maxsize=4096)
+def _shared_allocation(bundles: tuple[frozenset[int], ...]) -> Allocation:
+    """The one :class:`Allocation` of ``bundles``.  Keying by the bundles is
+    safe here: every item a mechanism gives has indexed the rows, so it
+    passes :func:`operator.index`, and equal keys hold items that index the
+    same row entries (an ordinal ``Ranking`` of ``bool`` items gives
+    ``frozenset({True})``, equal to ``frozenset({1})``)."""
+    return Allocation(bundles)

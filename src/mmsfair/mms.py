@@ -36,11 +36,15 @@ by cross-multiplication; only the worst ratio is returned, as a ``Fraction``
 taken from a bounded memo keyed by that pair: one ``Fraction`` is built per
 distinct ratio and shared by every rating that reaches it, as a
 ``Fraction`` is immutable.
-The shares they divide by come from a bounded memo keyed by the row as given
-and the bundle count, so rating every instance of a value grid asks the
-oracle once per distinct row; a grid of more rows than that memo holds falls
-back on a second one keyed by the sorted row, one call per multiset of
-values.  :func:`maximin_share` itself remembers nothing.
+An allocation is checked in full once per object and instance shape: an
+immutable one found valid keeps that shape, so the one shared allocation of
+each mechanism outcome is not checked again.  Its players' pairs come from
+a bounded memo keyed by (row, bundle, bundle count), one per distinct
+term.  The shares they divide by come from a bounded memo keyed by the row
+as given and the bundle count, so rating every instance of a value grid
+asks the oracle once per distinct row; a grid of more rows than that memo
+holds falls back on a second one keyed by the sorted row, one call per
+multiset of values.  :func:`maximin_share` itself remembers nothing.
 """
 
 from __future__ import annotations
@@ -434,24 +438,54 @@ def approximation_ratio(inst: Instance, alloc: Allocation):
     allocation is trivially as good as the shares demand).  The ratio is
     one shared ``Fraction`` per (numerator, denominator) pair, from the
     :func:`_ratio` memo, so rating a grid builds no ``Fraction`` twice.
+
+    :func:`~mmsfair.instance.validate_allocation` checks ``alloc`` in full
+    unless this very object was found valid for ``(inst.n, inst.m)``
+    before.  Only a tuple of frozensets, which cannot change, keeps that
+    verdict, as the shape it holds outside its fields; no verdict is keyed
+    by equal bundles, as ``frozenset({0.0}) == frozenset({0})``.  Every
+    player's term comes from the :func:`_rated_term` memo; bundles of any
+    other kind are looked up there as frozensets of their items.
     """
-    violations = validate_allocation(inst, alloc)
-    if violations:
-        raise ValueError("invalid allocation: " + "; ".join(violations))
-    parts = inst.n
+    values, bundles = inst.values, alloc.bundles
+    shape = len(values), len(values[0])
+    if getattr(alloc, "_valid_shape", None) != shape:
+        violations = validate_allocation(inst, alloc)
+        if violations:
+            raise ValueError("invalid allocation: " + "; ".join(violations))
+        if type(bundles) is tuple and all(type(b) is frozenset for b in bundles):
+            object.__setattr__(alloc, "_valid_shape", shape)
+        else:
+            bundles = tuple(map(frozenset, bundles))
     worst = None
-    for row, bundle in zip(inst.values, alloc.bundles):
-        p, q = _rated_share(tuple(row), parts)
-        if not p:
+    for row, bundle in zip(values, bundles):
+        num_den = _rated_term(tuple(row), bundle, shape[0])
+        if num_den is None:
             continue
-        # value / (p/q) as num/den; ints carry .numerator and .denominator too
-        value = sum(map(row.__getitem__, bundle))
-        num, den = value.numerator * q, value.denominator * p
+        num, den = num_den
         if worst is None or num * worst[1] < worst[0] * den:
-            worst = num, den
+            worst = num_den
     if worst is None:
         return UNBOUNDED
     return _ratio(*worst)
+
+
+@functools.lru_cache(maxsize=4096)
+def _rated_term(
+    row: tuple[Value, ...], bundle: frozenset[int], parts: int
+) -> tuple[int, int] | None:
+    """The value of ``bundle`` to ``row`` over its maximin share for
+    ``parts`` bundles, as an integer pair (numerator, denominator), or
+    ``None`` where that share is 0: once per (row, bundle, parts), as a
+    grid reaches few of them.  Only bundles already checked valid are
+    looked up, so their items pass :func:`operator.index` and an equal key
+    holds items that index the same row entries."""
+    p, q = _rated_share(row, parts)
+    if not p:
+        return None
+    # value / (p/q) as num/den; ints carry .numerator and .denominator too
+    value = sum(map(row.__getitem__, bundle))
+    return value.numerator * q, value.denominator * p
 
 
 @functools.lru_cache(maxsize=4096)

@@ -1135,6 +1135,8 @@ _STATS_KEYS = [
         "mechanisms._outcome",
         "mechanisms._proposal",
         "mechanisms._sequence",
+        "mechanisms._shared_allocation",
+        "mms._rated_term",
         "mms._rated_share",
         "mms._multiset_share",
         "mms._ratio",

@@ -944,3 +944,100 @@ class TestValidateAllocation:
         inst = Instance.from_rows([[1] * m, [2] * m, [3] * m])
         alloc = Allocation.from_bundles(bundles)
         assert validate_allocation(inst, alloc) == _validate_reference(inst, alloc)
+
+
+class TestCheckedOnce:
+    """run_mechanism shares one Allocation per distinct outcome;
+    approximation_ratio checks each such object once per instance shape and
+    works each player's term out once per (row, bundle)."""
+
+    INST = Instance.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
+
+    @staticmethod
+    def _refusal(inst, alloc):
+        with pytest.raises(ValueError) as refused:
+            approximation_ratio(inst, alloc)
+        return str(refused.value)
+
+    @pytest.mark.parametrize("twin", [0.0, Fraction(0)])
+    def test_an_int_twin_is_refused_after_the_int_was_rated(self, twin):
+        # equal bundles, equal hashes: a verdict keyed by equality would pass it
+        ints = Allocation((frozenset({0, 3}), frozenset({1, 2})))
+        twins = Allocation((frozenset({twin, 3}), frozenset({1, 2})))
+        assert twins == ints and hash(twins) == hash(ints)
+        assert approximation_ratio(self.INST, ints) == 1
+        assert approximation_ratio(self.INST, ints) == 1
+        for _ in range(2):
+            assert self._refusal(self.INST, twins) == (
+                f"invalid allocation: item index {twin!r} in bundle 1 is not an integer;"
+                " item 1 unassigned"
+            )
+
+    def test_mutable_bundles_are_checked_on_every_rating(self):
+        lists = Allocation(([0, 3], [1, 2]))
+        assert approximation_ratio(self.INST, lists) == 1
+        assert approximation_ratio(self.INST, lists) == 1
+        lists.bundles[0].append(1)
+        assert self._refusal(self.INST, lists) == (
+            "invalid allocation: item 2 assigned to both bundle 1 and bundle 2"
+        )
+        listed = Allocation([frozenset({0, 3}), frozenset({1, 2})])
+        assert approximation_ratio(self.INST, listed) == 1
+        listed.bundles[1] = frozenset({1})
+        assert self._refusal(self.INST, listed) == "invalid allocation: item 3 unassigned"
+
+    def test_a_checked_allocation_is_refused_at_another_shape(self):
+        alloc = run_mechanism(Mechanism("best-item"), "cardinal", self.INST)
+        assert alloc.bundles == (frozenset({3}), frozenset({0, 1, 2}))
+        assert approximation_ratio(self.INST, alloc) == Fraction(4, 5)
+        wider = Instance.from_rows([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
+        taller = Instance.from_rows([[1, 2, 3, 4]] * 3)
+        for _ in range(2):
+            assert self._refusal(wider, alloc) == "invalid allocation: item 5 unassigned"
+            assert self._refusal(taller, alloc) == (
+                "invalid allocation: expected 3 bundles, found 2"
+            )
+        assert approximation_ratio(self.INST, alloc) == Fraction(4, 5)
+        # the shape it keeps is no field
+        plain = Allocation(alloc.bundles)
+        assert alloc == plain and hash(alloc) == hash(plain) and repr(alloc) == repr(plain)
+
+    @pytest.mark.parametrize(
+        "name, model", [("best-item", "cardinal"), ("pr-exact-2-4", "public-rankings")]
+    )
+    def test_second_pass_over_a_grid_checks_and_looks_up_nothing(self, monkeypatch, name, model):
+        # the 2x4 grid over {0..3}: the first pass checks each outcome once
+        # and works each (row, bundle) term out once; the second reads them
+        mech = Mechanism(name)
+        rows = list(product(range(4), repeat=4))
+        rated = [Instance.from_rows(profile) for profile in product(rows, repeat=2)]
+        allocs = [run_mechanism(mech, model, inst) for inst in rated]
+        for inst, alloc in zip(rated, allocs):
+            approximation_ratio(inst, alloc)
+        assert len(set(map(id, allocs))) == len({alloc.bundles for alloc in allocs})
+
+        checks = []
+        real = mms.validate_allocation
+
+        def spy(inst, alloc):
+            checks.append(alloc)
+            return real(inst, alloc)
+
+        monkeypatch.setattr(mms, "validate_allocation", spy)
+        before = mms._rated_share.cache_info()
+        shares = {row: maximin_share(Instance((row,)), 0, 2) for row in rows}
+        for inst, alloc in zip(rated, allocs):
+            again = run_mechanism(mech, model, inst)
+            assert again is alloc
+            plain = min(
+                (
+                    Fraction(sum(row[j] for j in bundle)) / shares[row]
+                    for row, bundle in zip(inst.values, again.bundles)
+                    if shares[row]
+                ),
+                default=UNBOUNDED,
+            )
+            assert approximation_ratio(inst, again) == plain
+        after = mms._rated_share.cache_info()
+        assert checks == []
+        assert after.hits + after.misses == before.hits + before.misses

@@ -69,8 +69,6 @@ _MEMOS = (
     ("mechanisms._shared_allocation", mechanisms._shared_allocation),
     ("mms._rated_term", mms._rated_term),
     ("mms._rated_share", mms._rated_share),
-    ("mms._multiset_share", mms._multiset_share),
-    ("mms._ratio", mms._ratio),
 )
 
 # The largest decimal exponent a rational flag takes: Fraction writes the

@@ -152,6 +152,9 @@ class Ranking:
 
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(self.order))
+        for j in self.order:
+            if type(j) is not int:
+                raise ValueError(f"ranking item {j!r} is not an int")
         if sorted(self.order) != list(range(len(self.order))):
             raise ValueError("ranking must be a permutation of the item indices")
 
@@ -169,7 +172,9 @@ class Allocation:
     outcome.  A tuple of frozensets that
     :func:`~mmsfair.mms.approximation_ratio` found valid keeps the instance
     shape ``(n, m)`` it was checked for, outside its fields (no ``repr`` or
-    ``==`` reads it), and is not checked again for that shape.
+    ``==`` reads it), and is not checked again for that shape.  Its
+    rating then reads two memos: each player's term by (row, bundle), and
+    each share by the multiset of the row's values.
     """
 
     bundles: tuple[frozenset[int], ...]

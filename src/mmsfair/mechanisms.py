@@ -500,6 +500,5 @@ def _shared_allocation(bundles: tuple[frozenset[int], ...]) -> Allocation:
     """The one :class:`Allocation` of ``bundles``.  Keying by the bundles is
     safe here: every item a mechanism gives has indexed the rows, so it
     passes :func:`operator.index`, and equal keys hold items that index the
-    same row entries (an ordinal ``Ranking`` of ``bool`` items gives
-    ``frozenset({True})``, equal to ``frozenset({1})``)."""
+    same row entries."""
     return Allocation(bundles)

@@ -32,19 +32,15 @@ search nodes; a larger one is refused with
 :class:`~mmsfair.instance.EnumerationLimitError`.  None of this recurses.
 
 Approximation ratios are compared as integer pairs (numerator, denominator)
-by cross-multiplication; only the worst ratio is returned, as a ``Fraction``
-taken from a bounded memo keyed by that pair: one ``Fraction`` is built per
-distinct ratio and shared by every rating that reaches it, as a
-``Fraction`` is immutable.
+by cross-multiplication; only the worst ratio is returned, as a ``Fraction``.
 An allocation is checked in full once per object and instance shape: an
 immutable one found valid keeps that shape, so the one shared allocation of
-each mechanism outcome is not checked again.  Its players' pairs come from
-a bounded memo keyed by (row, bundle, bundle count), one per distinct
-term.  The shares they divide by come from a bounded memo keyed by the row
-as given and the bundle count, so rating every instance of a value grid
-asks the oracle once per distinct row; a grid of more rows than that memo
-holds falls back on a second one keyed by the sorted row, one call per
-multiset of values.  :func:`maximin_share` itself remembers nothing.
+each mechanism outcome is not checked again.  Its players' terms come from
+a bounded memo keyed by (row, bundle, bundle count), each term's pair and
+``Fraction`` worked out once.  The shares a term divides by come from a
+bounded memo keyed by the row's values sorted in descending order and the
+bundle count, so the oracle is asked once per multiset of values.
+:func:`maximin_share` itself remembers nothing.
 """
 
 from __future__ import annotations
@@ -436,8 +432,8 @@ def approximation_ratio(inst: Instance, alloc: Allocation):
 
     Returns :data:`UNBOUNDED` when every player's share is 0 (then any
     allocation is trivially as good as the shares demand).  The ratio is
-    one shared ``Fraction`` per (numerator, denominator) pair, from the
-    :func:`_ratio` memo, so rating a grid builds no ``Fraction`` twice.
+    the worst player's ``Fraction`` from the :func:`_rated_term` memo, so
+    ratings that reach one term share one ``Fraction``.
 
     :func:`~mmsfair.instance.validate_allocation` checks ``alloc`` in full
     unless this very object was found valid for ``(inst.n, inst.m)``
@@ -459,40 +455,33 @@ def approximation_ratio(inst: Instance, alloc: Allocation):
             bundles = tuple(map(frozenset, bundles))
     worst = None
     for row, bundle in zip(values, bundles):
-        num_den = _rated_term(tuple(row), bundle, shape[0])
-        if num_den is None:
+        term = _rated_term(tuple(row), bundle, shape[0])
+        if term is None:
             continue
-        num, den = num_den
-        if worst is None or num * worst[1] < worst[0] * den:
-            worst = num_den
+        if worst is None or term[0] * worst[1] < worst[0] * term[1]:
+            worst = term
     if worst is None:
         return UNBOUNDED
-    return _ratio(*worst)
+    return worst[2]
 
 
 @functools.lru_cache(maxsize=4096)
 def _rated_term(
     row: tuple[Value, ...], bundle: frozenset[int], parts: int
-) -> tuple[int, int] | None:
+) -> tuple[int, int, Fraction] | None:
     """The value of ``bundle`` to ``row`` over its maximin share for
-    ``parts`` bundles, as an integer pair (numerator, denominator), or
-    ``None`` where that share is 0: once per (row, bundle, parts), as a
-    grid reaches few of them.  Only bundles already checked valid are
-    looked up, so their items pass :func:`operator.index` and an equal key
-    holds items that index the same row entries."""
-    p, q = _rated_share(row, parts)
+    ``parts`` bundles, as ``(num, den, Fraction(num, den))``, or ``None``
+    where that share is 0: once per (row, bundle, parts), as a grid reaches
+    few of them.  Only bundles already checked valid are looked up, so
+    their items pass :func:`operator.index` and an equal key holds items
+    that index the same row entries."""
+    p, q = _rated_share(tuple(sorted(row, reverse=True)), parts)
     if not p:
         return None
     # value / (p/q) as num/den; ints carry .numerator and .denominator too
     value = sum(map(row.__getitem__, bundle))
-    return value.numerator * q, value.denominator * p
-
-
-@functools.lru_cache(maxsize=4096)
-def _ratio(num: int, den: int) -> Fraction:
-    """``Fraction(num, den)``, built once per pair: a ``Fraction`` is
-    immutable, so every rating that reaches the pair shares it."""
-    return Fraction(num, den)
+    num, den = value.numerator * q, value.denominator * p
+    return num, den, Fraction(num, den)
 
 
 def _player_ratios(inst: Instance, alloc: Allocation) -> tuple[tuple, tuple, tuple]:
@@ -504,34 +493,17 @@ def _player_ratios(inst: Instance, alloc: Allocation) -> tuple[tuple, tuple, tup
     values, shares = [], []
     for row, bundle in zip(inst.values, alloc.bundles):
         values.append(Fraction(sum(map(row.__getitem__, bundle))))
-        shares.append(Fraction(*_rated_share(tuple(row), inst.n)))
+        shares.append(Fraction(*_rated_share(tuple(sorted(row, reverse=True)), inst.n)))
     ratios = tuple(v / s if s else UNBOUNDED for v, s in zip(values, shares))
     return tuple(values), tuple(shares), ratios
 
 
 @functools.lru_cache(maxsize=4096)
 def _rated_share(values: tuple[Value, ...], parts: int) -> tuple[int, int]:
-    """Maximin share ``p/q`` of the row ``values`` for ``parts`` bundles, as
-    the integer pair ``(p, q)``.  The key is the row as given, so
-    :func:`approximation_ratio` and :func:`_player_ratios` share each entry,
-    and the permutations of one row are separate entries of equal share: a
-    grid pays one oracle call per distinct row, and looks a row up without
-    sorting it.  Rows that compare equal, such as an int row and its
-    ``Fraction`` twin, share one entry.  Once this memo is full, a miss
-    looks the row up sorted in :func:`_multiset_share`, so a grid of more
-    rows than it holds costs one sort per miss and one oracle call per
-    multiset, not one call per lookup.  While it has room, a miss rates the
-    row as given, as a grid that fits has always paid."""
-    info = _rated_share.cache_info()
-    if info.currsize == info.maxsize:
-        return _multiset_share(tuple(sorted(values, reverse=True)), parts)
-    share = maximin_share(Instance((values,)), 0, parts)
-    return share.numerator, share.denominator
-
-
-@functools.lru_cache(maxsize=4096)
-def _multiset_share(values: tuple[Value, ...], parts: int) -> tuple[int, int]:
-    """:func:`_rated_share` of a row sorted in descending order: a share
-    depends on the multiset of values only."""
+    """Maximin share ``p/q`` of the row ``values``, sorted in descending
+    order, for ``parts`` bundles, as the integer pair ``(p, q)``.  A share
+    depends on the multiset of values only, so every permutation of a row
+    is one entry, and so are rows that compare equal, such as an int row
+    and its ``Fraction`` twin: a grid pays one oracle call per multiset."""
     share = maximin_share(Instance((values,)), 0, parts)
     return share.numerator, share.denominator

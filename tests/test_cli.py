@@ -1138,8 +1138,6 @@ _STATS_KEYS = [
         "mechanisms._shared_allocation",
         "mms._rated_term",
         "mms._rated_share",
-        "mms._multiset_share",
-        "mms._ratio",
     )
     for count in ("hits", "misses", "currsize")
 ] + ["stats.wall_s"]
@@ -1184,18 +1182,6 @@ def test_stats_count_each_share_once(capsys, ex23_file):
     assert stats["stats.mms._rated_share.hits"] == "3"
     assert stats["stats.mms._rated_share.currsize"] == "3"
     assert stats["stats.instance._order.misses"] == "3"
-
-
-def test_stats_list_the_multiset_memo(capsys, ex23_file):
-    # three rows fit the rated-share memo, so none is looked up by multiset
-    for _, memo in cli._MEMOS:
-        memo.cache_clear()
-    _, _, err = run_cli(
-        capsys, "run", "--instance", ex23_file, "--mech", "pr", "--model", "ordinal", "--stats"
-    )
-    stats = _stats(err)
-    assert stats["stats.mms._multiset_share.misses"] == "0"
-    assert stats["stats.mms._multiset_share.currsize"] == "0"
 
 
 def test_stats_follow_a_refusal(capsys, tmp_path):

@@ -13,6 +13,7 @@ from mmsfair import (
     ORDINAL,
     PUBLIC_RANKINGS,
     Allocation,
+    Ranking,
     Instance,
     Mechanism,
     MechanismError,
@@ -404,6 +405,14 @@ class TestRunMechanism:
             run_mechanism(Mechanism("pr"), CARDINAL, ex23, rankings)
         with pytest.raises(MechanismError, match="list of rankings"):
             run_mechanism(Mechanism("pr"), ORDINAL, ex23, ex23)
+
+    @pytest.mark.parametrize("order", [(1.0, 0.0), (True, 0)])
+    def test_ordinal_report_of_non_int_items_refused(self, order):
+        # (1.0, 0.0) raised a bare TypeError inside the mechanism, and
+        # (True, 0) gave the bundle frozenset({True})
+        inst = Instance.from_rows([[2, 1], [1, 2]])
+        with pytest.raises(ValueError, match=r"^ranking item (1\.0|True) is not an int$"):
+            run_mechanism(Mechanism("pick-seq"), ORDINAL, inst, [Ranking(order), Ranking((1, 0))])
 
     def test_column_permutation_equivariance(self):
         # permuting items permutes tie-free allocations the same way

@@ -647,11 +647,26 @@ class TestShareMemo:
                 assert got == want, profile
                 assert got is UNBOUNDED or type(got) is Fraction
 
+    def test_oracle_is_not_memoized(self, monkeypatch):
+        inst = Instance.from_rows([[3, 2, 2, 1], [1, 2, 2, 3]])
+        assert approximation_ratio(inst, Allocation.from_bundles([[0, 3], [1, 2]])) == 1
+        calls = []
+        real = mms._max_min_two_parts
+
+        def spy(weights, nodes):
+            calls.append(weights)
+            return real(weights, nodes)
+
+        monkeypatch.setattr(mms, "_max_min_two_parts", spy)
+        assert maximin_share(inst, 0, 2) == 4
+        assert maximin_share(inst, 0, 2) == 4
+        assert len(calls) == 2
+
     def test_one_oracle_call_per_distinct_row(self, monkeypatch):
-        # the memo is keyed by the row as given: each permutation of a row is
-        # one oracle call per bundle count, with tuple rows, list rows built
-        # by Instance(...) and Fraction twins alike; no row is sorted, so a
-        # lookup by a sorted copy would ask for a row not rated here
+        # the share memo is keyed by the row sorted in descending order: the
+        # distinct rows that are permutations of one another, tuple rows,
+        # list rows built by Instance(...) and Fraction twins are one oracle
+        # call per bundle count, asked for the sorted row
         calls = []
         real = mms.maximin_share
 
@@ -660,6 +675,7 @@ class TestShareMemo:
             return real(inst, player, parts)
 
         monkeypatch.setattr(mms, "maximin_share", spy)
+        mms._rated_term.cache_clear()
         mms._rated_share.cache_clear()
         bases = [(3, 1, 2, 0), (2, 2, 1, 1), (0, 0, 5, 0)]
         rows = sorted(
@@ -682,59 +698,45 @@ class TestShareMemo:
                 assert approximation_ratio(inst, alloc) == _direct_ratio(inst, alloc)
                 shares = mms._player_ratios(inst, alloc)[1]
                 assert shares == tuple(maximin_share(inst, i, inst.n) for i in range(inst.n))
-                wanted.update((tuple(row), inst.n) for row in inst.values)
+                wanted.update((tuple(sorted(row, reverse=True)), inst.n) for row in inst.values)
+        assert all(list(row) == sorted(row, reverse=True) for row, _ in calls)
+        assert len(set(calls)) == len(calls)
         assert sorted(calls) == sorted(wanted)
-
-    def test_oracle_is_not_memoized(self, monkeypatch):
-        inst = Instance.from_rows([[3, 2, 2, 1], [1, 2, 2, 3]])
-        assert approximation_ratio(inst, Allocation.from_bundles([[0, 3], [1, 2]])) == 1
-        calls = []
-        real = mms._max_min_two_parts
-
-        def spy(weights, nodes):
-            calls.append(weights)
-            return real(weights, nodes)
-
-        monkeypatch.setattr(mms, "_max_min_two_parts", spy)
-        assert maximin_share(inst, 0, 2) == 4
-        assert maximin_share(inst, 0, 2) == 4
-        assert len(calls) == 2
 
     def test_one_oracle_call_per_multiset_past_the_row_memo(self, monkeypatch):
         # 3 x 15,625 instances of 2x6 over {0..4}, the inner row cycling
-        # through every row: more rows than the row memo holds, so keyed by
-        # the row alone it missed 46,874 times, one oracle call each.  Once
-        # it is full, a miss asks the oracle only for a new multiset, and
-        # six values over {0..4} make 210 multisets.
+        # through every row: more (row, bundle) terms than the term memo
+        # holds, yet the oracle is asked once per multiset of the row, and
+        # six values over {0..4} make 210 multisets
         calls = []
         real = mms.maximin_share
 
         def spy(inst, player, parts):
-            calls.append(inst.values[player])
+            calls.append((inst.values[player], parts))
             return real(inst, player, parts)
 
         monkeypatch.setattr(mms, "maximin_share", spy)
+        mms._rated_term.cache_clear()
         mms._rated_share.cache_clear()
-        mms._multiset_share.cache_clear()
-        held = mms._rated_share.cache_info().maxsize
-        rows = list(product(range(5), repeat=6))
+        wanted = set()
+        grid = list(product(range(5), repeat=6))
         alloc = Allocation.from_bundles([[0, 2, 4], [1, 3, 5]])
-        for outer in rows[::5_209]:
-            for index, inner in enumerate(rows):
+        for outer in grid[::5_209]:
+            for index, inner in enumerate(grid):
                 inst = Instance.from_rows([outer, inner])
                 got = approximation_ratio(inst, alloc)
                 if index % 1_009 == 0:
                     assert got == _direct_ratio(inst, alloc)
-        # the rows as given until the row memo is full, then one sorted row
-        # per multiset
-        multisets = calls[held:]
-        assert len(calls) <= held + 210
-        assert len(set(multisets)) == len(multisets)
-        assert all(list(row) == sorted(row, reverse=True) for row in multisets)
+                wanted.update((tuple(sorted(row, reverse=True)), 2) for row in inst.values)
+        assert mms._rated_term.cache_info().currsize == mms._rated_term.cache_info().maxsize
+        assert all(list(row) == sorted(row, reverse=True) for row, _ in calls)
+        assert len(set(calls)) == len(calls)
+        assert sorted(calls) == sorted(wanted)
+        assert sum(parts == 2 and len(row) == 6 for row, parts in calls) == 210
         # a second pass finds every multiset rated
         calls.clear()
-        for inner in rows:
-            approximation_ratio(Instance.from_rows([rows[0], inner]), alloc)
+        for inner in grid:
+            approximation_ratio(Instance.from_rows([grid[0], inner]), alloc)
         assert calls == []
 
 
@@ -826,8 +828,8 @@ def _in_lowest_terms(ratio):
 
 
 class TestRatioMemo:
-    """approximation_ratio returns one shared Fraction per (numerator,
-    denominator) pair from the ``_ratio`` memo."""
+    """approximation_ratio returns the worst player's Fraction from the
+    ``_rated_term`` memo, shared by every rating that reaches that term."""
 
     def test_fraction_and_list_rows_match_plain_ratio(self):
         rng = random.Random(17)
@@ -859,15 +861,15 @@ class TestRatioMemo:
 
     def test_second_pass_over_a_grid_misses_nothing(self):
         # rating the 2x4 grid over {0..3} twice: the second pass finds every
-        # ratio in the memo, so it builds no Fraction
+        # term in the memo, so it builds no Fraction
         best_item = Mechanism("best-item")
         rows = list(product(range(4), repeat=4))
         rated = [Instance.from_rows(profile) for profile in product(rows, repeat=2)]
         allocs = [run_mechanism(best_item, "cardinal", inst) for inst in rated]
         first = [approximation_ratio(inst, a) for inst, a in zip(rated, allocs)]
-        misses = mms._ratio.cache_info().misses
+        misses = mms._rated_term.cache_info().misses
         second = [approximation_ratio(inst, a) for inst, a in zip(rated, allocs)]
-        assert mms._ratio.cache_info().misses == misses
+        assert mms._rated_term.cache_info().misses == misses
         assert all(a is b for a, b in zip(first, second))
         assert min(r for r in first if r is not UNBOUNDED) == Fraction(1, 2)
 

@@ -25,6 +25,7 @@ exits with the status it would have had.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -401,7 +402,10 @@ def _print(lines: list[str], path: str | None) -> None:
             fh.write(text + "\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept: it holds
+    no per-input state, so every :func:`main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="mmsfair",
         description="Maximin-share fair division workbench",

@@ -390,15 +390,20 @@ def _allocate(
     return spec.bundles(orders, rows, n, m, seed)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=16384)
 def _outcome(name, epsilon, n, m, seed, orders) -> tuple[frozenset[int], ...]:
     """A value-oblivious mechanism's bundles, keyed by everything they depend
-    on; the tuple of frozensets is immutable, so callers share it."""
+    on.  The bundles are interned: they are the ``bundles`` of the one
+    :func:`_shared_allocation`, so an entry holds its key and a reference,
+    and profiles with one outcome share one tuple.  The bound holds every
+    ranking profile of a 2×5 grid (8,649 over {0,1,2})."""
     spec = _SPECS[name]
     if spec.bundles is not None:
-        return tuple(spec.bundles(orders, (), n, m, seed))
-    seq = _sequence(Mechanism(name, epsilon), n, m)
-    return tuple(map(frozenset, _simulate_picks(orders, m, seq.picks, seq.cyclic)))
+        bundles = tuple(spec.bundles(orders, (), n, m, seed))
+    else:
+        seq = _sequence(Mechanism(name, epsilon), n, m)
+        bundles = tuple(map(frozenset, _simulate_picks(orders, m, seq.picks, seq.cyclic)))
+    return _shared_allocation(bundles).bundles
 
 
 @functools.lru_cache(maxsize=256)
@@ -500,5 +505,7 @@ def _shared_allocation(bundles: tuple[frozenset[int], ...]) -> Allocation:
     """The one :class:`Allocation` of ``bundles``.  Keying by the bundles is
     safe here: every item a mechanism gives has indexed the rows, so it
     passes :func:`operator.index`, and equal keys hold items that index the
-    same row entries."""
+    same row entries.  It also interns :func:`_outcome`'s bundles, so a miss
+    there looks its new bundles up here, and a run that misses both builds
+    one :class:`Allocation`, not two."""
     return Allocation(bundles)

@@ -154,6 +154,8 @@ class MCConfig:
             raise ValueError(_RHO_RULE)
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if type(self.seed) is not int or self.seed < 0:  # bool too
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         _check_draws(self.n, self.m, self.trials)
         for d in self.distributions:
             if d.mean <= 0:

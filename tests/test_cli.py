@@ -468,12 +468,14 @@ class TestMc:
         assert (status, err) == (0, "")
         assert out.startswith("trials=50\nsuccess_rate=")
 
-    def test_negative_seed(self, capsys):
+    def test_negative_seed(self, capsys, monkeypatch):
+        # refused by the config, before numpy is asked for any draw
+        monkeypatch.setattr(cli, "montecarlo_randomized", lambda cfg: pytest.fail("ran trials"))
         status, out, err = run_cli(
             capsys, "mc", "--n", "2", "--m", "30", "--dist", "uniform",
             "--rho", "1/2", "--trials", "50", "--seed", "-1",
         )
-        assert (status, out, err) == (2, "", "error: expected non-negative integer\n")
+        assert (status, out, err) == (2, "", "error: seed must be a nonnegative integer, got -1\n")
 
 
 class TestSeq:
@@ -1168,6 +1170,22 @@ def test_readme_stats_leave_stdout_unchanged(capsys, ex23_file, command, status,
     assert list(stats) == _STATS_KEYS
     assert all(int(v) >= 0 for k, v in stats.items() if k != "stats.wall_s")
     assert float(stats["stats.wall_s"]) >= 0
+
+
+def test_one_parser_serves_every_readme_command(capsys, ex23_file):
+    # the seven commands, human and --machine, in README order and then in
+    # reverse: each gives what it gave first, through the one kept parser
+    commands = [
+        [ex23_file if t == "EX23" else t for t in command.split()] + machine
+        for command, _, _ in README_HUMAN
+        for machine in ([], ["--machine"])
+    ]
+    first = {}
+    for argv in commands + commands[::-1]:
+        status, out, _ = run_cli(capsys, *argv)
+        assert (status, out) == first.setdefault(tuple(argv), (status, out))
+    assert len(first) == 14
+    assert build_parser() is build_parser()
 
 
 def test_stats_count_each_share_once(capsys, ex23_file):

@@ -615,13 +615,52 @@ class TestOutcomeMemo:
     def test_stays_within_its_bound(self):
         mech = Mechanism("best-item")
         bound = mechanisms._outcome.cache_info().maxsize
-        others = tuple(range(7))
-        profiles = [(perm, others) for perm in permutations(range(7))]
+        others = tuple(range(8))
+        profiles = [(perm, others) for perm in permutations(range(8))]
         assert len(profiles) > bound
         for orders in profiles + profiles[:50]:
-            got = mechanisms._allocate(mech, orders, (), 2, 7)
-            assert got == _fresh_outcome(mech, orders, 2, 7, 0)
+            got = mechanisms._allocate(mech, orders, (), 2, 8)
+            assert got == _fresh_outcome(mech, orders, 2, 8, 0)
         assert mechanisms._outcome.cache_info().currsize <= bound
+
+    def test_second_pass_over_a_grid_simulates_nothing(self, monkeypatch):
+        # best-item's 2x5 grid over {0,1,2}: 59,049 instances, 8,649 ranking
+        # profiles, all held at once; each outcome's bundles are the one
+        # shared allocation's
+        mech, n, m = Mechanism("best-item"), 2, 5
+        rows = list(product((0, 1, 2), repeat=m))
+        for memo in (mechanisms._outcome, mechanisms._shared_allocation, instance._order):
+            memo.cache_clear()
+        returned, simulated = [], []
+        allocate, simulate = mechanisms._allocate, mechanisms._simulate_picks
+
+        def allocate_spy(*args):
+            returned.append(allocate(*args))
+            return returned[-1]
+
+        def simulate_spy(*args):
+            simulated.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(mechanisms, "_allocate", allocate_spy)
+        monkeypatch.setattr(mechanisms, "_simulate_picks", simulate_spy)
+        fresh = {}
+        for _ in range(2):  # cold, then warm
+            misses = mechanisms._outcome.cache_info().misses
+            simulated.clear()
+            for row1, row2 in product(rows, repeat=2):
+                returned.clear()
+                inst = Instance.from_rows([row1, row2])
+                alloc = run_mechanism(mech, CARDINAL, inst)
+                assert [alloc.bundles] == returned
+                assert alloc.bundles is returned[0]
+                orders = tuple(map(instance.ranking_order, inst.values))
+                if orders not in fresh:
+                    fresh[orders] = _fresh_outcome(mech, orders, n, m, 0)
+                assert alloc.bundles == fresh[orders]
+        assert len(fresh) == 8_649
+        assert mechanisms._outcome.cache_info().misses == misses
+        assert simulated == []
 
     def test_sweeps_equal_cold_and_warm(self):
         cases = (

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -73,6 +74,17 @@ class TestConfig:
             mc_config(3, 10, dist, rho=0.5, trials=0)
         with pytest.raises(ValueError):
             MCConfig(n=2, m=3, distributions=(dist,), rho=0.5, trials=5)
+
+    def test_seed_must_be_a_nonnegative_int(self):
+        # numpy would refuse -1 only at the first draw, naming no seed
+        dist = ContinuousUniform01()
+        for seed in (-1, True, 1.5, "3"):
+            message = f"seed must be a nonnegative integer, got {seed!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                mc_config(2, 10, dist, rho=0.5, trials=3, seed=seed)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                MCConfig(n=1, m=3, distributions=(dist,), rho=0.5, trials=5, seed=seed)
+        assert mc_config(2, 10, dist, rho=0.5, trials=3, seed=2**64 + 7).seed == 2**64 + 7
 
 
 class TestHarness:
@@ -217,13 +229,3 @@ class TestBlockLoop:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-
-class TestBulkSeeding:
-    def test_refuses_a_negative_seed_as_numpy_does(self):
-        with pytest.raises(ValueError) as numpy_error:
-            np.random.default_rng((-1, 0))
-        cfg = mc_config(2, 10, ContinuousUniform01(), rho=0.5, trials=3, seed=-1)
-        with pytest.raises(ValueError) as error:
-            montecarlo_randomized(cfg)
-        assert str(error.value) == str(numpy_error.value)
-        assert str(error.value) == "expected non-negative integer"

@@ -147,12 +147,11 @@ def _load_instance(path: str) -> Instance:
 
 
 def _mech_from_args(args) -> Mechanism:
-    if not _SPECS[args.mech].takes_epsilon:
-        return Mechanism(args.mech)
-    eps = getattr(args, "epsilon", None)
-    if eps is None:
+    """The ``--mech`` mechanism with ``--epsilon``: ``sqrt-seq`` needs one
+    and every other mechanism refuses one."""
+    if args.epsilon is None and _SPECS[args.mech].takes_epsilon:
         raise MechanismError(f"{args.mech} needs --epsilon P/Q")
-    return Mechanism(args.mech, eps)
+    return Mechanism(args.mech, args.epsilon)
 
 
 def _cmd_mms(args) -> tuple[int, list[str]]:
@@ -256,7 +255,9 @@ def _cmd_chain(args) -> tuple[int, list[str]]:
         fix = parse_fixture(_read_text(args.fixture_file), name=args.fixture_file)
     else:
         fix = builtin_fixture(args.fixture, epsilon=args.epsilon)
-    mech = _mech_from_args(args)
+    # --epsilon is the fixture's, which only sqrt-seq also takes as its own
+    eps = args.epsilon if _SPECS[args.mech].takes_epsilon else None
+    mech = Mechanism(args.mech, eps)
     model = args.model if args.model else fix.model
     report = run_chain(fix, mech, model)
     if args.machine:

@@ -14,7 +14,6 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, NoReturn, Sequence, Union
 
 Value = Union[int, Fraction]
@@ -62,6 +61,15 @@ def _check_rational(v, what: str, negative: str | None = None) -> Value:
     if negative is not None and v < 0:
         raise ValueError(negative)
     return v
+
+
+def _check_index(v, what: str) -> int:
+    """``v`` as an int if :func:`operator.index` takes it (a numpy integer
+    too), else a one-line ValueError naming it: ``2.0`` is not an index."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} {v!r} is not an integer") from None
 
 
 class MechanismError(ValueError):
@@ -114,13 +122,14 @@ class Instance:
         row, m = self.values[player], self.m
         total: Value = 0
         for j in items:
+            j = _check_index(j, "item index")
             if not 0 <= j < m:
                 raise IndexError(f"item index {j} out of range [0, {m})")
             total += row[j]
         return total
 
     def _check_player(self, player: int) -> None:
-        if not 0 <= player < self.n:
+        if not 0 <= _check_index(player, "player index") < self.n:
             raise IndexError(f"player index {player} out of range [0, {self.n})")
 
 
@@ -331,15 +340,6 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
     Checks bundle count, that every item index is an integer, item-index
     range, duplicates, and full coverage.
     """
-    # The common valid case in one step: n bundles whose items, sorted, are
-    # exactly 0..m-1.  Anything else gets the full check below.
-    values, bundles = inst.values, alloc.bundles
-    try:
-        items = sorted(map(operator.index, chain(*bundles)))
-    except TypeError:  # an index that is not an integer
-        items = None
-    if len(bundles) == len(values) and items == list(range(len(values[0]))):
-        return []
     violations = []
     n, m = inst.n, inst.m
     if alloc.n != n:

@@ -151,25 +151,14 @@ def _simulate_picks(
     orders: Sequence[tuple[int, ...]],
     m: int,
     picks: Sequence[int],
-    cyclic: bool,
 ) -> list[list[int]]:
-    """Core picking loop on raw ranking orders; returns item lists per player."""
-    n = len(orders)
-    bundles: list[list[int]] = [[] for _ in range(n)]
+    """Core picking loop on raw ranking orders: each of the ``m`` ``picks``
+    in turn takes that player's favorite remaining item.  Returns item lists
+    per player."""
+    bundles: list[list[int]] = [[] for _ in orders]
     taken = bytearray(m)
-    pointer = [0] * n
-    remaining = m
-    step = 0
-    length = len(picks)
-    while remaining:
-        if step >= length:
-            if not cyclic:
-                raise MechanismError(
-                    f"picking sequence exhausted with {remaining} items unallocated"
-                )
-            step = 0
-        p = picks[step]
-        step += 1
+    pointer = [0] * len(orders)
+    for p in picks:
         order = orders[p]
         ptr = pointer[p]
         while taken[order[ptr]]:
@@ -178,7 +167,6 @@ def _simulate_picks(
         item = order[ptr]
         taken[item] = 1
         bundles[p].append(item)
-        remaining -= 1
     return bundles
 
 
@@ -206,7 +194,7 @@ def _pr_exact_24_bundles(orders, rows, n, m, seed):
     the complement.
     """
     if not _pr_exact_24_reads(orders):
-        return _outcome(PR, None, 2, 4, 0, tuple(orders))
+        return _outcome(PR, None, 2, 4, tuple(orders))
     o1 = orders[0]
     if _pr_exact_24_top_wins(o1, rows[0]):
         mine = frozenset((o1[0],))
@@ -294,14 +282,16 @@ def _random_uniform_bundles(orders, rows, n, m, seed):
 class _Spec:
     """One mechanism's record.  A sequence mechanism has ``sequence(mech, n,
     m)``, any other ``bundles(orders, rows, n, m, seed)``, giving one frozenset
-    of items per player.  ``shape`` is the (players, items) it requires, items
+    of items per player; :func:`_allocate` dispatches on which it has.  ``shape`` is the (players, items) it requires, items
     ``None`` for any; ``bound(mech, n, m)`` is the proven fraction of the
     maximin share; ``grid_decides(grid)`` says whether rows drawn from
     ``grid`` reach every decision of a mechanism that reads values (by
     default no grid does).
     ``rows_read`` is the players whose reported value rows the allocation
     reads: replacing any other player's row, her order kept, leaves every
-    bundle unchanged.  It is empty for a value-oblivious mechanism.
+    bundle unchanged.  It is empty for a mechanism that reads no value: a
+    sequence mechanism, whose rankings decide its outcome, or one that
+    ignores every report.
     ``reads(orders)``, where given, is the part of ``rows_read`` that the
     allocation reads under the ranking profile ``orders``
     (:meth:`rows_read_under`), and ``row_class(order, row)`` is all it reads
@@ -381,35 +371,39 @@ def _allocate(
     seed: int = 0,
 ) -> tuple[frozenset[int], ...]:
     """One bundle per player from raw ranking orders and value rows.  A
-    value-oblivious mechanism's outcome depends on the ranking profile alone,
-    so it is memoized per profile (``_outcome``); any other mechanism runs its
+    sequence mechanism's outcome depends on the ranking profile alone, so it
+    is memoized per profile (``_outcome``); any other mechanism runs its
     bundles function."""
     spec = _SPECS[mech.name]
-    if not spec.rows_read:
-        return _outcome(mech.name, mech.epsilon, n, m, seed, tuple(orders))
+    if spec.sequence is not None:
+        return _outcome(mech.name, mech.epsilon, n, m, tuple(orders))
     return spec.bundles(orders, rows, n, m, seed)
 
 
 @functools.lru_cache(maxsize=16384)
-def _outcome(name, epsilon, n, m, seed, orders) -> tuple[frozenset[int], ...]:
-    """A value-oblivious mechanism's bundles, keyed by everything they depend
-    on.  The bundles are interned: they are the ``bundles`` of the one
-    :func:`_shared_allocation`, so an entry holds its key and a reference,
-    and profiles with one outcome share one tuple.  The bound holds every
-    ranking profile of a 2×5 grid (8,649 over {0,1,2})."""
-    spec = _SPECS[name]
-    if spec.bundles is not None:
-        bundles = tuple(spec.bundles(orders, (), n, m, seed))
-    else:
-        seq = _sequence(Mechanism(name, epsilon), n, m)
-        bundles = tuple(map(frozenset, _simulate_picks(orders, m, seq.picks, seq.cyclic)))
+def _outcome(name, epsilon, n, m, orders) -> tuple[frozenset[int], ...]:
+    """The outcome memo: a sequence mechanism's bundles, keyed by everything
+    they depend on.  The bundles are interned: they are the ``bundles`` of
+    the one :func:`_shared_allocation`, so an entry holds its key and a
+    reference, and profiles with one outcome share one tuple.  The bound
+    holds every ranking profile of a 2×5 grid (8,649 over {0,1,2})."""
+    picks = _sequence(Mechanism(name, epsilon), n, m)
+    bundles = tuple(map(frozenset, _simulate_picks(orders, m, picks)))
     return _shared_allocation(bundles).bundles
 
 
 @functools.lru_cache(maxsize=256)
-def _sequence(mech: Mechanism, n: int, m: int) -> PickingSequence:
-    """A sequence mechanism's picking sequence at size (n, m)."""
-    return _SPECS[mech.name].sequence(mech, n, m)
+def _sequence(mech: Mechanism, n: int, m: int) -> tuple[int, ...]:
+    """A sequence mechanism's ``m`` picks at size (n, m): its picking
+    sequence, repeated if cyclic.  A non-cyclic one shorter than ``m`` is
+    refused here, once per size, not in every simulation."""
+    seq = _SPECS[mech.name].sequence(mech, n, m)
+    picks = seq.picks * (-(-m // len(seq.picks)) if seq.cyclic else 1)
+    if len(picks) < m:
+        raise MechanismError(
+            f"picking sequence exhausted with {m - len(picks)} items unallocated"
+        )
+    return picks[:m]
 
 
 def _consistent_with_order(row: Sequence[Value], order: Sequence[int]) -> bool:

@@ -60,6 +60,7 @@ from .instance import (
     EnumerationLimitError,
     Instance,
     Value,
+    _check_index,
     validate_allocation,
 )
 
@@ -123,12 +124,13 @@ def maximin_share(
     Fraction(3, 1)
     """
     inst._check_player(player)
+    parts = _check_index(parts, "parts")
     if parts < 1:
         raise ValueError("parts must be at least 1")
     if items is None:
         subset = list(range(inst.m))
     else:
-        subset = sorted(set(items))
+        subset = sorted({_check_index(j, "item index") for j in items})
         for j in subset:
             if not 0 <= j < inst.m:
                 raise IndexError(f"item index {j} out of range [0, {inst.m})")

@@ -183,6 +183,12 @@ class TestRun:
         assert out.startswith("mechanism=sqrt-seq(1/2)\n")
         assert run_cli(capsys, *argv) == (2, "", "error: sqrt-seq needs --epsilon P/Q\n")
 
+    def test_epsilon_refused_where_not_taken(self, capsys, ex23_file):
+        argv = ["run", "--instance", ex23_file, "--mech", "pr", "--model", "ordinal"]
+        for extra in ([], ["--machine"]):
+            got = run_cli(capsys, *argv, "--epsilon", "-3", *extra)
+            assert got == (2, "", "error: pr does not take an epsilon\n")
+
     def test_model_mismatch_is_input_error(self, capsys, ex23_file):
         status, _, err = run_cli(
             capsys, "run", "--instance", ex23_file, "--mech", "pr-exact-2-4",
@@ -201,6 +207,12 @@ class TestVerify:
         assert status == 1
         assert "violations" in out
         assert "misreport" in out
+
+    def test_epsilon_refused_where_not_taken(self, capsys):
+        argv = ["verify", "--mech", "pr", "--model", "ordinal", "--n", "2", "--m", "3"]
+        for extra in ([], ["--machine"]):
+            got = run_cli(capsys, *argv, "--grid", "0,1", "--epsilon", "1/2", *extra)
+            assert got == (2, "", "error: pr does not take an epsilon\n")
 
     def test_clean_exit_zero(self, capsys):
         status, out, _ = run_cli(
@@ -1200,6 +1212,20 @@ def test_stats_count_each_share_once(capsys, ex23_file):
     assert stats["stats.mms._rated_share.hits"] == "3"
     assert stats["stats.mms._rated_share.currsize"] == "3"
     assert stats["stats.instance._order.misses"] == "3"
+
+
+def test_stats_random_uniform_outcome_is_not_memoized(capsys, ex23_file):
+    for _, memo in cli._MEMOS:
+        memo.cache_clear()
+    _, _, err = run_cli(
+        capsys, "run", "--instance", ex23_file, "--mech", "random-uniform",
+        "--model", "cardinal", "--stats",
+    )
+    stats = _stats(err)
+    # the outcome memo holds picking-sequence outcomes only
+    assert stats["stats.mechanisms._outcome.misses"] == "0"
+    assert stats["stats.mechanisms._outcome.currsize"] == "0"
+    assert stats["stats.mechanisms._shared_allocation.misses"] == "1"
 
 
 def test_stats_follow_a_refusal(capsys, tmp_path):

@@ -100,6 +100,18 @@ class TestBundleValue:
         with pytest.raises(IndexError):
             ex23.value(3, {0})
 
+    def test_float_player_refused(self, ex23):
+        with pytest.raises(ValueError, match=r"^player index 0\.0 is not an integer$"):
+            ex23.value(0.0, {0})
+
+    def test_float_item_refused(self, ex23):
+        with pytest.raises(ValueError, match=r"^item index 1\.0 is not an integer$"):
+            ex23.value(0, [0, 1.0])
+
+    def test_numpy_indices_taken(self, ex23):
+        np = pytest.importorskip("numpy")
+        assert ex23.value(np.int64(2), np.array([0, 1])) == 1
+
 
 class TestDeriveRanking:
     def test_tie_break_by_index(self, ex23):

@@ -1,7 +1,8 @@
 import random
 import time
 from fractions import Fraction
-from itertools import permutations, product
+from dataclasses import replace
+from itertools import cycle, islice, permutations, product
 
 import pytest
 
@@ -29,7 +30,12 @@ from mmsfair import (
 )
 from mmsfair import instance, mechanisms, mms
 from mmsfair.mechanisms import best_two_partition
-from mmsfair.seqbuild import build_sqrt_sequence, sqrt_seq_params
+from mmsfair.seqbuild import (
+    InfeasibleParams,
+    PickingSequence,
+    build_sqrt_sequence,
+    sqrt_seq_params,
+)
 
 EXACT = Mechanism("pr-exact-2-4")
 CUT = Mechanism("cut-and-choose")
@@ -75,10 +81,16 @@ class TestRunPickingSequence:
             frozenset({2, 3, 4}),
         )
 
-    def test_exhausted_sequence(self):
-        order = (0, 1, 2)
-        with pytest.raises(MechanismError, match="exhausted"):
-            mechanisms._simulate_picks([order, order], 3, (0, 1), cyclic=False)
+    def test_exhausted_sequence(self, monkeypatch):
+        # a non-cyclic sequence of two picks at three items is refused when
+        # its picks are worked out, before any simulation
+        spec = mechanisms._SPECS["pick-seq"]
+        short = replace(spec, sequence=lambda mech, n, m: PickingSequence((0, 1)))
+        monkeypatch.setitem(mechanisms._SPECS, "pick-seq", short)
+        mechanisms._sequence.cache_clear()
+        message = "picking sequence exhausted with 1 items unallocated"
+        with pytest.raises(MechanismError, match=f"^{message}$"):
+            mechanisms._sequence(Mechanism("pick-seq"), 2, 3)
 
 
 class TestPrExact24:
@@ -543,7 +555,7 @@ class TestGuarantees:
         orders = [derive_ranking(inst, i).order for i in range(2)]
         for eps in (Fraction(1, 2), Fraction(1), Fraction(1, 2)):
             seq = build_sqrt_sequence(sqrt_seq_params(2, 8, eps))
-            want = mechanisms._simulate_picks(orders, 8, seq.picks, seq.cyclic)
+            want = mechanisms._simulate_picks(orders, 8, seq.picks)
             alloc = run_mechanism(Mechanism("sqrt-seq", eps), ORDINAL, inst)
             assert alloc == Allocation.from_bundles(want)
 
@@ -560,6 +572,15 @@ class TestGuarantees:
                 assert inst.value(i, alloc.bundles[i]) >= bound * maximin_share(inst, i, n)
 
 
+def _built_sequence(mech, n, m):
+    """A sequence mechanism's picking sequence from its public builder."""
+    if mech.name == "pr":
+        return pr_sequence(n)
+    if mech.name == "sqrt-seq":
+        return build_sqrt_sequence(sqrt_seq_params(n, m, mech.epsilon))
+    return best_item_sequence(n, m)
+
+
 def _fresh_outcome(mech, orders, n, m, seed):
     """A value-oblivious mechanism's bundles from a freshly built sequence."""
     if mech.name == "random-uniform":
@@ -568,13 +589,9 @@ def _fresh_outcome(mech, orders, n, m, seed):
         for j in range(m):
             bundles[rng.randrange(n)].add(j)
         return tuple(map(frozenset, bundles))
-    if mech.name == "pr":
-        seq = pr_sequence(n)
-    elif mech.name == "sqrt-seq":
-        seq = build_sqrt_sequence(sqrt_seq_params(n, m, mech.epsilon))
-    else:
-        seq = best_item_sequence(n, m)
-    return tuple(map(frozenset, mechanisms._simulate_picks(orders, m, seq.picks, seq.cyclic)))
+    seq = _built_sequence(mech, n, m)
+    picks = tuple(islice(cycle(seq.picks) if seq.cyclic else seq.picks, m))
+    return tuple(map(frozenset, mechanisms._simulate_picks(orders, m, picks)))
 
 
 class TestOutcomeMemo:
@@ -609,8 +626,10 @@ class TestOutcomeMemo:
             for (mech, orders, n, m, seed), w in zip(cases, want):
                 rows = [tuple(range(m))] * n  # never read
                 assert mechanisms._allocate(mech, list(orders), rows, n, m, seed) == w
+        # the memo holds sequence outcomes only
         info = mechanisms._outcome.cache_info()
-        assert (info.misses, info.hits) == (len(cases), len(cases))
+        sequences = sum(case[0].name != "random-uniform" for case in cases)
+        assert (info.misses, info.hits) == (sequences, sequences)
 
     def test_stays_within_its_bound(self):
         mech = Mechanism("best-item")
@@ -680,6 +699,49 @@ class TestOutcomeMemo:
         warm = [verify_truthful_on_grid(*case) for case in cases]
         assert warm == cold
         assert [r.violations > 0 for r in cold] == [False, True, False, True, False, False, True]
+
+
+class TestSequencePicks:
+    # Every sequence mechanism, sqrt-seq at three epsilons, at every n <= 4
+    # and m <= 9 where it runs
+    MECHS = (
+        Mechanism("best-item"),
+        Mechanism("pick-seq"),
+        Mechanism("pr"),
+        Mechanism("sqrt-seq", Fraction(1, 2)),
+        Mechanism("sqrt-seq", Fraction(1)),
+        Mechanism("sqrt-seq", Fraction(2)),
+    )
+
+    def test_m_picks_of_the_public_builder(self):
+        runs = 0
+        for mech in self.MECHS:
+            for n, m in product(range(1, 5), range(10)):
+                try:
+                    seq = _built_sequence(mech, n, m)
+                except InfeasibleParams:
+                    with pytest.raises(InfeasibleParams):
+                        mechanisms._sequence(mech, n, m)
+                    continue
+                picks = mechanisms._sequence(mech, n, m)
+                assert len(picks) == m
+                assert all(p in range(n) for p in picks)
+                assert picks == tuple(islice(cycle(seq.picks) if seq.cyclic else seq.picks, m))
+                runs += 1
+        # 40 sizes each for best-item, pick-seq and pr; sqrt-seq runs at 67
+        assert runs == 3 * 40 + 67
+
+    def test_random_uniform_stays_out_of_the_outcome_memo(self):
+        rng, mech = random.Random(37), Mechanism("random-uniform")
+        mechanisms._outcome.cache_clear()
+        for n, m in ((1, 3), (2, 5), (3, 9), (4, 7)):
+            inst = random_instance(rng, n, m)
+            for seed in (0, 1):
+                before = mechanisms._outcome.cache_info()
+                alloc = run_mechanism(mech, CARDINAL, inst, None, seed)
+                after = mechanisms._outcome.cache_info()
+                assert (after.currsize, after.misses) == (before.currsize, before.misses)
+                assert alloc.bundles == _fresh_outcome(mech, None, n, m, seed)
 
 
 class TestRowsRead:

@@ -53,6 +53,29 @@ class TestOracleKnownValues:
         with pytest.raises(IndexError):
             maximin_share(ex23, 7, 2)
 
+    # an index operator.index refuses is one ValueError naming it, not a
+    # TypeError from deep in the search, nor silently truncated
+    def test_float_parts_refused(self, ex23):
+        with pytest.raises(ValueError, match=r"^parts 3\.0 is not an integer$"):
+            maximin_share(ex23, 0, 3.0)
+
+    def test_integral_float_parts_refused(self, ex23):
+        with pytest.raises(ValueError, match=r"^parts 2\.0 is not an integer$"):
+            maximin_share(ex23, 0, 2.0)
+
+    def test_float_player_refused(self, ex23):
+        with pytest.raises(ValueError, match=r"^player index 0\.0 is not an integer$"):
+            maximin_share(ex23, 0.0, 2)
+
+    def test_float_item_refused(self, ex23):
+        with pytest.raises(ValueError, match=r"^item index 0\.0 is not an integer$"):
+            maximin_share(ex23, 0, 2, items=[0.0, 1])
+
+    def test_numpy_indices_taken(self, ex23):
+        np = pytest.importorskip("numpy")
+        got = maximin_share(ex23, np.int64(2), np.int64(2), items=list(np.arange(2, 5)))
+        assert got == maximin_share(ex23, 2, 2, items=[2, 3, 4]) == 1
+
 
 class TestOracleEquivalence:
     def test_matches_bruteforce_random(self):

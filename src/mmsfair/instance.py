@@ -72,6 +72,16 @@ def _check_index(v, what: str) -> int:
         raise ValueError(f"{what} {v!r} is not an integer") from None
 
 
+def _item_set(items: Iterable[int], m: int) -> list[int]:
+    """The sorted distinct indices of ``items``, each checked by
+    :func:`_check_index` and to lie in ``range(m)``."""
+    subset = sorted({_check_index(j, "item index") for j in items})
+    for j in subset:
+        if not 0 <= j < m:
+            raise IndexError(f"item index {j} out of range [0, {m})")
+    return subset
+
+
 class MechanismError(ValueError):
     """Mechanism/model mismatch or invalid mechanism input."""
 
@@ -117,16 +127,11 @@ class Instance:
         return len(self.values[0])
 
     def value(self, player: int, items: Iterable[int]) -> Value:
-        """Exact sum of ``player``'s values over ``items``; the empty set is 0."""
+        """Exact sum of ``player``'s values over the set ``items``, a repeated
+        item counted once (:func:`_item_set`); the empty set is 0."""
         self._check_player(player)
-        row, m = self.values[player], self.m
-        total: Value = 0
-        for j in items:
-            j = _check_index(j, "item index")
-            if not 0 <= j < m:
-                raise IndexError(f"item index {j} out of range [0, {m})")
-            total += row[j]
-        return total
+        row = self.values[player]
+        return sum((row[j] for j in _item_set(items, self.m)), 0)
 
     def _check_player(self, player: int) -> None:
         if not 0 <= _check_index(player, "player index") < self.n:

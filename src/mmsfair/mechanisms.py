@@ -149,14 +149,13 @@ def pr_sequence(n: int) -> PickingSequence:
 
 def _simulate_picks(
     orders: Sequence[tuple[int, ...]],
-    m: int,
     picks: Sequence[int],
 ) -> list[list[int]]:
-    """Core picking loop on raw ranking orders: each of the ``m`` ``picks``
-    in turn takes that player's favorite remaining item.  Returns item lists
-    per player."""
+    """Core picking loop on raw ranking orders: each of the ``picks``, one
+    per item, in turn takes that player's favorite remaining item.  Returns
+    item lists per player."""
     bundles: list[list[int]] = [[] for _ in orders]
-    taken = bytearray(m)
+    taken = bytearray(len(picks))
     pointer = [0] * len(orders)
     for p in picks:
         order = orders[p]
@@ -183,7 +182,7 @@ def _pr_exact_24_top_wins(order, row) -> bool:
     return row[order[0]] >= row[order[1]] + row[order[2]]
 
 
-def _pr_exact_24_bundles(orders, rows, n, m, seed):
+def _pr_exact_24_bundles(orders, rows, seed):
     """Two-player, four-item exact mechanism on raw orders and reported rows.
 
     Distinct favorite items (no row read, by :func:`_pr_exact_24_reads`):
@@ -194,7 +193,7 @@ def _pr_exact_24_bundles(orders, rows, n, m, seed):
     the complement.
     """
     if not _pr_exact_24_reads(orders):
-        return _outcome(PR, None, 2, 4, tuple(orders))
+        return _outcome(PR, None, tuple(orders))
     o1 = orders[0]
     if _pr_exact_24_top_wins(o1, rows[0]):
         mine = frozenset((o1[0],))
@@ -255,7 +254,7 @@ def _proposal(row: tuple[Value, ...]) -> tuple[frozenset[int], frozenset[int]]:
     return best_two_partition(row)
 
 
-def _cut_and_choose_bundles(orders, rows, n, m, seed):
+def _cut_and_choose_bundles(orders, rows, seed):
     """Player 1 proposes her most balanced 2-partition; player 2 takes the
     side her report values more (tie: the side holding item 1)."""
     proposal_a, proposal_b = _proposal(tuple(rows[0]))
@@ -268,12 +267,15 @@ def _cut_and_choose_bundles(orders, rows, n, m, seed):
     return proposal_a, proposal_b
 
 
-def _random_uniform_bundles(orders, rows, n, m, seed):
+def _random_uniform_bundles(orders, rows, seed):
     """Each item to a player drawn uniformly at random; all randomness comes
-    from ``seed``, so the output is reproducible."""
-    rng = random.Random(seed)
+    from the int ``seed``, so the output is reproducible.  ``orders`` is
+    read for its size alone: n rankings over m items."""
+    if type(seed) is not int:
+        raise MechanismError(f"random-uniform needs an integer seed, not {seed!r}")
+    n, rng = len(orders), random.Random(seed)
     bundles: list[list[int]] = [[] for _ in range(n)]
-    for j in range(m):
+    for j in range(len(orders[0])):
         bundles[rng.randrange(n)].append(j)
     return tuple(map(frozenset, bundles))
 
@@ -281,12 +283,13 @@ def _random_uniform_bundles(orders, rows, n, m, seed):
 @dataclass(frozen=True)
 class _Spec:
     """One mechanism's record.  A sequence mechanism has ``sequence(mech, n,
-    m)``, any other ``bundles(orders, rows, n, m, seed)``, giving one frozenset
-    of items per player; :func:`_allocate` dispatches on which it has.  ``shape`` is the (players, items) it requires, items
-    ``None`` for any; ``bound(mech, n, m)`` is the proven fraction of the
-    maximin share; ``grid_decides(grid)`` says whether rows drawn from
-    ``grid`` reach every decision of a mechanism that reads values (by
-    default no grid does).
+    m)``, any other ``bundles(orders, rows, seed)``, giving one frozenset of
+    items per player; :func:`_allocate` dispatches on which it has.
+    ``shape`` is the (players, items) it requires, items ``None`` for any;
+    ``bound(mech, n, m)`` is the proven fraction of the maximin share;
+    ``grid_decides(grid)`` says whether rows drawn from ``grid`` reach
+    every decision of a mechanism that reads values (by default no grid
+    does).
     ``rows_read`` is the players whose reported value rows the allocation
     reads: replacing any other player's row, her order kept, leaves every
     bundle unchanged.  It is empty for a mechanism that reads no value: a
@@ -366,29 +369,27 @@ def _allocate(
     mech: Mechanism,
     orders: Sequence[tuple[int, ...]],
     rows: Sequence[Sequence[Value]],
-    n: int,
-    m: int,
     seed: int = 0,
 ) -> tuple[frozenset[int], ...]:
-    """One bundle per player from raw ranking orders and value rows.  A
-    sequence mechanism's outcome depends on the ranking profile alone, so it
-    is memoized per profile (``_outcome``); any other mechanism runs its
-    bundles function."""
+    """One bundle per player from raw ranking orders and value rows; the n
+    orders over m items give the size.  A sequence mechanism's outcome
+    depends on the ranking profile alone, so it is memoized per profile
+    (``_outcome``); any other mechanism runs its bundles function."""
     spec = _SPECS[mech.name]
     if spec.sequence is not None:
-        return _outcome(mech.name, mech.epsilon, n, m, tuple(orders))
-    return spec.bundles(orders, rows, n, m, seed)
+        return _outcome(mech.name, mech.epsilon, tuple(orders))
+    return spec.bundles(orders, rows, seed)
 
 
 @functools.lru_cache(maxsize=16384)
-def _outcome(name, epsilon, n, m, orders) -> tuple[frozenset[int], ...]:
-    """The outcome memo: a sequence mechanism's bundles, keyed by everything
-    they depend on.  The bundles are interned: they are the ``bundles`` of
-    the one :func:`_shared_allocation`, so an entry holds its key and a
-    reference, and profiles with one outcome share one tuple.  The bound
-    holds every ranking profile of a 2×5 grid (8,649 over {0,1,2})."""
-    picks = _sequence(Mechanism(name, epsilon), n, m)
-    bundles = tuple(map(frozenset, _simulate_picks(orders, m, picks)))
+def _outcome(name, epsilon, orders) -> tuple[frozenset[int], ...]:
+    """The outcome memo: a sequence mechanism's bundles, keyed by all they
+    depend on (``orders`` fixes n and m).  They are interned: they are the
+    ``bundles`` of the one :func:`_shared_allocation`, so an entry holds its
+    key and a reference, and profiles with one outcome share one tuple.  The
+    bound holds every ranking profile of a 2×5 grid (8,649 over {0,1,2})."""
+    picks = _sequence(Mechanism(name, epsilon), len(orders), len(orders[0]))
+    bundles = tuple(map(frozenset, _simulate_picks(orders, picks)))
     return _shared_allocation(bundles).bundles
 
 
@@ -491,7 +492,7 @@ def run_mechanism(
         orders, rows = tuple(map(ranking_order, values)), values
     else:
         orders, rows = _resolve_reports(model, inst, reported)
-    return _shared_allocation(_allocate(mech, orders, rows, n, m, seed))
+    return _shared_allocation(_allocate(mech, orders, rows, seed))
 
 
 @functools.lru_cache(maxsize=4096)

@@ -61,6 +61,7 @@ from .instance import (
     Instance,
     Value,
     _check_index,
+    _item_set,
     validate_allocation,
 )
 
@@ -130,10 +131,7 @@ def maximin_share(
     if items is None:
         subset = list(range(inst.m))
     else:
-        subset = sorted({_check_index(j, "item index") for j in items})
-        for j in subset:
-            if not 0 <= j < inst.m:
-                raise IndexError(f"item index {j} out of range [0, {inst.m})")
+        subset = _item_set(items, inst.m)
 
     row = inst.values[player]
     values = [row[j] for j in subset]
@@ -220,30 +218,25 @@ def _largest_sum(weights: Sequence[int], cap: int, nodes: list[int]) -> int:
 
 def _perfect_split(weights: Sequence[int], target: int) -> tuple[bool, int]:
     """Whether some subset of two or more nonnegative ``weights`` (sorted in
-    descending order) sums to ``target``, and the shift-or bitset it built of
-    the subset sums of the even-index weights, all of them after a miss.  The
-    decision is meet-in-the-middle on that bitset and the odd-index weights'.
-    Each side's largest weight joins its bitset only if the sides without
-    them miss ``target``, as they seldom do on a dense row."""
+    descending order) sums to ``target``, half their total rounded down, and
+    the shift-or bitset it built of the subset sums of the even-index
+    weights, all of them after a miss.  The decision is meet-in-the-middle
+    on that bitset, side A, and the odd-index weights', side B.  Subset sums
+    are symmetric (``b`` is one of B's exactly when ``sum(B) - b`` is), so
+    some ``a`` of A and ``b`` of B add up to ``target`` exactly when bit
+    ``a - c`` of B's bitset is set for ``c = target - sum(B)``: one shifted
+    AND.  Each odd-index weight is at most the even-index one before it, so
+    ``sum(B)`` is at most ``target`` and ``c`` is never negative.  Each
+    side's largest weight joins its bitset only if the sides without them
+    miss ``target``, as they seldom do on a dense row."""
     odd_rest = weights[3::2]
     bits_a, bits_b = _subset_bits(weights[2::2]), _subset_bits(odd_rest)
     c = target - sum(odd_rest)
-    if _meets(bits_a, bits_b, c):
+    if (bits_a >> c) & bits_b:
         return True, bits_a
     bits_a |= bits_a << weights[0]
     bits_b |= bits_b << weights[1]
-    return _meets(bits_a, bits_b, c - weights[1]), bits_a
-
-
-def _meets(bits_a: int, bits_b: int, c: int) -> bool:
-    """Whether some ``a`` set in ``bits_a`` and some ``b`` set in ``bits_b``,
-    the subset-sum bitset of weights ``B``, add up to ``c + sum(B)``.
-    Subset sums are symmetric (``b`` is one of ``B``'s exactly when
-    ``sum(B) - b`` is), so that holds exactly when bit ``a - c`` of
-    ``bits_b`` is set for some ``a``: one shifted AND."""
-    if c < 0:
-        return bool(bits_a & (bits_b >> -c))
-    return bool((bits_a >> c) & bits_b)
+    return bool((bits_a >> (c - weights[1])) & bits_b), bits_a
 
 
 def _split_words(weights: Sequence[int]) -> int:

@@ -186,10 +186,9 @@ def _reachable(
     row of hers under them (``_Spec.rows_read_under``), one allocation
     answers for the pool: the table of classes is empty, and every report
     reaches that one bundle, her truthful one."""
-    n, m = len(rows), len(rows[0])
     orders, rows = [ranking_order(row) for row in rows], list(rows)
     if model == PUBLIC_RANKINGS and player not in _SPECS[mech.name].rows_read_under(orders):
-        return {}, [(_allocate(mech, orders, rows, n, m)[player], pool[0])]
+        return {}, [(_allocate(mech, orders, rows)[player], pool[0])]
     report_class = _report_class(mech, player)
     by_class: dict = {}
     reached: dict[frozenset[int], object] = {}
@@ -197,7 +196,7 @@ def _reachable(
         _submit(model, orders, rows, player, report)
         key = report_class(orders[player], rows[player])
         if key not in by_class:
-            bundle = by_class[key] = _allocate(mech, orders, rows, n, m)[player]
+            bundle = by_class[key] = _allocate(mech, orders, rows)[player]
             reached.setdefault(bundle, report)
     return by_class, list(reached.items())
 

@@ -12,6 +12,7 @@ from mmsfair import (
     Ranking,
     derive_ranking,
     format_instance,
+    maximin_share,
     parse_instance,
     validate_allocation,
 )
@@ -99,6 +100,15 @@ class TestBundleValue:
             ex23.value(0, {5})
         with pytest.raises(IndexError):
             ex23.value(3, {0})
+
+    def test_repeated_item_counts_once(self):
+        # items are a set, as for maximin_share
+        inst = Instance.from_rows([[1, 2, 3], [1, 1, 1]])
+        assert inst.value(0, [2, 2]) == inst.value(0, {2}) == 3
+        assert maximin_share(inst, 0, 1, items=[2, 2]) == 3
+        assert inst.value(1, [0, 1, 0, 1]) == 2
+        with pytest.raises(IndexError, match=r"^item index 3 out of range \[0, 3\)$"):
+            inst.value(0, [2, 3, 2])
 
     def test_float_player_refused(self, ex23):
         with pytest.raises(ValueError, match=r"^player index 0\.0 is not an integer$"):

@@ -138,7 +138,7 @@ class TestPrExact24:
                 first += [j for j in range(4) if j not in first + second]
                 want = (frozenset(first), frozenset(second))
                 rows = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(2)]
-                assert mechanisms._allocate(exact, [o1, o2], rows, 2, 4) == want
+                assert mechanisms._allocate(exact, [o1, o2], rows) == want
                 strict = [tuple(4 - o.index(j) for j in range(4)) for o in (o1, o2)]
                 inst = Instance.from_rows(strict)
                 assert run_mechanism(pr, PUBLIC_RANKINGS, inst).bundles == want
@@ -329,6 +329,15 @@ class TestRandomUniform:
     def test_deterministic_given_seed(self):
         assert _random_uniform(3, 5, 7) == _random_uniform(3, 5, 7)
         assert _random_uniform(3, 5, 7) != _random_uniform(3, 5, 8)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True, [1]])
+    def test_seed_that_is_not_an_int_refused(self, seed):
+        # None would seed from the OS, so no two processes would agree
+        with pytest.raises(MechanismError, match=r"^random-uniform needs an integer seed, not "):
+            _random_uniform(3, 5, seed)
+
+    def test_negative_seed_runs(self):
+        assert _random_uniform(3, 5, -5) == _random_uniform(3, 5, -5)
 
     def test_empirical_frequency(self):
         mech, inst = Mechanism("random-uniform"), Instance.from_rows([[0] * 5] * 3)
@@ -555,7 +564,7 @@ class TestGuarantees:
         orders = [derive_ranking(inst, i).order for i in range(2)]
         for eps in (Fraction(1, 2), Fraction(1), Fraction(1, 2)):
             seq = build_sqrt_sequence(sqrt_seq_params(2, 8, eps))
-            want = mechanisms._simulate_picks(orders, 8, seq.picks)
+            want = mechanisms._simulate_picks(orders, seq.picks)
             alloc = run_mechanism(Mechanism("sqrt-seq", eps), ORDINAL, inst)
             assert alloc == Allocation.from_bundles(want)
 
@@ -591,7 +600,7 @@ def _fresh_outcome(mech, orders, n, m, seed):
         return tuple(map(frozenset, bundles))
     seq = _built_sequence(mech, n, m)
     picks = tuple(islice(cycle(seq.picks) if seq.cyclic else seq.picks, m))
-    return tuple(map(frozenset, mechanisms._simulate_picks(orders, m, picks)))
+    return tuple(map(frozenset, mechanisms._simulate_picks(orders, picks)))
 
 
 class TestOutcomeMemo:
@@ -625,7 +634,7 @@ class TestOutcomeMemo:
         for _ in range(2):  # cold, then warm
             for (mech, orders, n, m, seed), w in zip(cases, want):
                 rows = [tuple(range(m))] * n  # never read
-                assert mechanisms._allocate(mech, list(orders), rows, n, m, seed) == w
+                assert mechanisms._allocate(mech, list(orders), rows, seed) == w
         # the memo holds sequence outcomes only
         info = mechanisms._outcome.cache_info()
         sequences = sum(case[0].name != "random-uniform" for case in cases)
@@ -638,7 +647,7 @@ class TestOutcomeMemo:
         profiles = [(perm, others) for perm in permutations(range(8))]
         assert len(profiles) > bound
         for orders in profiles + profiles[:50]:
-            got = mechanisms._allocate(mech, orders, (), 2, 8)
+            got = mechanisms._allocate(mech, orders, ())
             assert got == _fresh_outcome(mech, orders, 2, 8, 0)
         assert mechanisms._outcome.cache_info().currsize <= bound
 
@@ -768,11 +777,11 @@ class TestRowsRead:
                 for _ in range(40):
                     orders = [tuple(rng.sample(range(m), m)) for _ in range(n)]
                     rows = [tuple(rng.randrange(6) for _ in range(m)) for _ in range(n)]
-                    bundles = mechanisms._allocate(mech, orders, rows, n, m)
+                    bundles = mechanisms._allocate(mech, orders, rows)
                     for i in range(n):
                         other = list(rows)
                         other[i] = tuple(rng.randrange(6) for _ in range(m))
-                        if mechanisms._allocate(mech, orders, other, n, m) != bundles:
+                        if mechanisms._allocate(mech, orders, other) != bundles:
                             assert i in rows_read, (mech, orders, rows, other)
                             moved.add((mech.name, i))
             assert sizes, mech
@@ -791,7 +800,7 @@ class TestRowsRead:
             for i, row in product(range(2), rows):
                 profile = [rows[0], rows[0]]
                 profile[i] = row
-                bundles = mechanisms._allocate(mech, orders, profile, 2, 4)
+                bundles = mechanisms._allocate(mech, orders, profile)
                 key = (i, spec.row_class(orders[i], row)) if i in read else i
                 assert seen.setdefault(key, bundles) == bundles, (orders, i, row)
             if read:
@@ -799,3 +808,25 @@ class TestRowsRead:
                 assert read == (0,) and orders[0][0] == orders[1][0]
                 assert seen[0, True] != seen[0, False]  # the class is all it reads
         assert shared == 24 * 6  # a shared favorite: a quarter of the pairs
+
+
+def _zero_item_cases():
+    for name in MECHANISM_NAMES:
+        mech = Mechanism(name, Fraction(1, 4) if name == "sqrt-seq" else None)
+        for model in sorted(models_for(mech)):
+            for n in (1, 2, 3):
+                yield mech, model, n
+
+
+@pytest.mark.parametrize("mech, model, n", list(_zero_item_cases()), ids=str)
+def test_zero_items(mech, model, n):
+    # every mechanism in each model it runs in, on n rankings of no item
+    inst = Instance(((),) * n)
+    if mech.name == "pr-exact-2-4" or (mech.name == "cut-and-choose" and n != 2):
+        with pytest.raises(MechanismError, match="requires exactly"):
+            run_mechanism(mech, model, inst)
+    elif mech.name == "sqrt-seq" and n >= 2:
+        with pytest.raises(InfeasibleParams):
+            run_mechanism(mech, model, inst)
+    else:
+        assert run_mechanism(mech, model, inst).bundles == (frozenset(),) * n

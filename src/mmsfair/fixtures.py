@@ -47,7 +47,8 @@ class ChainFixture:
     """An impossibility chain: profiles, deviation edges, and the
     approximation threshold the argued-about mechanisms would have to meet
     in ``model``.  A built-in chain's ``premise`` says from each profile's
-    bundle sizes whether its argument covers a mechanism; a file has none."""
+    bundle sizes whether its argument covers a mechanism; a file has none.
+    Profiles, rows and edges are stored as tuples, fixed before the checks."""
 
     name: str
     epsilon: Fraction
@@ -58,6 +59,8 @@ class ChainFixture:
     premise: Callable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "profiles", tuple(tuple(map(tuple, p)) for p in self.profiles))
+        object.__setattr__(self, "deviation_edges", tuple(map(tuple, self.deviation_edges)))
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if not self.profiles:

@@ -98,12 +98,15 @@ class InstanceError(ValueError):
 
 @dataclass(frozen=True)
 class Instance:
-    """A fair-division instance: one row of exact item values per player."""
+    """A fair-division instance: one row of exact item values per player.
+    The rows are stored as tuples before they are checked, so they cannot
+    change after the checks, and list rows equal and hash like tuple rows."""
 
     values: tuple[tuple[Value, ...], ...]
 
     def __post_init__(self):
-        values = self.values
+        values = tuple(map(tuple, self.values))
+        object.__setattr__(self, "values", values)
         if not values:
             raise InstanceError("an instance needs at least one player")
         m = len(values[0])
@@ -116,7 +119,8 @@ class Instance:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Value]]) -> "Instance":
-        return cls(tuple(map(tuple, rows)))
+        """The instance of ``rows``, any iterable of iterables of values."""
+        return cls(rows)
 
     @property
     def n(self) -> int:

@@ -257,7 +257,7 @@ def _proposal(row: tuple[Value, ...]) -> tuple[frozenset[int], frozenset[int]]:
 def _cut_and_choose_bundles(orders, rows, seed):
     """Player 1 proposes her most balanced 2-partition; player 2 takes the
     side her report values more (tie: the side holding item 1)."""
-    proposal_a, proposal_b = _proposal(tuple(rows[0]))
+    proposal_a, proposal_b = _proposal(rows[0])
     row2 = rows[1]
     va = sum(row2[j] for j in proposal_a)
     vb = sum(row2[j] for j in proposal_b)

@@ -450,7 +450,7 @@ def approximation_ratio(inst: Instance, alloc: Allocation):
             bundles = tuple(map(frozenset, bundles))
     worst = None
     for row, bundle in zip(values, bundles):
-        term = _rated_term(tuple(row), bundle, shape[0])
+        term = _rated_term(row, bundle, shape[0])
         if term is None:
             continue
         if worst is None or term[0] * worst[1] < worst[0] * term[1]:

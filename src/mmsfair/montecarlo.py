@@ -138,6 +138,9 @@ _RHO_RULE = "rho must be in [0, 1)"
 
 @dataclass(frozen=True)
 class MCConfig:
+    """A Monte-Carlo run of ``trials`` n x m draws.  ``distributions`` is
+    stored as a tuple before it is checked, so it cannot change after the checks."""
+
     n: int
     m: int
     distributions: tuple  # one distribution per player
@@ -146,6 +149,7 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "distributions", tuple(self.distributions))
         if self.n < 1 or self.m < 0:
             raise ValueError("need n >= 1 and m >= 0")
         if len(self.distributions) != self.n:

@@ -25,12 +25,14 @@ class PickingSequence:
     """A sequence of player indices; each named player takes her favorite
     remaining item in turn.  A cyclic sequence repeats until the items run
     out; a non-cyclic one must be long enough on its own, and is empty only
-    for no items."""
+    for no items.  ``picks`` is stored as a tuple before it is checked, so it
+    cannot change after the check."""
 
     picks: tuple[int, ...]
     cyclic: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "picks", tuple(self.picks))
         if self.cyclic and not self.picks:
             raise MechanismError("a cyclic picking sequence needs at least one pick")
 

@@ -119,6 +119,12 @@ class TestBuiltinFixtures:
                 deviation_edges=((0, 2, 0),),
             )
 
+    def test_edge_compares_list_and_tuple_rows_by_value(self):
+        # player 2's row is 2, 1 in both profiles, once as a list
+        profiles = (((1, 2), (2, 1)), ([1, 3], [2, 1]))
+        fix = ChainFixture("x", E, Fraction(1, 2), CARDINAL, profiles, ((0, 1, 0),))
+        assert fix.profiles[1] == ((1, 3), (2, 1))
+
     @pytest.mark.parametrize(
         "value, message",
         [

@@ -6,9 +6,14 @@ import pytest
 
 from conftest import EX23_TEXT, random_instance
 from mmsfair import (
+    CARDINAL,
     Allocation,
+    ChainFixture,
+    DiscreteUniform,
     Instance,
     InstanceError,
+    MCConfig,
+    PickingSequence,
     Ranking,
     derive_ranking,
     format_instance,
@@ -251,6 +256,57 @@ def test_row_errors_match_the_per_value_loop(rows):
         with pytest.raises(InstanceError) as err:
             build()
         assert str(err.value) == want
+
+
+# Each record built from lists and from tuples, and the fields that a
+# record stores as tuples.
+_FROM_LISTS = {
+    "instance": (
+        lambda seq: Instance(seq([seq([1, 2]), seq([2, Fraction(1, 2)])])),
+        lambda rec: rec.values,
+    ),
+    "chain-fixture": (
+        lambda seq: ChainFixture(
+            "x", Fraction(1, 10), Fraction(1, 2), CARDINAL,
+            seq([seq([seq([1, 2]), seq([2, 1])]), seq([seq([1, 3]), seq([2, 1])])]),
+            seq([seq([0, 1, 0])]),
+        ),
+        lambda rec: (rec.profiles, rec.deviation_edges),
+    ),
+    "picking-sequence": (
+        lambda seq: PickingSequence(seq([0, 1, 1]), cyclic=True),
+        lambda rec: rec.picks,
+    ),
+    "mc-config": (
+        lambda seq: MCConfig(
+            n=2, m=3, distributions=seq([DiscreteUniform(3)] * 2), rho=0.5, trials=5
+        ),
+        lambda rec: rec.distributions,
+    ),
+}
+
+
+def _all_tuples(data):
+    """Whether ``data`` is a tuple and so is each nested tuple-or-list in it."""
+    return type(data) is tuple and all(
+        _all_tuples(x) for x in data if isinstance(x, (tuple, list))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_FROM_LISTS))
+def test_record_from_lists_is_the_record_from_tuples(name):
+    build, fields = _FROM_LISTS[name]
+    from_lists, from_tuples = build(list), build(tuple)
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert _all_tuples(fields(from_lists))
+
+
+def test_checked_instance_rows_cannot_be_assigned():
+    inst = Instance(([1, 2], [2, 1]))
+    with pytest.raises(TypeError):
+        inst.values[0][0] = -5
+    assert maximin_share(inst, 0, 2) == 1
 
 
 class TestEnumerationSize:

@@ -495,8 +495,8 @@ class TestRunMechanism:
                 ), (mech, model, profile)
 
     def test_truthful_default_on_list_rows_equals_explicit_reports(self):
-        # an Instance built from list rows: truthful reports read its rows
-        # as they are, and its orders through ranking_order
+        # an Instance built from list rows stores them as tuples: truthful
+        # reports read those rows, and their orders through ranking_order
         rng = random.Random(41)
         for _ in range(60):
             n, m = rng.choice([(2, 4), (2, 5), (3, 3), (1, 6)])
@@ -505,7 +505,7 @@ class TestRunMechanism:
                 for _ in range(n)
             ]
             inst = Instance(tuple(rows))
-            assert all(type(row) is list for row in inst.values)
+            assert all(type(row) is tuple for row in inst.values)
             rankings = [derive_ranking(inst, i) for i in range(n)]
             for name in MECHANISM_NAMES:
                 mech = Mechanism(name, Fraction(2) if name == "sqrt-seq" else None)

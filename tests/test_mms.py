@@ -184,6 +184,64 @@ _SPLIT_ROWS = st.builds(
 )
 
 
+# Rows of the CI's 2x24 instances: the first row of split.txt, which the
+# differenced residual splits; whole.txt, whose residual misses and whose
+# whole row splits; and missed.txt, with no perfect partition.
+_SPLIT_TXT = [
+    352, 179, 616, 432, 237, 998, 770, 261, 986, 487, 391, 573, 64, 480, 553,
+    373, 315, 204, 482, 862, 758, 811, 684, 756,
+]
+_WHOLE_TXT = [
+    [2966, 1954, 1330, 1998, 958, 178, 68, 2902, 536, 388, 2159, 1244, 2325,
+     2637, 880, 1194, 290, 2147, 1094, 232, 1938, 2058, 402, 424],
+    [2737, 894, 968, 288, 1218, 1681, 176, 912, 1555, 1256, 10, 754, 2776,
+     400, 2569, 2075, 492, 16, 962, 1240, 1498, 2852, 1450, 1905],
+]
+_MISSED_TXT = [
+    [258, 2076, 519, 300, 1713, 2712, 1689, 2349, 2961, 2745, 1809, 711,
+     2073, 702, 606, 2220, 1080, 2835, 1578, 1749, 1356, 747, 1941, 2341],
+    [966, 2688, 2895, 432, 2943, 1716, 2748, 441, 2331, 912, 144, 1191,
+     219, 1209, 2511, 2592, 1182, 1305, 321, 492, 729, 1845, 81, 847],
+]
+
+
+def _spy_decisions(monkeypatch):
+    """Record, in call order, whether each split decision reached its
+    target: ``[True]`` when the differenced residual splits, ``[False,
+    True]`` when the whole row does after the residual misses, and
+    ``[False, False]`` when both miss."""
+    decisions = []
+    real = mms._split_decision
+
+    def spy(weights, target):
+        found, bits = real(weights, target)
+        decisions.append(found)
+        return found, bits
+
+    monkeypatch.setattr(mms, "_split_decision", spy)
+    return decisions
+
+
+def _third_draw_of_20():
+    """The third row of 20 values up to 10^4 drawn by random.Random(20):
+    at four differencing steps its residual has no even split, but the
+    whole row has one."""
+    rng = random.Random(20)
+    for _ in range(3):
+        row = [rng.randint(1, 10**4) for _ in range(20)]
+    return row
+
+
+# Dense rows of 16 to 28 values: most have a perfect partition; multiples
+# of 3 and one 1 often have none, as no subset sum is 2 mod 3.
+_DENSE_ROWS = st.one_of(
+    st.lists(st.integers(1, 1000), min_size=16, max_size=28),
+    st.lists(st.integers(1, 300), min_size=15, max_size=27).map(
+        lambda r: [3 * v for v in r] + [1]
+    ),
+)
+
+
 class TestTwoPartOracle:
     @DERANDOMIZED
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=9))
@@ -314,12 +372,7 @@ class TestTwoPartOracle:
         # only the odd-index weights to the even-index sums the split built,
         # gives the plain set of sums' answer and is charged no more nodes
         # than the bitset alone
-        missed = [
-            [258, 2076, 519, 300, 1713, 2712, 1689, 2349, 2961, 2745, 1809, 711,
-             2073, 702, 606, 2220, 1080, 2835, 1578, 1749, 1356, 747, 1941, 2341],
-            [966, 2688, 2895, 432, 2943, 1716, 2748, 441, 2331, 912, 144, 1191,
-             219, 1209, 2511, 2592, 1182, 1305, 321, 492, 729, 1845, 81, 847],
-        ]
+        missed = list(_MISSED_TXT)
         rng = random.Random(2024)
         while len(missed) < 8:
             row = [3 * rng.randint(1, 1000) for _ in range(23)] + [3 * rng.randint(1, 1000) - 2]
@@ -340,6 +393,71 @@ class TestTwoPartOracle:
             evens = weights[0::2]
             assert calls == [(weights[1::2], half, mms._subset_bits(evens), sum(evens))]
             assert nodes == [mms._prices(len(weights), half)[0] // mms._NODE_WORDS]
+
+    def test_residual_split_answers(self, monkeypatch):
+        decisions = _spy_decisions(monkeypatch)
+        share, used = _two_part_route(_SPLIT_TXT)
+        assert used == ["_perfect_split"] and decisions == [True]
+        assert share == _set_of_sums_half(_SPLIT_TXT) == sum(_SPLIT_TXT) // 2
+
+    @pytest.mark.parametrize("row", [_third_draw_of_20()] + _WHOLE_TXT)
+    def test_whole_split_answers_after_a_residual_miss(self, monkeypatch, row):
+        decisions = _spy_decisions(monkeypatch)
+        share, used = _two_part_route(row)
+        assert used == ["_perfect_split"] and decisions == [False, True]
+        assert share == _set_of_sums_half(row) == sum(row) // 2
+
+    @pytest.mark.parametrize("row", _MISSED_TXT)
+    def test_both_splits_miss(self, monkeypatch, row):
+        decisions = _spy_decisions(monkeypatch)
+        share, used = _two_part_route(row)
+        assert used == ["_perfect_split", "_two_parts_bitset"]
+        assert decisions == [False, False]
+        assert share == _set_of_sums_half(row) < sum(row) // 2
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_DENSE_ROWS)
+    def test_dense_rows_match_set_of_sums(self, row):
+        with pytest.MonkeyPatch.context() as mp:
+            decisions = _spy_decisions(mp)
+            share, used = _two_part_route(row)
+        assert share == _set_of_sums_half(row)
+        assert decisions in ([], [True], [False, True], [False, False])
+        assert (used == ["_perfect_split", "_two_parts_bitset"]) == (decisions == [False, False])
+
+    def test_residual_stage_is_charged_within_the_split_price(self, monkeypatch):
+        # a dense row is charged no more than its masked bitset's price, and
+        # a row the residual splits no more than the whole row's split
+        charges = []
+        real_spend = mms._spend
+
+        def spend(nodes, count):
+            charges.append(count)
+            real_spend(nodes, count)
+
+        monkeypatch.setattr(mms, "_spend", spend)
+        decisions = _spy_decisions(monkeypatch)
+        rng = random.Random(4100)
+        outcomes = set()
+        for top in (10**3, 10**4, 10**5):
+            for m in (20, 24, 28):
+                for i in range(6):
+                    row = [rng.randint(1, top) for _ in range(m)]
+                    if i % 2:
+                        row = [3 * v for v in row[:-1]] + [1]
+                    weights = sorted(row, reverse=True)
+                    charges.clear()
+                    decisions.clear()
+                    mms._max_min_two_parts(weights, [0])
+                    unit = math.gcd(*weights)
+                    weights = [w // unit for w in weights]
+                    words = mms._prices(len(weights), sum(weights) // 2)[0]
+                    assert sum(charges) <= words // mms._NODE_WORDS
+                    if decisions == [True]:
+                        split = min(mms._split_words(weights), words) // mms._NODE_WORDS
+                        assert sum(charges) <= split
+                    outcomes.add(tuple(decisions))
+        assert {(True,), (False, False)} <= outcomes
 
     @pytest.mark.parametrize("m", range(10, 23))
     def test_meet_in_the_middle(self, m):

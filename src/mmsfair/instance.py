@@ -187,12 +187,12 @@ class Allocation:
 
     It is immutable, so one object may be shared, as
     :func:`~mmsfair.mechanisms.run_mechanism` shares one per distinct
-    outcome.  A tuple of frozensets that
-    :func:`~mmsfair.mms.approximation_ratio` found valid keeps the instance
-    shape ``(n, m)`` it was checked for, outside its fields (no ``repr`` or
-    ``==`` reads it), and is not checked again for that shape.  Its
-    rating then reads two memos: each player's term by (row, bundle), and
-    each share by the multiset of the row's values.
+    outcome.  Those outcomes are built valid and carry their shape
+    ``(n, m)`` outside their fields (no ``repr`` or ``==`` reads it), so
+    :func:`~mmsfair.mms.approximation_ratio` does not check them at that
+    shape; any other allocation is checked on every rating, and no rating
+    writes to it.  A rating reads two memos: each player's term by (row,
+    bundle), and each share by the multiset of the row's values.
     """
 
     bundles: tuple[frozenset[int], ...]

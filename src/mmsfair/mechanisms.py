@@ -482,8 +482,9 @@ def run_mechanism(
     orders and rows in every model.
 
     Equal outcomes give one shared :class:`Allocation`, from the
-    :func:`_shared_allocation` memo: it is immutable, and
-    :func:`~mmsfair.mms.approximation_ratio` checks it once for its shape.
+    :func:`_shared_allocation` memo.  It is built valid and marked with its
+    shape, so :func:`~mmsfair.mms.approximation_ratio` never checks it at
+    that shape.
     """
     values = inst.values
     n, m = len(values), len(values[0])
@@ -497,10 +498,16 @@ def run_mechanism(
 
 @functools.lru_cache(maxsize=4096)
 def _shared_allocation(bundles: tuple[frozenset[int], ...]) -> Allocation:
-    """The one :class:`Allocation` of ``bundles``.  Keying by the bundles is
-    safe here: every item a mechanism gives has indexed the rows, so it
-    passes :func:`operator.index`, and equal keys hold items that index the
-    same row entries.  It also interns :func:`_outcome`'s bundles, so a miss
-    there looks its new bundles up here, and a run that misses both builds
-    one :class:`Allocation`, not two."""
-    return Allocation(bundles)
+    """The one :class:`Allocation` of ``bundles``, a mechanism's outcome,
+    marked valid for its shape: every outcome is a partition of
+    ``range(m)`` into ``n`` bundles of int items, so
+    :func:`~mmsfair.mms.approximation_ratio` rates it at that shape with no
+    check.  Keying by the bundles is safe here: every item a mechanism gives
+    has indexed the rows, so it passes :func:`operator.index`, and equal
+    keys hold items that index the same row entries.  It also interns
+    :func:`_outcome`'s bundles, so a miss there looks its new bundles up
+    here, and a run that misses both builds one :class:`Allocation`, not
+    two."""
+    alloc = Allocation(bundles)
+    object.__setattr__(alloc, "_valid_shape", (len(bundles), sum(map(len, bundles))))
+    return alloc

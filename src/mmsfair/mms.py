@@ -24,9 +24,8 @@ made first on the residual of a few differencing steps, whose bitsets are
 about half as wide: each sign assignment of the residual is one of the
 row, and differencing keeps the total's parity, so a residual split at half
 its total is a partition of the row whose difference is ``total % 2``.  A
-miss decides the whole row as before; on a row with no perfect partition
-the two decisions and the masked bitset take about a sixth longer than the
-last two alone.
+miss decides the whole row.  The split is a yes/no exit: when both
+decisions miss, the masked bitset runs over all the weights.
 
 Three or more bundles start from the k-way largest differencing partition
 (Korf, AIJ 1998) and improve it by sequential number partitioning (Korf,
@@ -40,9 +39,9 @@ search nodes; a larger one is refused with
 
 Approximation ratios are compared as integer pairs (numerator, denominator)
 by cross-multiplication; only the worst ratio is returned, as a ``Fraction``.
-An allocation is checked in full once per object and instance shape: an
-immutable one found valid keeps that shape, so the one shared allocation of
-each mechanism outcome is not checked again.  Its players' terms come from
+An allocation is checked in full on every rating, unless it is a mechanism
+outcome, which is built valid and marked with its shape; a rating never
+writes to the allocation it rates.  Its players' terms come from
 a bounded memo keyed by (row, bundle, bundle count), each term's pair and
 ``Fraction`` worked out once.  The shares a term divides by come from a
 bounded memo keyed by the row's values sorted in descending order and the
@@ -200,17 +199,15 @@ def _max_min_two_parts(weights: Sequence[int], nodes: list[int]) -> int:
         words, meet_words = _prices(len(weights), half)
         if words <= meet_words:
             # the split, its residual stage included, is charged its own
-            # price, capped at the bitset's, and a bitset run after a miss
-            # only the rest: the decision never costs more nodes than the
-            # bitset alone
+            # price, capped at the bitset's; after a miss the bitset runs in
+            # full but is charged only the rest, so the dense path never
+            # costs more nodes than the bitset alone
             paid = min(_split_words(weights), words) // _NODE_WORDS
             _spend(nodes, paid)
-            found, evens = _perfect_split(weights, half)
-            if found:
+            if _perfect_split(weights, half):
                 return unit * half
             _spend(nodes, words // _NODE_WORDS - paid)
-            # the even-index weights' sums are held: only the odd ones go in
-            return unit * _two_parts_bitset(weights[1::2], half, evens, sum(weights[0::2]))
+            return unit * _two_parts_bitset(weights, half)
     return unit * _largest_sum(weights, half, nodes)
 
 
@@ -233,40 +230,37 @@ def _largest_sum(weights: Sequence[int], cap: int, nodes: list[int]) -> int:
     return _two_parts_meet(weights, cap)
 
 
-def _perfect_split(weights: Sequence[int], target: int) -> tuple[bool, int]:
+def _perfect_split(weights: Sequence[int], target: int) -> bool:
     """Whether some subset of two or more nonnegative ``weights`` (sorted in
-    descending order) sums to ``target``, half their total rounded down, and
-    after a miss the shift-or bitset it built of the subset sums of the
-    even-index weights.
+    descending order) sums to ``target``, half their total rounded down: a
+    yes/no exit, whose caller runs the masked bitset on a no.
 
     The row first takes :data:`_RESIDUAL_STEPS` Karmarkar-Karp steps, each
     replacing its two largest numbers by their difference, and the narrower
     residual is decided first.  Every sign assignment of the residual is
     one of the row, and differencing keeps the total's parity, so a
     residual subset that sums to half the residual's total is a partition
-    of the row whose difference is ``total % 2``: ``target`` is reached.  A miss proves nothing, and the
-    whole row is decided as if the residual had not been tried: the two
-    shares of a 2x24 instance with no perfect partition (values up to
-    3,000) took about 89 us, against 76 us with no residual stage.  The
-    caller charges the split's estimated price, not raised for the
-    residual: on 612 seeded rows of 16 to 32 values it exceeded the words
-    both decisions shift together."""
+    of the row whose difference is ``total % 2``: ``target`` is reached.
+    A miss proves nothing, and the whole row is decided as if the residual
+    had not been tried.  The caller charges the split's estimated price,
+    not raised for the residual: on 612 seeded rows of 16 to 32 values it
+    exceeded the words both decisions shift together."""
     residual = list(reversed(weights))  # ascending
     for _ in range(min(_RESIDUAL_STEPS, len(residual) - 1)):
         largest = residual.pop()
         insort(residual, largest - residual.pop())
     residual = [w for w in reversed(residual) if w]
-    if len(residual) > 1 and _split_decision(residual, sum(residual) // 2)[0]:
-        return True, 0
+    if len(residual) > 1 and _split_decision(residual, sum(residual) // 2):
+        return True
     return _split_decision(weights, target)
 
 
-def _split_decision(weights: Sequence[int], target: int) -> tuple[bool, int]:
-    """:func:`_perfect_split`'s decision, with no differencing, and the
-    bitset of the even-index weights' subset sums, all of them after a
-    miss.  The decision is meet-in-the-middle on that bitset, side A, and
-    the odd-index weights', side B.  Subset sums are symmetric (``b`` is
-    one of B's exactly when ``sum(B) - b`` is), so some ``a`` of A and
+def _split_decision(weights: Sequence[int], target: int) -> bool:
+    """:func:`_perfect_split`'s decision, with no differencing: whether some
+    subset of ``weights`` sums to ``target``.  It is meet-in-the-middle on
+    the shift-or bitsets of the even-index weights' subset sums, side A,
+    and the odd-index weights', side B.  Subset sums are symmetric (``b``
+    is one of B's exactly when ``sum(B) - b`` is), so some ``a`` of A and
     ``b`` of B add up to ``target`` exactly when bit ``a - c`` of B's
     bitset is set for ``c = target - sum(B)``: one shifted AND.  Each
     odd-index weight is at most the even-index one before it, so ``sum(B)``
@@ -277,10 +271,10 @@ def _split_decision(weights: Sequence[int], target: int) -> tuple[bool, int]:
     bits_a, bits_b = _subset_bits(weights[2::2]), _subset_bits(odd_rest)
     c = target - sum(odd_rest)
     if (bits_a >> c) & bits_b:
-        return True, bits_a
+        return True
     bits_a |= bits_a << weights[0]
     bits_b |= bits_b << weights[1]
-    return bool((bits_a >> (c - weights[1])) & bits_b), bits_a
+    return bool((bits_a >> (c - weights[1])) & bits_b)
 
 
 def _split_words(weights: Sequence[int]) -> int:
@@ -304,16 +298,13 @@ def _subset_bits(weights: Sequence[int]) -> int:
     return bits
 
 
-def _two_parts_bitset(
-    weights: Sequence[int], cap: int, bits: int = 1, prefix: int = 0
-) -> int:
-    """Largest sum up to ``cap`` of a subset of ``weights`` and a sum set in
-    ``bits`` (by default only 0), the largest of which is ``prefix``, by a
-    shift-or bitset of achievable sums.  Items go in reverse order,
-    ascending for the oracle's weights, so the bitset stays short while the
-    prefix sums are small; no sum passes ``cap`` before the prefix sum
-    does, so only from then on is the bitset masked to ``cap + 1`` bits."""
-    mask = (1 << (cap + 1)) - 1
+def _two_parts_bitset(weights: Sequence[int], cap: int) -> int:
+    """Largest subset sum up to ``cap`` of ``weights``, by a shift-or bitset
+    of achievable sums.  Items go in reverse order, ascending for the
+    oracle's weights, so the bitset stays short while the prefix sums are
+    small; no sum passes ``cap`` before the prefix sum does, so only from
+    then on is the bitset masked to ``cap + 1`` bits."""
+    bits, prefix, mask = 1, 0, (1 << (cap + 1)) - 1
     for w in reversed(weights):
         prefix += w
         bits |= bits << w
@@ -475,12 +466,12 @@ def approximation_ratio(inst: Instance, alloc: Allocation):
     ratings that reach one term share one ``Fraction``.
 
     :func:`~mmsfair.instance.validate_allocation` checks ``alloc`` in full
-    unless this very object was found valid for ``(inst.n, inst.m)``
-    before.  Only a tuple of frozensets, which cannot change, keeps that
-    verdict, as the shape it holds outside its fields; no verdict is keyed
-    by equal bundles, as ``frozenset({0.0}) == frozenset({0})``.  Every
-    player's term comes from the :func:`_rated_term` memo; bundles of any
-    other kind are looked up there as frozensets of their items.
+    unless it carries the mark ``_valid_shape == (inst.n, inst.m)``, which
+    only :func:`~mmsfair.mechanisms.run_mechanism`'s outcomes carry: they
+    are built valid for their shape, so rating one checks nothing.  Any
+    other allocation is checked on every rating, and ``alloc`` is never
+    written to.  Every player's term comes from the :func:`_rated_term`
+    memo, keyed by the bundle as a frozenset of its items.
     """
     values, bundles = inst.values, alloc.bundles
     shape = len(values), len(values[0])
@@ -488,10 +479,7 @@ def approximation_ratio(inst: Instance, alloc: Allocation):
         violations = validate_allocation(inst, alloc)
         if violations:
             raise ValueError("invalid allocation: " + "; ".join(violations))
-        if type(bundles) is tuple and all(type(b) is frozenset for b in bundles):
-            object.__setattr__(alloc, "_valid_shape", shape)
-        else:
-            bundles = tuple(map(frozenset, bundles))
+        bundles = tuple(map(frozenset, bundles))
     worst = None
     for row, bundle in zip(values, bundles):
         term = _rated_term(row, bundle, shape[0])

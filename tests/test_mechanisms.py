@@ -5,6 +5,8 @@ from dataclasses import replace
 from itertools import cycle, islice, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instance
 from mmsfair import (
@@ -18,6 +20,7 @@ from mmsfair import (
     Instance,
     Mechanism,
     MechanismError,
+    UNBOUNDED,
     approximation_ratio,
     best_item_sequence,
     derive_ranking,
@@ -25,6 +28,7 @@ from mmsfair import (
     models_for,
     pr_sequence,
     run_mechanism,
+    theoretical_ratio,
     validate_allocation,
     verify_truthful_on_grid,
 )
@@ -349,6 +353,27 @@ class TestRandomUniform:
         assert abs(hits / trials - 1 / 3) < 0.01
 
 
+def _sequence_sizes():
+    """(mechanism, n, m) for every sequence mechanism, sqrt-seq at epsilon
+    2, at n <= 4 and m <= 7, less the sizes its sequence is refused at."""
+    mechs = [
+        Mechanism(name, Fraction(2) if mechanisms._SPECS[name].takes_epsilon else None)
+        for name, spec in mechanisms._SPECS.items()
+        if spec.sequence is not None
+    ]
+    sizes = []
+    for mech, n, m in product(mechs, range(1, 5), range(8)):
+        try:
+            mechanisms._sequence(mech, n, m)
+        except (MechanismError, InfeasibleParams):
+            continue
+        sizes.append((mech, n, m))
+    return sizes
+
+
+_SEQUENCE_SIZES = _sequence_sizes()
+
+
 class TestRunMechanism:
     def test_best_item_ordinal(self, ex23):
         alloc = run_mechanism(Mechanism("best-item"), ORDINAL, ex23)
@@ -455,6 +480,20 @@ class TestRunMechanism:
                     for bundle in base.bundles
                 )
                 assert moved.bundles == expect
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_renaming_items_renames_every_sequence_outcome(self, data):
+        # every sequence mechanism at n <= 4, m <= 7 where it is defined: a
+        # renaming sigma of the items in a strict ranking profile renames
+        # the raw outcome the same way
+        mech, n, m = data.draw(st.sampled_from(_SEQUENCE_SIZES))
+        orders = [tuple(data.draw(st.permutations(range(m)))) for _ in range(n)]
+        sigma = data.draw(st.permutations(range(m)))
+        renamed = [tuple(sigma[j] for j in order) for order in orders]
+        base = mechanisms._allocate(mech, orders, ())
+        moved = mechanisms._allocate(mech, renamed, ())
+        assert moved == tuple(frozenset(sigma[j] for j in bundle) for bundle in base)
 
     def test_value_oblivious_scaling_invariance(self):
         rng = random.Random(19)
@@ -567,6 +606,37 @@ class TestGuarantees:
             want = mechanisms._simulate_picks(orders, seq.picks)
             alloc = run_mechanism(Mechanism("sqrt-seq", eps), ORDINAL, inst)
             assert alloc == Allocation.from_bundles(want)
+
+    # (n, m, value grid): every instance over the grid is rated
+    GRIDS = ((2, 4, (0, 1, 2)), (3, 3, (0, 1, 2)), (2, 5, (0, 1)), (2, 6, (0, 1)))
+
+    @pytest.mark.parametrize(
+        "mech",
+        [
+            Mechanism("best-item"),
+            Mechanism("pick-seq"),
+            Mechanism("pr"),
+            Mechanism("sqrt-seq", Fraction(2)),
+        ],
+        ids=str,
+    )
+    def test_worst_grid_ratio_meets_the_proven_bound(self, mech):
+        for n, m, grid in self.GRIDS:
+            try:
+                mechanisms._sequence(mech, n, m)
+            except InfeasibleParams:  # sqrt-seq at 3x3
+                continue
+            rows = list(product(grid, repeat=m))
+            ratios = []
+            for profile in product(rows, repeat=n):
+                inst = Instance.from_rows(profile)
+                ratio = approximation_ratio(inst, run_mechanism(mech, CARDINAL, inst))
+                if ratio is not UNBOUNDED:
+                    ratios.append(ratio)
+            bound = theoretical_ratio(mech, n, m)
+            assert min(ratios) >= bound
+            if mech.name in ("best-item", "pick-seq"):
+                assert min(ratios) == bound  # tight on these grids
 
     def test_pick_seq_guarantee_random(self):
         rng = random.Random(59)

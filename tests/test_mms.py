@@ -1,5 +1,6 @@
 import inspect
 import math
+import pickle
 import random
 import sys
 import time
@@ -19,6 +20,7 @@ from mmsfair import (
     Mechanism,
     approximation_ratio,
     maximin_share,
+    mechanisms,
     mms,
     run_mechanism,
 )
@@ -214,9 +216,9 @@ def _spy_decisions(monkeypatch):
     real = mms._split_decision
 
     def spy(weights, target):
-        found, bits = real(weights, target)
+        found = real(weights, target)
         decisions.append(found)
-        return found, bits
+        return found
 
     monkeypatch.setattr(mms, "_split_decision", spy)
     return decisions
@@ -330,10 +332,8 @@ class TestTwoPartOracle:
     @example([8, 7, 6, 5, 4, 3, 2, 1, 9, 10, 11, 12])
     def test_perfect_split_matches_set_of_sums(self, row):
         half, weights = sum(row) // 2, sorted(row, reverse=True)
-        reached, evens = mms._perfect_split(weights, half)
+        reached = mms._perfect_split(weights, half)
         assert reached == (_set_of_sums_half(row) == half)
-        if not reached:  # a miss hands on every even-index weight's sums
-            assert evens == mms._subset_bits(weights[0::2])
 
     @DERANDOMIZED
     @given(_SPLIT_ROWS, st.sampled_from([1, 7]))
@@ -366,12 +366,11 @@ class TestTwoPartOracle:
             else:
                 assert nodes == [words // mms._NODE_WORDS]
 
-    def test_missed_split_continues_from_the_even_sums(self, monkeypatch):
+    def test_missed_split_runs_the_masked_bitset(self, monkeypatch):
         # the two rows of the CI's missed.txt and seeded rows of multiples
-        # of 3 and one value of 1 mod 3: after a miss the masked bitset adds
-        # only the odd-index weights to the even-index sums the split built,
-        # gives the plain set of sums' answer and is charged no more nodes
-        # than the bitset alone
+        # of 3 and one value of 1 mod 3: after a miss the masked bitset runs
+        # over all the weights, gives the plain set of sums' answer and is
+        # charged no more nodes than the bitset alone
         missed = list(_MISSED_TXT)
         rng = random.Random(2024)
         while len(missed) < 8:
@@ -390,8 +389,7 @@ class TestTwoPartOracle:
             weights, half, nodes = sorted(row, reverse=True), sum(row) // 2, [0]
             calls.clear()
             assert mms._max_min_two_parts(weights, nodes) == _set_of_sums_half(row) < half
-            evens = weights[0::2]
-            assert calls == [(weights[1::2], half, mms._subset_bits(evens), sum(evens))]
+            assert calls == [(weights, half)]
             assert nodes == [mms._prices(len(weights), half)[0] // mms._NODE_WORDS]
 
     def test_residual_split_answers(self, monkeypatch):
@@ -1144,6 +1142,37 @@ class TestCheckedOnce:
         # the shape it keeps is no field
         plain = Allocation(alloc.bundles)
         assert alloc == plain and hash(alloc) == hash(plain) and repr(alloc) == repr(plain)
+
+    @staticmethod
+    def _spy_checks(monkeypatch):
+        checks = []
+        real = mms.validate_allocation
+
+        def spy(inst, alloc):
+            checks.append(alloc)
+            return real(inst, alloc)
+
+        monkeypatch.setattr(mms, "validate_allocation", spy)
+        return checks
+
+    def test_rating_writes_nothing_onto_a_user_allocation(self, monkeypatch):
+        checks = self._spy_checks(monkeypatch)
+        alloc = Allocation((frozenset({0, 3}), frozenset({1, 2})))
+        state, pickled = dict(vars(alloc)), pickle.dumps(alloc)
+        assert approximation_ratio(self.INST, alloc) == 1
+        assert approximation_ratio(self.INST, alloc) == 1
+        assert vars(alloc) == state and pickle.dumps(alloc) == pickled
+        assert checks == [alloc, alloc]  # checked on every rating
+        wider = Instance.from_rows([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
+        assert self._refusal(wider, alloc) == "invalid allocation: item 5 unassigned"
+
+    def test_a_fresh_outcome_is_rated_with_no_check(self, monkeypatch):
+        mechanisms._outcome.cache_clear()
+        mechanisms._shared_allocation.cache_clear()
+        checks = self._spy_checks(monkeypatch)
+        alloc = run_mechanism(Mechanism("pick-seq"), "ordinal", self.INST)
+        assert approximation_ratio(self.INST, alloc) == Fraction(4, 5)
+        assert checks == []
 
     @pytest.mark.parametrize(
         "name, model", [("best-item", "cardinal"), ("pr-exact-2-4", "public-rankings")]

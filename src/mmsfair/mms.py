@@ -5,18 +5,19 @@ largest value she can guarantee by partitioning ``S`` into ``k`` bundles and
 keeping the worst one.  Empty bundles are legal (they are forced whenever
 ``|S| < k``, in which case the share is 0).
 
-The oracle is exact.  Internally the player's values are scaled to integers.
-Two bundles are a number-partitioning problem: the share is the largest
-subset sum not above half the total.  A narrow row is swept with a shift-or
-bitset of achievable sums.  A wider row first tries Karmarkar-Karp
-differencing (Korf, AIJ 1998), whose partition is provably optimal when its
-difference is ``total % 2``.  Past that exit the weights are divided by
-their greatest common divisor, which shrinks every bitset by that factor,
-and the answer is multiplied back.  Then the cheaper of two exact methods,
-by a cost estimate from the item count and the total, answers: the bitset,
-masked to half the total, or meet-in-the-middle over the subset sums of two
-halves of the items (Horowitz & Sahni, JACM 1974).  Where the bitset is the
-cheaper and the row has more subsets than sums up to half, a perfect
+The oracle is exact.  An integer row is read in place, a rational one
+scaled to integers.  Two bundles are a number-partitioning problem: the
+share is the largest subset sum not above half the total.  A narrow row is
+swept with a shift-or bitset of achievable sums.  A wider row first tries
+Karmarkar-Karp differencing (Korf, AIJ 1998) on a sorted list, whose
+partition is provably optimal when its difference is ``total % 2``.  Past
+that exit the weights are divided by their greatest common divisor, which
+shrinks every bitset by that factor, and the answer is multiplied back.
+Then the cheaper of two exact methods, by a cost estimate from the item
+count and the total, answers: the bitset, masked to half the total, or
+meet-in-the-middle over the sorted subset sums of two halves of the items
+(Horowitz & Sahni, JACM 1974), met in one merge pass.  Where the bitset is
+the cheaper and the row has more subsets than sums up to half, a perfect
 partition is all but sure, and a split decision is tried first: the
 unmasked bitsets of the two halves' subset sums, which are symmetric, meet
 at half the total exactly when one shifted AND of them is nonzero.  It is
@@ -56,7 +57,7 @@ import heapq
 import itertools
 import math
 import operator
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import Generator, Iterable, Sequence
 
@@ -143,13 +144,9 @@ def maximin_share(
     parts = _check_index(parts, "parts")
     if parts < 1:
         raise ValueError("parts must be at least 1")
-    if items is None:
-        subset = list(range(inst.m))
-    else:
-        subset = _item_set(items, inst.m)
-
-    row = inst.values[player]
-    values = [row[j] for j in subset]
+    values = inst.values[player]
+    if items is not None:
+        values = [values[j] for j in _item_set(items, inst.m)]
     if parts == 1:
         return Fraction(sum(values))
 
@@ -166,7 +163,10 @@ def maximin_share(
 
 
 def _integer_row(values: Sequence[Value]) -> tuple[list[int], int]:
-    """``values`` times their least common denominator, and that scale."""
+    """``values`` times their least common denominator, and that scale: a
+    row of ``int`` values only (no ``bool``) is listed unscaled, scale 1."""
+    if set(map(type, values)) <= {int}:
+        return list(values), 1
     scale = math.lcm(*(v.denominator for v in values))
     return [int(v * scale) for v in values], scale
 
@@ -188,7 +188,7 @@ def _max_min_two_parts(weights: Sequence[int], nodes: list[int]) -> int:
     """
     total = sum(weights)
     half = total // 2
-    if half >= _NARROW_HALF and _karmarkar_karp(weights) == total % 2:
+    if half >= _NARROW_HALF and _karmarkar_karp(weights, len(weights) - 1) == [total % 2]:
         return half
     unit = math.gcd(*weights)
     if unit > 1:
@@ -235,20 +235,17 @@ def _perfect_split(weights: Sequence[int], target: int) -> bool:
     descending order) sums to ``target``, half their total rounded down: a
     yes/no exit, whose caller runs the masked bitset on a no.
 
-    The row first takes :data:`_RESIDUAL_STEPS` Karmarkar-Karp steps, each
-    replacing its two largest numbers by their difference, and the narrower
-    residual is decided first.  Every sign assignment of the residual is
-    one of the row, and differencing keeps the total's parity, so a
-    residual subset that sums to half the residual's total is a partition
-    of the row whose difference is ``total % 2``: ``target`` is reached.
+    The narrower residual of :data:`_RESIDUAL_STEPS` steps of
+    :func:`_karmarkar_karp`, the loop the differencing exit runs, is decided
+    first.  Every sign assignment of the residual is one of the row, and
+    differencing keeps the total's parity, so a residual subset that sums
+    to half its total is a partition of the row whose difference is
+    ``total % 2``: ``target`` is reached.
     A miss proves nothing, and the whole row is decided as if the residual
     had not been tried.  The caller charges the split's estimated price,
     not raised for the residual: on 612 seeded rows of 16 to 32 values it
     exceeded the words both decisions shift together."""
-    residual = list(reversed(weights))  # ascending
-    for _ in range(min(_RESIDUAL_STEPS, len(residual) - 1)):
-        largest = residual.pop()
-        insort(residual, largest - residual.pop())
+    residual = _karmarkar_karp(weights, min(_RESIDUAL_STEPS, len(weights) - 1))
     residual = [w for w in reversed(residual) if w]
     if len(residual) > 1 and _split_decision(residual, sum(residual) // 2):
         return True
@@ -315,32 +312,35 @@ def _two_parts_bitset(weights: Sequence[int], cap: int) -> int:
     return bits.bit_length() - 1
 
 
-def _karmarkar_karp(weights: Sequence[int]) -> int:
-    """Final difference of Karmarkar-Karp differencing: the two largest
-    numbers are replaced by their difference until one number is left.  It
-    is the gap between the two bundle sums of the partition it builds."""
-    heap = [-w for w in weights]
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        largest = heapq.heappop(heap)
-        heapq.heapreplace(heap, largest - heap[0])
-    return -heap[0]
+def _karmarkar_karp(weights: Sequence[int], steps: int) -> list[int]:
+    """The numbers left, ascending, after ``steps`` Karmarkar-Karp steps on
+    ``weights`` (sorted in descending order), each putting the difference of
+    the two largest in their place.  After ``len(weights) - 1`` steps the one
+    left is the gap between the two bundle sums of the partition it builds."""
+    numbers = list(reversed(weights))
+    for _ in range(steps):
+        largest = numbers.pop()
+        insort(numbers, largest - numbers.pop())
+    return numbers
 
 
 def _two_parts_meet(weights: Sequence[int], cap: int) -> int:
-    """Largest subset sum up to ``cap``, by meet-in-the-middle: the subset
-    sums of the even-index and of the odd-index weights, the larger list
-    sorted, and for each sum of the smaller list its largest partner in the
-    larger that keeps the pair within ``cap``."""
+    """Largest subset sum up to ``cap``, by meet-in-the-middle: the sorted
+    subset sums of the even-index and of the odd-index weights, and for each
+    sum of the smaller list, walked upward, its largest partner in the larger
+    that keeps the pair within ``cap``, found by one pointer moving down."""
     small = _subset_sums(weights[1::2], cap)
     large = _subset_sums(weights[0::2], cap)
     if len(small) > len(large):
         small, large = large, small
+    small.sort()
     large.sort()
-    best = 0
+    best, i = 0, len(large) - 1
     for s in small:
-        # large[0] == 0 <= cap - s, so the partner always exists
-        pair = s + large[bisect_right(large, cap - s) - 1]
+        # large[0] == 0 <= cap - s stops the pointer, so the partner exists
+        while large[i] > cap - s:
+            i -= 1
+        pair = s + large[i]
         if pair > best:
             best = pair
             if best == cap:

@@ -1,3 +1,4 @@
+import heapq
 import inspect
 import math
 import pickle
@@ -128,6 +129,33 @@ DERANDOMIZED = settings(
 )
 
 
+class TestIntegerRows:
+    @DERANDOMIZED
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 10**6), st.just(0), st.booleans()), max_size=24
+        ),
+        st.integers(2, 4),
+        st.one_of(st.none(), st.sets(st.integers(0, 23))),
+        st.integers(2, 12),
+    )
+    @example([3, 5, 2, 8], 2, None, 7)  # ints only: the row is read in place
+    @example([True, 4, False, 0, 3], 2, {0, 1, 4}, 5)  # a bool: scaled as today
+    def test_int_row_matches_its_fraction_twins(self, row, parts, items, d):
+        # an int row, read in place, has the share of the same values as
+        # Fraction(v, 1), and d times the share of Fraction(v, d)
+        if items is not None:
+            items = [j for j in items if j < len(row)]
+
+        def share(values):
+            return maximin_share(Instance.from_rows([values]), 0, parts, items)
+
+        got = share(row)
+        assert type(got) is Fraction
+        assert got == share([Fraction(v, 1) for v in row])
+        assert got == d * share([Fraction(v, d) for v in row])
+
+
 def _two_part_route(row):
     """The 2-bundle share of ``row`` and the exact methods that computed it,
     in call order; an empty list means the differencing exit answered."""
@@ -153,18 +181,33 @@ def _two_part_route(row):
     return share, used
 
 
-def _set_of_sums_half(row):
-    """Largest subset sum up to half the total, from a plain set of sums."""
-    half = sum(row) // 2
+def _set_of_sums(row, cap):
+    """Largest subset sum up to ``cap``, from a plain set of sums."""
     sums = {0}
     for w in row:
-        sums |= {s + w for s in sums if s + w <= half}
+        sums |= {s + w for s in sums if s + w <= cap}
     return max(sums)
+
+
+def _set_of_sums_half(row):
+    """Largest subset sum up to half the total, from a plain set of sums."""
+    return _set_of_sums(row, sum(row) // 2)
+
+
+def _heap_differencing(weights, steps):
+    """The numbers left, ascending, after ``steps`` Karmarkar-Karp steps by
+    a heap of negated numbers: the reference for the sorted-list loop."""
+    heap = [-w for w in weights]
+    heapq.heapify(heap)
+    for _ in range(steps):
+        largest = heapq.heappop(heap)
+        heapq.heapreplace(heap, largest - heap[0])
+    return sorted(-w for w in heap)
 
 
 def _kk_exits(row):
     weights = sorted(row, reverse=True)
-    return mms._karmarkar_karp(weights) == sum(weights) % 2
+    return mms._karmarkar_karp(weights, len(weights) - 1) == [sum(weights) % 2]
 
 
 def _draw(rng, m, top, accept):
@@ -474,6 +517,31 @@ class TestTwoPartOracle:
         share, used = _two_part_route(row)
         assert used == ["_two_parts_meet"]
         assert share == 30179 + 13337 == sum(row) // 2 == _set_of_sums_half(row)
+
+    @DERANDOMIZED
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 3), st.integers(0, 12), st.integers(0, 10**6)),
+            min_size=2,
+            max_size=32,
+        )
+    )
+    def test_sorted_list_differencing_matches_the_heap(self, row):
+        # small values make many ties, among the numbers and their differences
+        weights = sorted(row, reverse=True)
+        for steps in range(len(weights)):
+            assert mms._karmarkar_karp(weights, steps) == _heap_differencing(weights, steps)
+
+    @DERANDOMIZED
+    @given(st.lists(st.integers(0, 10**6), max_size=14), st.data())
+    def test_meet_matches_set_of_sums_at_any_cap(self, row, data):
+        # weights in any order, zeros included, at the caps that
+        # mechanisms._reaches passes as well as the oracle's half
+        total, half = sum(row), sum(row) // 2
+        below = data.draw(st.integers(0, max(half - 1, 0)))
+        above = total + data.draw(st.integers(0, 10**6))
+        for cap in (0, below, half, total, above):
+            assert mms._two_parts_meet(row, cap) == _set_of_sums(row, cap)
 
     def test_thousand_items(self):
         rng = random.Random(1100)
